@@ -1,0 +1,560 @@
+"""Differential suite: BOUNDHOLE on the rotation system vs the object walker.
+
+:mod:`repro.protocols.boundhole` runs TENT, the widest-gap choice and
+the rim walks on the graph's rotation system (each node's neighbours
+sorted by angle): a right-hand step is one lookup in the next node's
+angular order, and only rows the rotation flags as ambiguous re-run the
+scalar ``first_hit_cw`` sweep.
+The claim is *bit identity* with the object-path walker that re-swept
+every neighbour through ``first_hit_cw`` at every step.  That walker is
+kept below, verbatim, as the oracle.
+
+Every case compares the stuck-node sets, the boundary tuples, and the
+node → boundary map with its items in insertion order.  Topologies:
+the paper's IA and FA models at three densities; a grid with a hole
+(exact angle ties between collinear neighbours); duplicate positions;
+neighbours nudged with ``math.nextafter`` to sit just inside and just
+outside the rotation's defect band and the sweep's exclusion epsilon;
+TENT gaps within one ulp of 120°; single-neighbour and isolated nodes;
+sparse ids; a hand-built graph with unsorted rows (no core); dynamic
+snapshots after failures and restores; and step budgets small enough
+that walks run out.  Two more tests pin the rotation's own contract:
+rows sorted by angle with the documented flags, and on every unflagged
+row the cyclic predecessor equals the scalar sweep.  Base seeds run in
+tier-1; the ``slow``-marked extra seeds run in the CI
+``dynamic-differential`` job.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+
+import pytest
+
+from repro.geometry import Point, Rect
+from repro.geometry.angles import angle_of, ccw_angle_distance, first_hit_cw
+from repro.network import DynamicTopology, WasnGraph, build_unit_disk_graph
+from repro.network.deployment import (
+    deploy_forbidden_area_model,
+    deploy_uniform_model,
+)
+from repro.network.node import Node, NodeId
+from repro.protocols.boundhole import (
+    HoleBoundarySet,
+    _Rotation,
+    build_hole_boundaries,
+    tent_stuck_nodes,
+)
+
+AREA = Rect(0, 0, 200, 200)
+RADIUS = 20.0
+BASE_SEED = 2009
+#: Extra seeds, run by the CI ``dynamic-differential`` job (``-m slow``).
+EXTRA_SEEDS = (7, 23, 91)
+
+
+# -- the oracle: the object-path walker, verbatim --------------------------
+
+_TENT_GAP = 2.0 * math.pi / 3.0
+
+
+def oracle_tent_stuck_nodes(graph: WasnGraph) -> set[NodeId]:
+    stuck: set[NodeId] = set()
+    for u in graph.node_ids:
+        neighbors = graph.neighbors(u)
+        if not neighbors:
+            continue
+        pu = graph.position(u)
+        angles = sorted(angle_of(pu, graph.position(v)) for v in neighbors)
+        worst = 0.0
+        for i, current in enumerate(angles):
+            following = angles[(i + 1) % len(angles)]
+            gap = ccw_angle_distance(current, following)
+            if len(angles) == 1:
+                gap = math.tau
+            worst = max(worst, gap)
+        if worst > _TENT_GAP:
+            stuck.add(u)
+    return stuck
+
+
+def _widest_gap_edges(
+    graph: WasnGraph, u: NodeId
+) -> tuple[NodeId, NodeId] | None:
+    neighbors = graph.neighbors(u)
+    if not neighbors:
+        return None
+    pu = graph.position(u)
+    ordered = sorted(
+        neighbors, key=lambda v: angle_of(pu, graph.position(v))
+    )
+    if len(ordered) == 1:
+        return (ordered[0], ordered[0])
+    best: tuple[NodeId, NodeId] | None = None
+    best_gap = -1.0
+    for i, v in enumerate(ordered):
+        w = ordered[(i + 1) % len(ordered)]
+        gap = ccw_angle_distance(
+            angle_of(pu, graph.position(v)), angle_of(pu, graph.position(w))
+        )
+        if gap > best_gap:
+            best_gap = gap
+            best = (v, w)
+    return best
+
+
+def _trace_boundary(
+    graph: WasnGraph, start: NodeId, max_steps: int
+) -> tuple[NodeId, ...] | None:
+    gap = _widest_gap_edges(graph, start)
+    if gap is None:
+        return None
+    prev, current = start, gap[0]
+    walk = [start, current]
+    seen_edges = {(start, current)}
+    for _ in range(max_steps):
+        if current == start:
+            return tuple(walk[:-1])  # closed: drop the repeated start
+        pc = graph.position(current)
+        neighbors = graph.neighbors(current)
+        nxt = first_hit_cw(
+            pc,
+            angle_of(pc, graph.position(prev)),
+            neighbors,
+            graph.position,
+            exclusive=True,
+        )
+        if nxt is None:
+            # Degenerate single-neighbour dead end: bounce back.
+            nxt = prev
+        edge = (current, nxt)
+        if edge in seen_edges:
+            return None  # walk trapped in a sub-cycle missing start
+        seen_edges.add(edge)
+        walk.append(nxt)
+        prev, current = current, nxt
+    return None
+
+
+def oracle_build_hole_boundaries(
+    graph: WasnGraph, max_steps_factor: float = 4.0
+) -> HoleBoundarySet:
+    stuck = oracle_tent_stuck_nodes(graph)
+    max_steps = max(16, int(max_steps_factor * len(graph)))
+    boundaries: list[tuple[NodeId, ...]] = []
+    by_node: dict[NodeId, int] = {}
+    for start in sorted(stuck):
+        if start in by_node:
+            continue
+        cycle = _trace_boundary(graph, start, max_steps)
+        if cycle is None:
+            continue
+        index = len(boundaries)
+        boundaries.append(cycle)
+        for node in cycle:
+            by_node.setdefault(node, index)
+    return HoleBoundarySet(boundaries=tuple(boundaries), _by_node=by_node)
+
+
+# -- helpers ---------------------------------------------------------------
+
+
+def assert_identical(
+    graph: WasnGraph, max_steps_factor: float = 4.0
+) -> HoleBoundarySet:
+    """Both implementations agree on ``graph``; returns the oracle's set."""
+    assert tent_stuck_nodes(graph) == oracle_tent_stuck_nodes(graph)
+    expected = oracle_build_hole_boundaries(graph, max_steps_factor)
+    actual = build_hole_boundaries(graph, max_steps_factor)
+    assert actual.boundaries == expected.boundaries
+    assert list(actual._by_node.items()) == list(expected._by_node.items())
+    return expected
+
+
+def paper_positions(model: str, n: int, seed: int) -> list[Point]:
+    rng = random.Random(seed)
+    if model == "FA":
+        return list(deploy_forbidden_area_model(n, AREA, rng).positions)
+    return list(deploy_uniform_model(n, AREA, rng).positions)
+
+
+def grid_positions(n=10, spacing=10.0, hole=range(3, 7)) -> list[Point]:
+    return [
+        Point(i * spacing, j * spacing)
+        for j in range(n)
+        for i in range(n)
+        if not (i in hole and j in hole)
+    ]
+
+
+def ambiguous_ids(graph: WasnGraph) -> set[NodeId]:
+    rotation = _Rotation(graph)
+    return {u for u, flag in zip(rotation.ids, rotation.ambiguous) if flag}
+
+
+def _paper_cases(seeds):
+    return [
+        pytest.param(model, n, seed, id=f"{model}-{n}-seed{seed}")
+        for seed in seeds
+        for model in ("IA", "FA")
+        for n in (300, 500, 800)
+    ]
+
+
+# -- the paper's deployments -----------------------------------------------
+
+
+@pytest.mark.parametrize("model,n,seed", _paper_cases((BASE_SEED,)))
+def test_paper_models(model, n, seed):
+    graph = build_unit_disk_graph(paper_positions(model, n, seed), RADIUS)
+    expected = assert_identical(graph)
+    assert len(expected) > 0
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("model,n,seed", _paper_cases(EXTRA_SEEDS))
+def test_paper_models_extra_seeds(model, n, seed):
+    graph = build_unit_disk_graph(paper_positions(model, n, seed), RADIUS)
+    assert_identical(graph)
+
+
+# -- degenerate geometry ---------------------------------------------------
+
+
+@pytest.mark.parametrize("radius", [15.0, 25.0])
+def test_grid_with_hole(radius):
+    # At r = 25 each node sees collinear neighbours 10 and 20 away on
+    # the same ray: exact angle ties, decided by distance.
+    graph = build_unit_disk_graph(grid_positions(), radius)
+    expected = assert_identical(graph)
+    assert len(expected) > 0
+    if radius > 20.0:
+        assert ambiguous_ids(graph)
+
+
+@pytest.mark.parametrize("base", ["grid", "IA"])
+def test_duplicate_positions(base):
+    if base == "grid":
+        # Hull nodes whose twin is the only neighbour at angle 0 (east
+        # edge) or, through a negative zero, at angle pi (west edge).
+        positions = grid_positions() + [Point(90.0, 50.0), Point(-0.0, 40.0)]
+        radius = 15.0
+    else:
+        positions = paper_positions("IA", 300, BASE_SEED)
+        radius = RADIUS
+    rng = random.Random(BASE_SEED)
+    positions += rng.sample(positions, 12)
+    graph = build_unit_disk_graph(positions, radius)
+    duplicated = {
+        u for u in graph.node_ids
+        if any(
+            graph.position(v) == graph.position(u) for v in graph.neighbors(u)
+        )
+    }
+    assert len(duplicated) >= 24
+    assert duplicated <= ambiguous_ids(graph)
+    assert_identical(graph)
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0], ids=["west", "east"])
+def test_negative_zero_twin_on_a_ring(side):
+    """A ring node at x = 0 with a twin at x = -0.0: seen from the node,
+    the twin sits at angle pi, and no other neighbour at 0 or pi."""
+    centre = -30.0 * side
+    positions = [
+        Point(
+            centre + 30.0 * math.cos(k * math.pi / 12),
+            30.0 * math.sin(k * math.pi / 12),
+        )
+        for k in range(24)
+    ]
+    node = 12 if side < 0 else 0  # the ring's point nearest x = 0
+    positions[node] = Point(0.0, 0.0)
+    positions.append(Point(-0.0, 0.0))
+    graph = build_unit_disk_graph(positions, 10.0)
+    origin = graph.position(node)
+    row = [angle_of(origin, graph.position(v)) for v in graph.neighbors(node)]
+    assert math.pi in row and 0.0 not in row
+    assert node in ambiguous_ids(graph)
+    assert_identical(graph)
+
+
+def _nudged_neighbour(u: Point, v: Point, gap: float, inside: bool) -> Point:
+    """A point just north of ``v`` (due east of ``u``) whose angle from
+    ``u`` exceeds ``angle_of(u, v)`` = 0 by at most ``gap`` (inside) or
+    by the least float y above that (outside)."""
+    assert v.y == u.y and v.x > u.x
+    lo, hi = v.y, v.y + 100.0 * gap * (v.x - u.x)
+    while math.nextafter(lo, math.inf) < hi:
+        mid = (lo + hi) / 2.0
+        if angle_of(u, Point(v.x, mid)) <= gap:
+            lo = mid
+        else:
+            hi = mid
+    return Point(v.x, lo if inside else hi)
+
+
+@pytest.mark.parametrize("inside", [True, False], ids=["inside", "outside"])
+@pytest.mark.parametrize(
+    "gap", [1e-9, 1e-12], ids=["rotation-band", "sweep-epsilon"]
+)
+def test_neighbours_nudged_across_the_band(gap, inside):
+    positions = grid_positions()
+    # Boundary nodes with their eastern neighbour on the same boundary:
+    # on the hole's south and north rims (walked eastward and westward)
+    # and on the hull.
+    pairs = [
+        ((30.0, 20.0), (40.0, 20.0)),
+        ((30.0, 70.0), (40.0, 70.0)),
+        ((10.0, 0.0), (20.0, 0.0)),
+    ]
+    for (ux, uy), (vx, vy) in pairs:
+        positions.append(
+            _nudged_neighbour(Point(ux, uy), Point(vx, vy), gap, inside)
+        )
+    graph = build_unit_disk_graph(positions, 15.0)
+    flagged = ambiguous_ids(graph)
+    expected = assert_identical(graph)
+    on_boundaries = expected.nodes_on_boundaries()
+    for (ux, uy), _ in pairs:
+        u = positions.index(Point(ux, uy))
+        assert u in on_boundaries
+        # Only a nudge outside the 1e-9 band leaves the row decided by
+        # the rotation alone.
+        assert (u in flagged) == (inside or gap < 1e-9)
+
+
+def test_tent_gap_within_one_ulp_of_120_degrees():
+    """Star centres whose widest gap is 120° to the last bit, one ulp
+    below, or one ulp above: only the last one is stuck."""
+    targets = [
+        math.nextafter(_TENT_GAP, -math.inf),
+        _TENT_GAP,
+        math.nextafter(_TENT_GAP, math.inf),
+    ]
+    positions: list[Point] = []
+    centres = []
+    for k, target in enumerate(targets):
+        c = Point(100.0 * k, 0.0)
+        centres.append(len(positions))
+        positions.append(c)
+        positions.append(Point(c.x + 10.0, 0.0))  # angle exactly 0
+        # Step y (one ulp moves the angle by less than an ulp) until
+        # the second neighbour's angle is the target exactly.
+        x = c.x - 5.0
+        y = 10.0 * math.sin(target)
+        while angle_of(c, Point(x, y)) != target:
+            step = math.inf if angle_of(c, Point(x, y)) > target else -math.inf
+            y = math.nextafter(y, step)
+        positions.append(Point(x, y))
+        rest = (math.tau - target) / 3.0
+        for m in (1, 2):
+            theta = target + m * rest
+            positions.append(
+                Point(c.x + 10.0 * math.cos(theta), 10.0 * math.sin(theta))
+            )
+    graph = build_unit_disk_graph(positions, 11.0)
+    stuck = oracle_tent_stuck_nodes(graph)
+    assert [c in stuck for c in centres] == [False, False, True]
+    assert_identical(graph)
+
+
+def test_single_neighbour_and_isolated_nodes():
+    positions = grid_positions(n=6, hole=range(2, 4))
+    positions += [
+        Point(-8.0, 0.0),  # pendant on the grid corner
+        Point(100.0, 100.0),  # isolated
+        Point(150.0, 150.0),  # an isolated pair...
+        Point(155.0, 150.0),
+        # ...and a three-node path, walked first from its middle node,
+        # whose two gaps tie at exactly pi (the first one wins).
+        Point(-40.0, 25.0),
+        Point(-50.0, 25.0),
+        Point(-30.0, 25.0),
+    ]
+    graph = build_unit_disk_graph(positions, 12.0)
+    degrees = {graph.degree(u) for u in graph.node_ids}
+    assert {0, 1} <= degrees
+    assert_identical(graph)
+
+
+@pytest.mark.parametrize(
+    "hidden",
+    [(20.0, 40.0), (30.0, 20.0), (0.0, 0.0), (-8.0, -8.0), (155.0, 150.0)],
+)
+def test_nan_position(hidden):
+    """A node whose position turned NaN after the graph was built: its
+    angle sorts wherever NaN comparisons leave it, and every row that
+    holds it is flagged, single-neighbour rows included (a pendant on
+    the grid corner, and either end of an isolated pair)."""
+    positions = grid_positions() + [
+        Point(-8.0, -8.0),  # pendant on the grid corner
+        Point(150.0, 150.0),  # an isolated pair
+        Point(155.0, 150.0),
+    ]
+    base = build_unit_disk_graph(positions, 15.0)
+    lost = positions.index(Point(*hidden))
+    nodes = [
+        Node(u, Point(math.nan, 0.0) if u == lost else base.position(u))
+        for u in base.node_ids
+    ]
+    adjacency = {u: base.neighbors(u) for u in base.node_ids}
+    graph = WasnGraph(nodes, adjacency, 15.0)
+    assert {lost, *graph.neighbors(lost)} <= ambiguous_ids(graph)
+    if hidden[0] < 0.0 or hidden[0] > 100.0:
+        assert graph.degree(lost) == 1
+    assert_identical(graph)
+
+
+# -- the rotation's own contract -------------------------------------------
+
+
+def _contract_cases():
+    return [
+        pytest.param(model, sparse, id=f"{model}{'-sparse' if sparse else ''}")
+        for model in ("IA", "FA")
+        for sparse in (False, True)
+    ]
+
+
+def _contract_graph(model: str, sparse: bool) -> WasnGraph:
+    graph = build_unit_disk_graph(
+        paper_positions(model, 400, BASE_SEED), RADIUS
+    )
+    if sparse:
+        # Sparse ids: the rotation holds indices, not ids.
+        graph = graph.without_nodes(range(0, 400, 7))
+    return graph
+
+
+@pytest.mark.parametrize("model,sparse", _contract_cases())
+def test_rotation_rows_sorted_by_angle_and_flags(model, sparse):
+    graph = _contract_graph(model, sparse)
+    rotation = _Rotation(graph)
+    ids = rotation.ids
+    assert list(ids) == graph.node_ids
+    for i, u in enumerate(ids):
+        pu = graph.position(u)
+        row = graph.neighbors(u)
+        ordered = sorted(row, key=lambda v: angle_of(pu, graph.position(v)))
+        span = range(rotation.indptr[i], rotation.indptr[i + 1])
+        assert [ids[rotation.head[j]] for j in span] == ordered
+        angles = [angle_of(pu, graph.position(v)) for v in ordered]
+        # A single neighbour's gap to itself is 0: always flagged.
+        tight = any(
+            not ccw_angle_distance(a, b) > 1e-9
+            for a, b in zip(angles, angles[1:] + angles[:1])
+        )
+        coincident = any(graph.position(v) == pu for v in row)
+        assert rotation.ambiguous[i] == (tight or coincident)
+
+
+@pytest.mark.parametrize("model,sparse", _contract_cases())
+def test_unflagged_rows_decide_the_clockwise_sweep(model, sparse):
+    """In an unflagged row, the first neighbour clockwise from any
+    neighbour is its cyclic predecessor in the rotation."""
+    graph = _contract_graph(model, sparse)
+    rotation = _Rotation(graph)
+    ids = rotation.ids
+    checked = 0
+    for i, u in enumerate(ids):
+        if rotation.ambiguous[i]:
+            continue
+        pu = graph.position(u)
+        lo, hi = rotation.indptr[i], rotation.indptr[i + 1]
+        ring = [ids[rotation.head[j]] for j in range(lo, hi)]
+        for slot, v in enumerate(ring):
+            swept = first_hit_cw(
+                pu,
+                angle_of(pu, graph.position(v)),
+                graph.neighbors(u),
+                graph.position,
+                exclusive=True,
+            )
+            assert swept == ring[slot - 1]
+            checked += 1
+    assert checked > 1000
+
+
+# -- graph shapes ----------------------------------------------------------
+
+
+def test_sparse_ids():
+    full = build_unit_disk_graph(
+        paper_positions("FA", 400, BASE_SEED), RADIUS
+    )
+    rng = random.Random(BASE_SEED)
+    graph = full.without_nodes(rng.sample(full.node_ids, 60))
+    assert not graph.core.dense
+    assert_identical(graph)
+
+
+@pytest.mark.parametrize("radius", [15.0, 25.0])
+def test_hand_built_graph_with_unsorted_rows(radius):
+    """No core: the rotation is computed from ``neighbors`` in row order,
+    which decides exact ties (r = 25) differently from sorted rows."""
+    base = build_unit_disk_graph(grid_positions(), radius)
+    ids = {u: 3 * u + 5 for u in base.node_ids}
+    nodes = [Node(ids[u], base.position(u)) for u in base.node_ids]
+    adjacency = {
+        ids[u]: tuple(ids[v] for v in reversed(base.neighbors(u)))
+        for u in base.node_ids
+    }
+    graph = WasnGraph(nodes, adjacency, radius)
+    with pytest.raises(ValueError):
+        graph.core
+    assert_identical(graph)
+
+
+def _dynamic_case(seed: int, events: int) -> None:
+    positions = paper_positions("IA", 300, seed)
+    topology = DynamicTopology(positions, RADIUS)
+    rng = random.Random(seed)
+    assert_identical(topology.graph)
+    for _ in range(events):
+        down = list(topology.down_ids)
+        if down and rng.random() < 0.4:
+            topology.restore_many(rng.sample(down, min(len(down), 5)))
+        else:
+            topology.fail_many(rng.sample(list(topology.alive_ids), 15))
+        assert_identical(topology.graph)
+    assert topology.down_ids
+
+
+def test_dynamic_snapshots_after_fail_and_restore():
+    _dynamic_case(BASE_SEED, 6)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", EXTRA_SEEDS)
+def test_dynamic_snapshots_extra_seeds(seed):
+    _dynamic_case(seed, 20)
+
+
+# -- step budgets ----------------------------------------------------------
+
+
+def _budget_case(model: str, seed: int) -> None:
+    graph = build_unit_disk_graph(paper_positions(model, 300, seed), RADIUS)
+    for factor in (0.0, 0.02, 0.1, 0.5):
+        assert_identical(graph, max_steps_factor=factor)
+    # The smallest budget (16 steps) cuts walks that the default closes.
+    stuck = sorted(oracle_tent_stuck_nodes(graph))
+    assert any(
+        _trace_boundary(graph, s, 16) is None
+        and _trace_boundary(graph, s, 4 * len(graph)) is not None
+        for s in stuck
+    )
+
+
+@pytest.mark.parametrize("model", ["IA", "FA"])
+def test_small_step_budgets(model):
+    _budget_case(model, BASE_SEED)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", EXTRA_SEEDS)
+@pytest.mark.parametrize("model", ["IA", "FA"])
+def test_small_step_budgets_extra_seeds(model, seed):
+    _budget_case(model, seed)
