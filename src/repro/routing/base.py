@@ -416,17 +416,21 @@ class Router(ABC):
 
         ``backend`` selects the batch implementation:
 
-        * ``"auto"`` (default) — the vectorized numpy kernel when
-          numpy is importable and the scheme has a fast path,
-          otherwise the scalar executor, otherwise sequential
-          :meth:`route`.  Selection is silent: all three produce
-          bit-identical results.
+        * ``"auto"`` (default) — the vectorized numpy kernel for
+          batches of at least ``_KERNEL_MIN_BATCH`` pairs (the
+          measured crossover, see :mod:`repro.routing.batch`) when
+          numpy is importable and the scheme has a kernel; otherwise
+          the scalar executor, otherwise sequential :meth:`route`.
+          Smaller batches never probe for or build a kernel.
+          Selection is silent: all three produce bit-identical
+          results.
         * ``"scalar"`` — never touch numpy (the scalar executor, or
           sequential ``route`` without a fast path).
         * ``"numpy"`` — the vectorized kernel, or an error:
           :class:`~repro._optional.MissingDependencyError` when numpy
           is not importable, :class:`RoutingError` when the scheme has
-          no fast path on this graph.
+          no fast path on this graph.  SLGF2 has a fast path but no
+          kernel, so it runs on the scalar executor.
 
         Batches trade instrumentation for speed: there are no
         ``on_hop``/``on_phase_change`` observers here — use
@@ -462,17 +466,23 @@ class Router(ABC):
                         "use backend='scalar' or backend='auto'"
                     )
                 kernel = numpy_kernel_for(self, executor)
-                self._numpy_kernel = kernel
-            return kernel.route_batch(pairs)
-        if backend == "auto" and executor:
-            kernel = self._numpy_kernel
-            if kernel is None:
-                from repro.routing.batch import numpy_kernel_for
-
-                kernel = numpy_kernel_for(self, executor)
                 self._numpy_kernel = kernel if kernel else False
             if kernel:
                 return kernel.route_batch(pairs)
+        elif backend == "auto" and executor:
+            from repro.routing.batch import (
+                _KERNEL_MIN_BATCH,
+                numpy_kernel_for,
+            )
+
+            pairs = list(pairs)  # any iterable; counted, then routed
+            if len(pairs) >= _KERNEL_MIN_BATCH:
+                kernel = self._numpy_kernel
+                if kernel is None:
+                    kernel = numpy_kernel_for(self, executor)
+                    self._numpy_kernel = kernel if kernel else False
+                if kernel:
+                    return kernel.route_batch(pairs)
         if not executor:
             return [self.route(s, d) for s, d in pairs]
         route = executor.route

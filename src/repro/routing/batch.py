@@ -995,6 +995,12 @@ _BAND_HI = _GUARD
 # per-wave numpy dispatch is not.
 _WAVE = 32768
 
+# Smallest batch ``route_batch(backend="auto")`` hands to the kernel:
+# the measured scalar/numpy crossover (docs/API.md has the table).
+# Below it the kernel's per-step numpy dispatch, and its build on a
+# router's first batch, cost more than the vectorized step saves.
+_KERNEL_MIN_BATCH = 512
+
 
 class _NumpyBatchKernel:
     """Vectorized batch backend: one array step advances every packet.
@@ -1005,7 +1011,7 @@ class _NumpyBatchKernel:
     distance to any destination is ``inf`` and every mask ignores them
     for free.  Each step gathers the active packets' columns into
     ``(max_degree, active)`` working arrays, applies the scheme's
-    forwarding-zone filter (and safety statuses for SLGF/SLGF2) as
+    forwarding-zone filter (and safety statuses for SLGF) as
     elementwise sign tests, and takes per-packet tier minima of the
     squared distance to the destination along ``axis=0`` — the long
     contiguous axis, which numpy reduces far faster than short rows.
@@ -1017,11 +1023,11 @@ class _NumpyBatchKernel:
     decision is checked against the conservative bands above, and any
     packet the kernel cannot decide bit-identically — recovery or
     safe-ladder entry, (near-)ties, coincident geometry, near-destination
-    thresholds, SLGF2's superseding gate — *defects*: it is re-routed
-    from the source by the wrapped scalar executor, which is exact by
-    construction.  Hop lengths are gathered from the core's
-    ``math.hypot``-computed ``lengths`` column and accumulated one add
-    per hop in path order, so delivered lengths are bit-identical too.
+    thresholds — *defects*: it is re-routed from the source by the
+    wrapped scalar executor, which is exact by construction.  Hop
+    lengths are gathered from the core's ``math.hypot``-computed
+    ``lengths`` column and accumulated one add per hop in path order,
+    so delivered lengths are bit-identical too.
     """
 
     def __init__(self, np, mode: str, router: Router, core, scalar) -> None:
@@ -1078,16 +1084,10 @@ class _NumpyBatchKernel:
         # page-fault on every first touch.
         self._buf_cap = 0
         self._bufs = None
-        if mode == "gf":
-            self.quadrant = False
-            self.rect = False  # full neighbourhood, no zone filter
-        elif mode in ("lgf", "slgf"):
-            self.rect = router._scope == "zone"
-            self.quadrant = not self.rect
-        else:  # slgf2
-            self.quadrant = router._scope == "quadrant"
-            self.rect = not self.quadrant
-        if mode in ("slgf", "slgf2"):
+        # GF scans the full neighbourhood; LGF/SLGF filter by quadrant
+        # or by the source-destination rectangle ("zone").
+        self.quadrant = mode != "gf" and router._scope == "quadrant"
+        if mode == "slgf":
             # Touching .model rebuilds it if a rebind left it stale,
             # exactly as the scalar executors do.  The phantom row is
             # all-safe; its inf distance already excludes it.
@@ -1095,7 +1095,6 @@ class _NumpyBatchKernel:
             safety = np.ones((n + 1, 4), dtype=bool)
             for i, u in enumerate(core.ids):
                 safety[i] = statuses[u]
-            self.safety = safety
             # Zone-type-t safety of neighbour (u, slot), packed as bits
             # t-1 of one int8 (phantom: all-safe 0b1111).
             packed = (
@@ -1105,24 +1104,11 @@ class _NumpyBatchKernel:
             )
             self.safe_t = np.ascontiguousarray(packed[nb_pad].T)
         else:
-            self.safety = None
             self.safe_t = None
-        if mode == "slgf2" and router._use_superseding:
-            # needs_splits gate, precomputed per node: u or any row
-            # neighbour has an unsafe zone type.
-            unsafe = ~self.safety[:n].all(axis=1)
-            csum = np.concatenate(
-                ([0], np.cumsum(unsafe[indices], dtype=np.int64))
-            )
-            gate = unsafe | (csum[indptr[1:]] > csum[indptr[:-1]])
-            self.gate = gate if gate.any() else None
-        else:
-            self.gate = None
-        # Per-hop phase label for single-phase schemes (SLGF labels
-        # per hop: safe picks _SAFE, plain picks _GREEDY), plus a cache
-        # of ready-made ``(phase,) * hops`` tuples — building one per
-        # result is a measurable share of a large batch.
-        self.hop_phase = _GREEDY if mode in ("gf", "lgf") else _SAFE
+        # GF and LGF label every hop _GREEDY (SLGF labels per hop:
+        # safe picks _SAFE, plain picks _GREEDY); ready-made
+        # ``(_GREEDY,) * hops`` tuples are cached, since building one
+        # per result is a measurable share of a large batch.
         self._phases: dict[int, tuple] = {}
 
     def _locate(self, pairs):
@@ -1285,7 +1271,7 @@ class _NumpyBatchKernel:
             m_sel = m_all
             d2t = d2v
             use_safe = None
-        elif mode == "slgf":
+        else:  # slgf
             m_all = d2v.min(axis=0)
             m_safe = d2s.min(axis=0)
             if banded:
@@ -1300,12 +1286,6 @@ class _NumpyBatchKernel:
             ok = safe_clear | (safe_empty & plain_clear)
             m_sel = np.where(use_safe, m_safe, m_all)
             d2t = np.where(use_safe, d2s, d2v)
-        else:  # slgf2: safe tier only
-            m_safe = d2s.min(axis=0)
-            ok = m_safe < lo2 if banded else np.isfinite(m_safe)
-            m_sel = m_safe
-            d2t = d2s
-            use_safe = None
 
         # Delivery: a destination adjacent to its packet.  Its
         # candidate entry has squared distance exactly 0.0 and passes
@@ -1329,7 +1309,6 @@ class _NumpyBatchKernel:
         nb_t, len_t, deg = self.nb_t, self.len_t, self.deg
         nb_flat, len_flat = nb_t.ravel(), len_t.ravel()
         safe_t = self.safe_t
-        gate = self.gate
         rname = self.router.name
         phase_cache = self._phases
         results: list[RouteResult | None] = [None] * count
@@ -1357,15 +1336,12 @@ class _NumpyBatchKernel:
             if not slot.size:
                 break
             # Pre-decision defects: (near-)coincident with the
-            # destination, SLGF2 superseding gate, and — only possible
-            # on the first hop, every later node has a neighbour —
-            # isolated sources.
+            # destination and — only possible on the first hop, every
+            # later node has a neighbour — isolated sources.
             bad = dval <= _NEAR_DEST
             if first:
                 bad |= deg[cur] == 0
                 first = False
-            if gate is not None:
-                bad |= gate[cur]
             if bad.any():
                 defects.extend(slot[bad].tolist())
                 keep = ~bad
@@ -1419,9 +1395,7 @@ class _NumpyBatchKernel:
                         hops = len(path) - 1
                         ph = phase_cache.get(hops)
                         if ph is None:
-                            phase_cache[hops] = ph = (
-                                self.hop_phase,
-                            ) * hops
+                            phase_cache[hops] = ph = (_GREEDY,) * hops
                     results[s_slot] = RouteResult(
                         rname,
                         source,
@@ -1468,7 +1442,7 @@ class _NumpyBatchKernel:
             if phase_rows is not None:
                 ph = tuple(phase_rows[s_slot])
             else:
-                ph = (self.hop_phase,) * (len(path) - 1)
+                ph = (_GREEDY,) * (len(path) - 1)
             results[s_slot] = RouteResult(
                 rname,
                 source,
@@ -1492,21 +1466,24 @@ class _NumpyBatchKernel:
 def numpy_kernel_for(router: Router, executor=None):
     """A vectorized batch kernel for ``router``, or ``None``.
 
-    ``None`` when numpy is unavailable or when the router has no scalar
-    fast path (``executor_for`` rules: unknown scheme, subclass, no
-    columnar core) — the kernel defects packets to the scalar replica,
-    so it cannot exist without one.  ``executor`` reuses an
-    already-built scalar executor instead of building a fresh one.
+    ``None`` when the scheme has no kernel mode (SLGF2: its kernel
+    defected nearly every packet to the scalar replica and was no faster
+    than it, so SLGF2 runs on the scalar executor under every backend),
+    when numpy is unavailable, or when the router has no scalar fast
+    path (``executor_for`` rules: unknown scheme, subclass, no columnar
+    core) — the kernel defects packets to the scalar replica, so it
+    cannot exist without one.  ``executor`` reuses an already-built
+    scalar executor instead of building a fresh one.
     """
+    mode = _KERNEL_MODES.get(type(router))
+    if mode is None:
+        return None
     np = load_numpy()
     if np is None:
         return None
     if executor is None:
         executor = executor_for(router)
     if executor is None:
-        return None
-    mode = _KERNEL_MODES.get(type(router))
-    if mode is None:
         return None
     return _NumpyBatchKernel(np, mode, router, router.graph.core, executor)
 
@@ -1515,5 +1492,4 @@ _KERNEL_MODES = {
     GreedyRouter: "gf",
     LgfRouter: "lgf",
     SlgfRouter: "slgf",
-    Slgf2Router: "slgf2",
 }

@@ -4,8 +4,8 @@ The serving layer of the stack: a long-running asyncio JSON-over-HTTP
 server (stdlib only) that loads :class:`~repro.api.Scenario` documents
 into resident :class:`~repro.api.Session` objects and answers
 ``route``/``route_pairs`` queries from many concurrent clients,
-micro-batching them onto the vectorized
-:meth:`~repro.routing.base.Router.route_batch` kernel.  Live topology
+micro-batching them into
+:meth:`~repro.routing.base.Router.route_batch` calls.  Live topology
 events (move/fail/restore) stream into the residents through
 :class:`~repro.network.dynamic.DynamicTopology`, rebinding routers
 incrementally.

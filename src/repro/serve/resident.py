@@ -9,9 +9,11 @@ that into a service rather than a cache:
 * **Micro-batching.**  Every query enters a bounded per-session queue;
   a single drain task coalesces whatever arrives within
   ``flush_interval`` (up to ``max_batch`` items) into one executor
-  job, so concurrent clients amortise the vectorized
-  :meth:`~repro.routing.base.Router.route_batch` kernel instead of
-  paying its dispatch per request.  Single-route queries are grouped
+  job, so concurrent clients share one
+  :meth:`~repro.routing.base.Router.route_batch` call instead of
+  paying its dispatch per request (batches below the numpy kernel's
+  crossover, the default 64 included, run on the scalar executor
+  under ``auto``).  Single-route queries are grouped
   per router into one batch call; results are bit-identical to
   sequential ``route()`` calls (the cross-backend suite pins that), so
   coalescing is invisible to clients.

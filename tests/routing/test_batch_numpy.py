@@ -1,14 +1,17 @@
 """The vectorized numpy backend: bit-identity and graceful absence.
 
-Two contracts, one suite.  With numpy importable,
+Three contracts, one suite.  With numpy importable,
 ``route_batch(backend="numpy")`` must be indistinguishable — every
 ``RouteResult`` field, floats exact — from both the scalar batch
 executor and sequential :meth:`Router.route` calls, across every
 scheme's kernel-relevant option surface, over random/grid/obstacle
 topologies, failure-restricted graphs, and the rebind lifecycle (the
 differential harness in :mod:`_backend_diff` does the comparing).
-Without numpy, ``backend="auto"`` must degrade to the scalar executor
-*silently* and ``backend="numpy"`` must refuse *loudly* — the
+``backend="auto"`` hands a batch to the kernel only from the measured
+crossover ``_KERNEL_MIN_BATCH`` up; smaller batches never build one,
+and SLGF2 (no kernel mode) runs on the scalar executor under every
+backend.  Without numpy, ``backend="auto"`` must degrade to the scalar
+executor *silently* and ``backend="numpy"`` must refuse *loudly* — the
 degradation tests simulate the bare environment by blocking the numpy
 import underneath :func:`repro._optional.load_numpy`.
 
@@ -44,7 +47,7 @@ from repro.routing import (
     SlgfRouter,
     Slgf2Router,
 )
-from repro.routing.batch import numpy_kernel_for
+from repro.routing.batch import _KERNEL_MIN_BATCH, numpy_kernel_for
 
 needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="numpy required")
 
@@ -72,7 +75,9 @@ def kernel_routers(graph, model):
 
     Recovery options (boundhole, tight TTL) matter even though the
     kernel never runs them: they shape what the *defected* packets do,
-    which is exactly where a sloppy hand-off would diverge.
+    which is exactly where a sloppy hand-off would diverge.  SLGF2 has
+    no kernel mode; ``tests/routing/test_batch.py`` pins its scalar
+    executor.
     """
     return [
         GreedyRouter(graph),
@@ -85,19 +90,28 @@ def kernel_routers(graph, model):
         LgfRouter(graph, candidate_scope="quadrant"),
         SlgfRouter(model),
         SlgfRouter(model, candidate_scope="quadrant"),
-        Slgf2Router(model),
-        Slgf2Router(model, candidate_scope="zone"),
-        Slgf2Router(model, use_superseding=False, use_backup=False),
-        Slgf2Router(model, ttl=24),  # tight budget: ttl_exceeded routes
+        # Tight budgets: ttl_exceeded routes, single- and per-hop phases.
+        LgfRouter(graph, ttl=12),
+        SlgfRouter(model, ttl=12),
     ]
+
+
+@pytest.fixture
+def tiny_crossover(monkeypatch):
+    """Send every non-empty ``auto`` batch through the kernel probe."""
+    import repro.routing.batch as batch_module
+
+    monkeypatch.setattr(batch_module, "_KERNEL_MIN_BATCH", 1)
 
 
 @needs_numpy
 class TestNumpyEquivalence:
     def test_every_scheme_gets_a_kernel(self, random_net):
+        """GF, LGF and SLGF get a kernel; SLGF2 gets none."""
         graph, _, model = random_net
         for router in kernel_routers(graph, model):
             assert numpy_kernel_for(router) is not None, router.name
+        assert numpy_kernel_for(Slgf2Router(model)) is None
 
     def test_random_network(self, random_net):
         graph, _, model = random_net
@@ -153,7 +167,7 @@ class TestNumpyEquivalence:
     def test_rebind_invalidates_kernel(self):
         """The cached kernel must not outlive its topology."""
         graph, _ = make_grid_graph()
-        router = Slgf2Router(InformationModel.build(graph))
+        router = SlgfRouter(InformationModel.build(graph))
         pairs = sample_pairs(graph, 10, seed=6)
         router.route_batch(pairs, backend="numpy")
         first = router._numpy_kernel
@@ -167,7 +181,7 @@ class TestNumpyEquivalence:
         topology.fail(27)
         router.rebind(topology.graph)
         assert router._numpy_kernel is None
-        fresh = Slgf2Router(InformationModel.build(topology.graph))
+        fresh = SlgfRouter(InformationModel.build(topology.graph))
         rebound = [(s, d) for s, d in pairs if s != 27 and d != 27]
         assert router.route_batch(
             rebound, backend="numpy"
@@ -215,6 +229,66 @@ class TestNumpyEquivalence:
             GreedyRouter(graph).route_batch([(0, 1)], backend="cuda")
 
 
+class TestAutoCrossover:
+    """``auto`` runs the kernel only from ``_KERNEL_MIN_BATCH`` pairs up."""
+
+    def test_below_crossover_builds_no_kernel(self, random_net):
+        graph, _, model = random_net
+        pairs = sample_pairs(graph, _KERNEL_MIN_BATCH - 1, seed=10)
+        for router in (
+            GreedyRouter(graph),
+            LgfRouter(graph),
+            SlgfRouter(model),
+        ):
+            auto = router.route_batch(pairs, backend="auto")
+            assert router._numpy_kernel is None, router.name  # no probe
+            assert auto == router.route_batch(pairs, backend="scalar")
+            assert auto == [router.route(s, d) for s, d in pairs]
+
+    @needs_numpy
+    def test_at_crossover_builds_one_kernel(self, random_net):
+        graph, _, model = random_net
+        pairs = sample_pairs(graph, _KERNEL_MIN_BATCH, seed=11)
+        for router in (
+            GreedyRouter(graph),
+            LgfRouter(graph),
+            SlgfRouter(model),
+        ):
+            auto = router.route_batch(pairs, backend="auto")
+            kernel = router._numpy_kernel
+            assert kernel, router.name
+            assert auto == router.route_batch(pairs, backend="scalar")
+            assert router.route_batch(pairs[:3], backend="auto") == auto[:3]
+            assert router.route_batch(pairs, backend="auto") == auto
+            assert router._numpy_kernel is kernel  # built once, reused
+
+    @pytest.mark.parametrize(
+        "count", [5, _KERNEL_MIN_BATCH], ids=["below", "at"]
+    )
+    def test_generator_routes_like_list(self, random_net, count):
+        """``pairs`` may be any iterable: counted once, then routed."""
+        graph, _, model = random_net
+        pairs = sample_pairs(graph, count, seed=12)
+        for router in (GreedyRouter(graph), SlgfRouter(model)):
+            got = router.route_batch((pair for pair in pairs))
+            assert bool(router._numpy_kernel) == (
+                HAS_NUMPY and count >= _KERNEL_MIN_BATCH
+            )
+            assert got == router.route_batch(pairs, backend="scalar")
+            assert got == router.route_batch(pairs)
+
+    @needs_numpy
+    def test_slgf2_runs_scalar_under_every_backend(self, random_net):
+        graph, _, model = random_net
+        router = Slgf2Router(model)
+        pairs = sample_pairs(graph, _KERNEL_MIN_BATCH, seed=13)
+        sequential = [router.route(s, d) for s, d in pairs]
+        assert router.route_batch(pairs, backend="auto") == sequential
+        assert not router._numpy_kernel  # probed: no kernel mode
+        assert router.route_batch(pairs, backend="numpy") == sequential
+        assert not router._numpy_kernel
+
+
 @pytest.fixture
 def no_numpy(monkeypatch):
     """Block the numpy import underneath ``load_numpy``.
@@ -239,7 +313,9 @@ class TestWithoutNumpy:
     def test_load_numpy_degrades(self, no_numpy):
         assert load_numpy() is None
 
-    def test_auto_silently_scalar(self, random_net, no_numpy):
+    def test_auto_silently_scalar(
+        self, random_net, no_numpy, tiny_crossover
+    ):
         """backend='auto' without numpy: scalar results, no noise."""
         graph, _, _ = random_net
         router = GreedyRouter(graph)
@@ -255,12 +331,22 @@ class TestWithoutNumpy:
         with pytest.raises(MissingDependencyError, match="requires numpy"):
             router.route_batch([(0, 1)], backend="numpy")
 
+    def test_numpy_backend_on_slgf2_raises_clearly(
+        self, random_net, no_numpy
+    ):
+        """No kernel mode, but still no silent numpy-less success."""
+        _, _, model = random_net
+        with pytest.raises(MissingDependencyError, match="requires numpy"):
+            Slgf2Router(model).route_batch([(0, 1)], backend="numpy")
+
     def test_kernel_probe_returns_none(self, random_net, no_numpy):
         graph, _, _ = random_net
         assert numpy_kernel_for(GreedyRouter(graph)) is None
 
     @needs_numpy
-    def test_kernel_survives_numpy_arriving_back(self, random_net):
+    def test_kernel_survives_numpy_arriving_back(
+        self, random_net, tiny_crossover
+    ):
         """After a degraded probe, a rebind re-probes successfully —
         the False cache must not be sticky across topologies."""
         graph, _, _ = random_net
