@@ -18,15 +18,9 @@ notes in EXPERIMENTS.md.
 
 from __future__ import annotations
 
-import random
 from statistics import mean
 
-from repro.experiments import ExperimentConfig, build_network, sample_pairs
 from repro.routing import Slgf2Router
-
-_CONFIG = ExperimentConfig(
-    node_counts=(500,), networks_per_point=1, routes_per_network=1
-)
 
 _VARIANTS: dict[str, dict] = {
     "full": {},
@@ -42,13 +36,9 @@ _VARIANTS: dict[str, dict] = {
 }
 
 
-def _workloads(seeds=(4, 5, 6)):
-    out = []
-    for seed in seeds:
-        instance = build_network(_CONFIG, "FA", 500, seed=seed)
-        pairs = sample_pairs(instance.graph, 40, random.Random(seed + 1))
-        out.append((instance, pairs))
-    return out
+def _workloads(fa500, seeds=(4, 5, 6)):
+    sessions = [fa500(seed) for seed in seeds]
+    return [(session, session.sample_pairs(40)) for session in sessions]
 
 
 def _evaluate(workloads, **kwargs):
@@ -57,10 +47,10 @@ def _evaluate(workloads, **kwargs):
     shape_mode = kwargs.pop("_shape_mode", None)
     hops, lengths, delivered, total = [], [], 0, 0
     max_hops = 0
-    for instance, pairs in workloads:
-        model = instance.model
+    for session, pairs in workloads:
+        model = session.model
         if shape_mode is not None:
-            model = InformationModel.build(instance.graph, shape_mode)
+            model = InformationModel.build(session.graph, shape_mode)
         router = Slgf2Router(model, **kwargs)
         for s, d in pairs:
             result = router.route(s, d)
@@ -78,8 +68,8 @@ def _evaluate(workloads, **kwargs):
     }
 
 
-def test_slgf2_ablations(benchmark, results_dir):
-    workloads = _workloads()
+def test_slgf2_ablations(benchmark, results_dir, fa500):
+    workloads = _workloads(fa500)
     results = {name: _evaluate(workloads, **kw) for name, kw in _VARIANTS.items()}
     # The timed unit: the full configuration on the same workload.
     benchmark(_evaluate, workloads)

@@ -17,9 +17,9 @@ cost of producing one figure point from scratch.
 
 from __future__ import annotations
 
+from repro.api import Scenario, run_scenario
 from repro.experiments import (
     ExperimentConfig,
-    evaluate_point,
     figure_table,
     format_table,
     to_chart,
@@ -41,8 +41,9 @@ def _persist(table, results_dir):
 
 def test_fig5_point_regeneration(benchmark):
     """Time one from-scratch figure point (n=400, one network)."""
-    point = benchmark(evaluate_point, _POINT, "IA", 400)
-    assert set(point.per_router) == {"GF", "LGF", "SLGF", "SLGF2"}
+    scenario = Scenario.from_config(_POINT, "IA", 400)
+    routes = benchmark(run_scenario, scenario)
+    assert set(routes.routers()) == {"GF", "LGF", "SLGF", "SLGF2"}
 
 
 def test_fig5_ia_panel(benchmark, ia_sweep, results_dir):

@@ -9,9 +9,9 @@ fewest number of hops in detour", with SLGF2 improving further).
 
 from __future__ import annotations
 
+from repro.api import Scenario, run_scenario
 from repro.experiments import (
     ExperimentConfig,
-    evaluate_point,
     figure_table,
     format_table,
     to_chart,
@@ -33,8 +33,9 @@ def _persist(table, results_dir):
 
 def test_fig6_point_regeneration(benchmark):
     """Time one mid-density figure point end to end."""
-    point = benchmark(evaluate_point, _POINT, "FA", 600)
-    assert set(point.per_router) == {"GF", "LGF", "SLGF", "SLGF2"}
+    scenario = Scenario.from_config(_POINT, "FA", 600)
+    routes = benchmark(run_scenario, scenario)
+    assert set(routes.routers()) == {"GF", "LGF", "SLGF", "SLGF2"}
 
 
 def test_fig6_ia_panel(benchmark, ia_sweep, results_dir):

@@ -10,9 +10,9 @@ and under FA beats the BOUNDHOLE-guided GF baseline too.
 
 from __future__ import annotations
 
+from repro.api import Scenario, run_scenario
 from repro.experiments import (
     ExperimentConfig,
-    evaluate_point,
     figure_table,
     format_table,
     to_chart,
@@ -34,8 +34,9 @@ def _persist(table, results_dir):
 
 def test_fig7_point_regeneration(benchmark):
     """Time the densest figure point end to end."""
-    point = benchmark(evaluate_point, _POINT, "IA", 800)
-    assert set(point.per_router) == {"GF", "LGF", "SLGF", "SLGF2"}
+    scenario = Scenario.from_config(_POINT, "IA", 800)
+    routes = benchmark(run_scenario, scenario)
+    assert set(routes.routers()) == {"GF", "LGF", "SLGF", "SLGF2"}
 
 
 def test_fig7_ia_panel(benchmark, ia_sweep, results_dir):

@@ -14,25 +14,10 @@ LGF; SLGF2 shifts hops from perimeter to safe/backup phases).
 
 from __future__ import annotations
 
-import random
 
-from repro.experiments import ExperimentConfig, build_network, sample_pairs
-from repro.experiments.runner import registry_routers
-
-_CONFIG = ExperimentConfig(
-    node_counts=(500,), networks_per_point=1, routes_per_network=1
-)
-
-
-def _workload(seed=4):
-    instance = build_network(_CONFIG, "FA", 500, seed=seed)
-    pairs = sample_pairs(instance.graph, 60, random.Random(seed + 1))
-    return instance, pairs
-
-
-def _route_all(instance, pairs):
+def _route_all(routers, pairs):
     breakdown: dict[str, dict[str, float]] = {}
-    for name, router in registry_routers()(instance).items():
+    for name, router in routers.items():
         phase_hops: dict[str, int] = {}
         perimeter_entries = 0
         delivered = 0
@@ -50,9 +35,11 @@ def _route_all(instance, pairs):
     return breakdown
 
 
-def test_phase_breakdown(benchmark, results_dir):
-    instance, pairs = _workload()
-    breakdown = benchmark(_route_all, instance, pairs)
+def test_phase_breakdown(benchmark, results_dir, fa500):
+    session = fa500(4)
+    breakdown = benchmark(
+        _route_all, session.routers, session.sample_pairs(60)
+    )
 
     phases = ("greedy", "safe", "backup", "perimeter")
     lines = ["PHASES: hop breakdown per router (FA, n=500, 60 routes)"]

@@ -19,12 +19,18 @@ never touch this cache — only the session fixtures do.
 
 from __future__ import annotations
 
+import random
 from pathlib import Path
 
 import pytest
 
-from repro.api import Study
+from repro.api import Scenario, Session, Study
 from repro.experiments import active_config
+from repro.network import (
+    EdgeDetector,
+    build_unit_disk_graph,
+    deploy_forbidden_area_model,
+)
 
 
 def _density_sweep(config, model):
@@ -54,3 +60,23 @@ def results_dir():
     path = Path(__file__).parent / "results"
     path.mkdir(exist_ok=True)
     return path
+
+
+@pytest.fixture(scope="session")
+def fa500():
+    """FA n=500 network ``seed`` as a Session: the fixed workload of
+    the ablation and phase benches (pairs from ``sample_pairs``, whose
+    stream is seeded with ``seed + 1``)."""
+    scenario = Scenario(deployment_model="FA", node_count=500)
+
+    def build(seed: int) -> Session:
+        deployment = deploy_forbidden_area_model(
+            scenario.node_count, scenario.area, random.Random(seed)
+        )
+        graph = build_unit_disk_graph(
+            list(deployment.positions), scenario.radius
+        )
+        graph = EdgeDetector(strategy="convex").apply(graph)
+        return Session.from_graph(graph, scenario, seed=seed)
+
+    return build

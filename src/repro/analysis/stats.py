@@ -40,9 +40,12 @@ def summarize(values: Sequence[float]) -> Summary:
     if not values:
         raise ValueError("cannot summarize an empty sequence")
     n = len(values)
-    mean = sum(values) / n
+    # math.fsum is correctly rounded on every Python; the builtin sum()
+    # changed its float algorithm in 3.12, which would make the same
+    # routes aggregate to different bits under different interpreters.
+    mean = math.fsum(values) / n
     if n > 1:
-        variance = sum((v - mean) ** 2 for v in values) / (n - 1)
+        variance = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
     else:
         variance = 0.0
     std = math.sqrt(variance)

@@ -52,7 +52,6 @@ See ``docs/API.md`` for the full tour.
 
 from repro.api.instruments import EnergyMeter, TraceRecorder
 from repro.api.registry import (
-    RegistryRouterFactory,
     RouterRegistry,
     RouterSpec,
     default_registry,
@@ -109,7 +108,6 @@ __all__ = [
     "ProgressEvent",
     "RandomFailure",
     "RegionFailure",
-    "RegistryRouterFactory",
     "RouteResult",
     "TopologyDelta",
     "RouteSet",

@@ -12,7 +12,7 @@ module makes that the extension point.  A scheme registers once::
         return Slgf2Router(instance.model, perimeter_mode="dfs", **kwargs)
 
 and from then on it is constructible by name everywhere — the CLI's
-``--routers`` flag, :class:`~repro.api.Scenario`, the sweep engine,
+``--routers`` flag, :class:`~repro.api.Scenario`, Study grids,
 figure legends and the result cache — with no harness edits.
 
 ``order`` controls presentation order (figure legends, table columns);
@@ -22,7 +22,7 @@ slot after them by default.
 Cache identity: :meth:`RouterRegistry.fingerprint` digests the
 factories behind a name selection (module-qualified names, plus source
 digests for factories defined outside the ``repro`` package, plus any
-per-router options), so the sweep result cache distinguishes runs with
+per-router options), so the Study result cache distinguishes runs with
 different registered routers or options.  A factory with no stable
 identity (lambda/closure) makes the selection uncacheable rather than
 wrongly cached.
@@ -50,7 +50,6 @@ from repro.routing import (
 __all__ = [
     "RouterRegistry",
     "RouterSpec",
-    "RegistryRouterFactory",
     "RoutableNetwork",
     "default_registry",
     "register_router",
@@ -61,10 +60,9 @@ __all__ = [
 class RoutableNetwork(Protocol):
     """What a router factory receives: a fully prepared network.
 
-    Structurally identical to
-    :class:`~repro.experiments.workload.NetworkInstance` (which is the
-    usual concrete type); a Protocol here keeps the registry importable
-    without the experiments layer.
+    A :class:`~repro.api.session.Session`'s prepared network is the
+    usual concrete type; any object with these attributes (e.g. a
+    ``types.SimpleNamespace``) works too.
     """
 
     graph: WasnGraph
@@ -93,10 +91,13 @@ class RouterSpec:
 def _factory_identity(factory: Callable) -> str | None:
     """Stable cross-run identity of a factory, or ``None``.
 
-    Same rules as
-    :func:`repro.experiments.cache.factory_fingerprint`: module-level
-    functions are nameable; package-external ones additionally fold in
-    their module source so edits invalidate cached results.
+    Only module-level functions are nameable across runs; lambdas,
+    closures (qualnames containing ``<lambda>``/``<locals>``) and
+    callables without a qualified name (e.g. ``functools.partial``)
+    would collide under a shared name, so they have none.  Factories
+    defined outside the ``repro`` package additionally fold in a digest
+    of their module's source, so editing one invalidates its cached
+    results; one whose source cannot be read has no identity.
     """
     module = getattr(factory, "__module__", None)
     qualname = getattr(factory, "__qualname__", None)
@@ -326,76 +327,6 @@ def router_order() -> tuple[str, ...]:
     this order; newly registered schemes join it by their ``order``.
     """
     return default_registry.names()
-
-
-class RegistryRouterFactory:
-    """A picklable router factory bound to registry entries by name.
-
-    The bridge between the registry and the experiment engine: it
-    *is* a ``RouterFactory`` (callable ``instance -> dict[name,
-    Router]``), resolves its specs at construction time (so later
-    registrations don't silently change an in-flight sweep), ships to
-    worker processes by pickling the underlying module-level factory
-    functions, and exposes :attr:`cache_fingerprint` so the result
-    cache keys on exactly the selected schemes and options.
-    """
-
-    def __init__(
-        self,
-        names: Sequence[str] | None = None,
-        options: Mapping[str, Mapping] | None = None,
-        registry: RouterRegistry | None = None,
-    ) -> None:
-        registry = registry if registry is not None else default_registry
-        self.names = registry.names() if names is None else tuple(names)
-        self.options = {
-            name: dict(opts) for name, opts in dict(options or {}).items()
-        }
-        unknown = set(self.options) - set(self.names)
-        if unknown:
-            raise KeyError(
-                f"router options for unselected router(s) {sorted(unknown)}"
-            )
-        # Resolve now: carries the factories themselves, so pickling
-        # works for any importable module, not just repro's.
-        self._specs = tuple(registry.get(name) for name in self.names)
-        self._fingerprint = registry.fingerprint(self.names, self.options)
-
-    def __call__(self, instance: RoutableNetwork) -> dict[str, Router]:
-        ordered = sorted(self._specs, key=lambda s: s.order)
-        return {
-            spec.name: spec.build(
-                instance, **self.options.get(spec.name, {})
-            )
-            for spec in ordered
-        }
-
-    @property
-    def cache_fingerprint(self) -> str | None:
-        """Cache identity (see :meth:`RouterRegistry.fingerprint`)."""
-        return self._fingerprint
-
-    def as_registry(self) -> RouterRegistry:
-        """A standalone registry holding exactly this factory's specs.
-
-        The bridge into Scenario-based evaluation (`repro.api.study`):
-        a Study cell resolves router *names*, so a factory that was
-        snapshotted from some registry state hands that exact state
-        over — later registrations or unregistrations in the source
-        registry cannot leak into an in-flight study.
-        """
-        registry = RouterRegistry()
-        for spec in self._specs:
-            registry.register(
-                spec.name,
-                spec.factory,
-                order=spec.order,
-                description=spec.description,
-            )
-        return registry
-
-    def __repr__(self) -> str:
-        return f"RegistryRouterFactory(names={list(self.names)!r})"
 
 
 # ---------------------------------------------------------------------------

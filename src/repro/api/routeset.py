@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
 from repro.analysis.stats import Summary, summarize
+from repro.experiments.sweep import PointResult, RouterPointMetrics
 from repro.network.channel import Transmission
 from repro.routing.base import RouteResult
 
@@ -30,9 +31,11 @@ class RouterAggregate:
 
     Hop and length statistics are over *delivered* routes only (the
     paper reports path metrics; failures surface via
-    :attr:`delivery_rate`), mirroring the legacy
-    ``RouterPointMetrics`` semantics exactly.  Energy is summarised
-    over delivered routes too, when the set carries energies.
+    :attr:`delivery_rate`), as in
+    :class:`~repro.experiments.sweep.RouterPointMetrics`, which
+    :meth:`RouteSet.point_result` freezes from these aggregates.
+    Energy is summarised over delivered routes too, when the set
+    carries energies.
     """
 
     def __init__(
@@ -200,9 +203,8 @@ class RouteSet:
     """Ordered, per-router collection of routed packets.
 
     Results append per router in routing order; that order is the
-    aggregation order, which keeps float reductions bit-identical to
-    the legacy tally pipeline when a Session replays a legacy
-    workload.
+    aggregation order, so float reductions are reproducible across
+    runs, processes and worker counts.
     """
 
     def __init__(self) -> None:
@@ -320,29 +322,34 @@ class RouteSet:
 
     __hash__ = None  # mutable collection; value equality forbids hashing
 
-    # -- interop with the legacy harness --------------------------------
+    # -- the Study cell payload -----------------------------------------
 
     def point_result(
         self, deployment_model: str, node_count: int, networks: int
-    ):
-        """This set as a legacy ``PointResult`` (figures/report input).
+    ) -> PointResult:
+        """This set as a :class:`~repro.experiments.sweep.PointResult`.
 
-        Aggregation runs through the very same ``RouteTally`` folds as
-        :func:`repro.experiments.runner.evaluate_point`, in the same
-        order, so a Session replay of a legacy workload produces a
-        bit-identical point.
+        The payload of one Study cell, and the figure/report input:
+        each router's :class:`RouterAggregate`, frozen.  Routers with
+        no routes are left out.
         """
-        # Imported here: runner imports the registry from this package,
-        # and this is the single api -> runner edge.
-        from repro.experiments.runner import PointResult, RouteTally
-
         per_router = {}
-        for name, results in self._results.items():
-            tally = RouteTally()
-            for result in results:
-                tally.add(result)
-            if tally.samples:
-                per_router[name] = tally.finish(name)
+        for name in self._results:
+            aggregate = self.aggregate(name)
+            if not aggregate.samples:
+                continue
+            per_router[name] = RouterPointMetrics(
+                router=name,
+                samples=aggregate.samples,
+                delivered=aggregate.delivered,
+                hops=aggregate.hops,
+                length=aggregate.length,
+                max_hops=aggregate.max_hops,
+                perimeter_entries_per_route=(
+                    aggregate.perimeter_entries_per_route
+                ),
+                backup_entries_per_route=aggregate.backup_entries_per_route,
+            )
         return PointResult(
             deployment_model=deployment_model,
             node_count=node_count,

@@ -9,10 +9,9 @@ end to end.
 
 Determinism contract: a Scenario with the same field values always
 produces the same networks, the same source-destination pairs and the
-same routes.  For plain IA/FA scenarios the derivation matches the
-legacy harness exactly (same per-network seeds as
-:func:`repro.experiments.runner.evaluate_point`), which is what the
-golden equivalence tests pin.
+same routes — each network's seed derives from ``(seed, deployment
+model, node count, network index)`` alone — which is what the golden
+digest tests pin.
 """
 
 from __future__ import annotations
@@ -249,11 +248,11 @@ class Scenario:
     # -- conversions ----------------------------------------------------
 
     def to_config(self) -> ExperimentConfig:
-        """The legacy :class:`ExperimentConfig` this scenario implies.
+        """The :class:`ExperimentConfig` this scenario implies.
 
-        This is the bridge that keeps Session results bit-identical to
-        the historical harness: per-network seeds derive from this
-        config exactly as :mod:`repro.experiments.runner` derives them.
+        The inverse of :meth:`from_config` for one node count;
+        :meth:`~repro.api.study.StudyResult.sweep_result` labels its
+        panels with it.
         """
         return ExperimentConfig(
             area=self.area,
@@ -275,7 +274,7 @@ class Scenario:
         node_count: int,
         **overrides,
     ) -> "Scenario":
-        """Scenario for one figure point of a legacy config."""
+        """Scenario for one figure point of an experiment config."""
         return cls(
             deployment_model=deployment_model,
             node_count=node_count,

@@ -14,9 +14,14 @@ routing questions against it:
   :class:`~repro.api.routeset.RouteSet` with lazy aggregates.
 
 :func:`run_scenario` evaluates a multi-network scenario (one Session
-per network, merged), and is bit-identical to the legacy
-:func:`repro.experiments.runner.evaluate_point` pipeline for plain
-IA/FA scenarios — the golden tests pin this.
+per network, merged) — the evaluation every Study cell runs, whose
+figure numbers the golden digests pin.
+
+Every random stream is derived from ``(scenario.seed, deployment
+model, node count, network index)`` alone — no state is shared between
+networks or cells — so a cell is a pure function of its scenario.
+That is what lets the engine dispatch cells to worker processes and
+cache them on disk while staying bit-identical to a serial run.
 """
 
 from __future__ import annotations
@@ -34,8 +39,6 @@ from repro.api.scenario import (
     Scenario,
 )
 from repro.core.model import InformationModel
-from repro.experiments.runner import _network_seed
-from repro.experiments.workload import sample_pairs
 from repro.geometry import Point
 from repro.network.channel import ChannelState, channel_seed
 from repro.network.dynamic import DynamicTopology
@@ -77,6 +80,15 @@ _ROUTING_SIDE_FIELDS = frozenset(
         "max_retransmits",
     }
 )
+
+
+def _network_seed(scenario: Scenario, index: int) -> int:
+    """Stable per-network seed: reruns regenerate identical networks."""
+    key = (
+        f"{scenario.seed}/{scenario.deployment_model}/"
+        f"{scenario.node_count}/{index}"
+    )
+    return random.Random(key).getrandbits(63)
 
 
 def _apply_failure(
@@ -125,12 +137,11 @@ class _PreparedNetwork:
     """A routable network with lazily built information bases.
 
     Satisfies the registry's
-    :class:`~repro.api.registry.RoutableNetwork` protocol like the
-    eager ``NetworkInstance``, but defers the information model
-    (Algorithm 2) and the BOUNDHOLE boundary walks until a router or
-    caller actually touches them — a session selecting only LGF never
-    pays for either.  Laziness cannot change any value: both are pure
-    functions of the (already fixed) graph.
+    :class:`~repro.api.registry.RoutableNetwork` protocol, but defers
+    the information model (Algorithm 2) and the BOUNDHOLE boundary
+    walks until a router or caller actually touches them — a session
+    selecting only LGF never pays for either.  Laziness cannot change
+    any value: both are pure functions of the (already fixed) graph.
     """
 
     def __init__(
@@ -169,12 +180,10 @@ def _materialise(
 ) -> _PreparedNetwork:
     """Build network ``network_index`` of a scenario, deterministically.
 
-    Seed derivation and graph construction replicate the legacy
-    :func:`~repro.experiments.workload.build_network` step for step
-    (same RNG stream, same deployment, same edge detection) — that is
-    the bit-identity bridge the golden tests pin.  Failure schedules
-    slot in between graph construction and edge detection, so the
-    surviving network is what re-runs its hull detection and
+    The network seed (:func:`_network_seed`) drives the deployment;
+    the unit-disk graph gets convex-hull edge detection.  Failure
+    schedules slot in between graph construction and edge detection,
+    so the surviving network is what re-runs its hull detection and
     information construction, exactly as a deployed WASN would.
     """
     if scenario.mobility is not None:
@@ -184,10 +193,7 @@ def _materialise(
             "mobile scenarios route per topology snapshot; iterate "
             "Session.epochs() instead of the static routing calls"
         )
-    config = scenario.to_config()
-    seed = _network_seed(
-        config, scenario.deployment_model, scenario.node_count, network_index
-    )
+    seed = _network_seed(scenario, network_index)
     rng = random.Random(seed)
     if scenario.obstacles:
         # Explicit shapes replace the FA model's random field.
@@ -471,14 +477,25 @@ class Session:
     ) -> list[tuple[NodeId, NodeId]]:
         """The scenario's deterministic source-destination pairs.
 
-        Re-entrant: every call re-derives the same pair stream (the
-        legacy harness's ``seed + 1`` derivation), so repeated batches
-        are replays, not fresh draws.
+        "We assume that the destination and the source are randomly
+        selected in the interest area" (Section 5).  Pairs are drawn
+        uniformly from the largest connected component — a
+        disconnected pair is undeliverable for *every* scheme and would
+        only add identical noise to all curves — so a graph without a
+        two-node component yields none.
+
+        Re-entrant: every call re-derives the same pair stream (seeded
+        with the network seed + 1), so repeated batches are replays,
+        not fresh draws.
         """
         if count is None:
             count = self.scenario.routes_per_network
-        pair_rng = random.Random(self.instance.seed + 1)
-        return sample_pairs(self.graph, count, pair_rng)
+        components = self.graph.connected_components()
+        if not components or len(components[0]) < 2:
+            return []
+        pool = sorted(components[0])
+        rng = random.Random(self.instance.seed + 1)
+        return [tuple(rng.sample(pool, 2)) for _ in range(count)]
 
     def route_pairs(
         self,
@@ -489,8 +506,8 @@ class Session:
     ) -> RouteSet:
         """Route a batch of sampled pairs through the selected schemes.
 
-        Iteration order (router-major, pairs inner) and pair sampling
-        replicate the legacy ``evaluate_network`` loop exactly.
+        Iteration order is router-major, pairs inner: the aggregation
+        order of :meth:`RouteSet.point_result`.
         ``energy=True`` additionally folds per-route radio energy
         (``scenario.packet_bits`` bits) into the set — off by default,
         since it costs an extra O(hops) walk per route that most
@@ -603,12 +620,7 @@ class Session:
         """
         if self._instance_cache is not None:
             return self._instance_cache.seed
-        return _network_seed(
-            self.scenario.to_config(),
-            self.scenario.deployment_model,
-            self.scenario.node_count,
-            self.network_index,
-        )
+        return _network_seed(self.scenario, self.network_index)
 
     def __repr__(self) -> str:
         return (
@@ -625,13 +637,12 @@ def run_scenario(
 ) -> RouteSet:
     """Evaluate a scenario across all its networks, merged in order.
 
-    For plain IA/FA scenarios this reproduces the legacy
-    ``evaluate_point`` numbers bit-identically (per-network seeds,
-    pair streams and aggregation order all match).  A *mobile*
-    scenario is evaluated per topology epoch — each network's
-    incrementally maintained snapshots (see :meth:`Session.epochs`)
-    route their own workload — and the epochs merge in order, so the
-    result aggregates over the whole drift.
+    Network ``index`` is self-contained (its seed comes from
+    :func:`_network_seed`), and the per-network route sets merge in
+    index order.  A *mobile* scenario is evaluated per topology epoch
+    — each network's incrementally maintained snapshots (see
+    :meth:`Session.epochs`) route their own workload — and the epochs
+    merge in order, so the result aggregates over the whole drift.
     """
     merged = RouteSet()
     for index in range(scenario.networks):

@@ -31,8 +31,8 @@ pairs as workers complete, with one
 (completed/total counters, ETA).  :meth:`Study.run` assembles the
 stream into a columnar :class:`StudyResult` — ``series()``/``table()``
 projections, JSON/CSV export, and a
-:meth:`StudyResult.sweep_result` adapter that feeds the legacy
-figure/report pipeline bit-identically.
+:meth:`StudyResult.sweep_result` adapter that feeds the figure/report
+pipeline.
 
 Caching: each cell is keyed by :func:`scenario_fingerprint` — a digest
 of the *complete* scenario (failures, obstacles, mobility, router
@@ -61,7 +61,7 @@ from repro.experiments.cache import (
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.engine import EngineTask, ExperimentEngine
 from repro.experiments.progress import Progress
-from repro.experiments.runner import PointResult
+from repro.experiments.sweep import PointResult, SweepResult
 
 __all__ = [
     "Cell",
@@ -158,13 +158,13 @@ def scenario_fingerprint(
     """Content hash identifying one scenario's complete inputs.
 
     Digests every Scenario field — the grid coordinates *and* the
-    dynamic features the legacy point key ignored (failure schedules,
-    explicit obstacles, mobility, router selection and per-scheme
-    options) — together with the router selection's registry
-    fingerprint and the package source digest.  Two scenarios that can
-    produce different numbers therefore never share a cache entry,
-    and the digest is stable across processes (canonical JSON, no
-    address- or hash-seed-dependent input).
+    dynamic features (failure schedules, explicit obstacles, mobility,
+    router selection and per-scheme options) — together with the
+    router selection's registry fingerprint and the package source
+    digest.  Two scenarios that can produce different numbers
+    therefore never share a cache entry, and the digest is stable
+    across processes (canonical JSON, no address- or
+    hash-seed-dependent input).
 
     Returns ``None`` when the scenario has no cacheable identity: a
     selected router factory without a stable fingerprint
@@ -184,10 +184,12 @@ def scenario_fingerprint(
             fields[f.name] = _jsonable(getattr(scenario, f.name))
         except TypeError:
             return None
-    # Normalise the selection: "every scheme, implicitly" (routers=())
-    # and "every scheme, by name" evaluate identically, so they must
-    # share a fingerprint.
-    fields["routers"] = list(scenario.routers or registry.names())
+    # Normalise the selection as the Session builds it — registry
+    # order, each scheme once — so every spelling that routes
+    # identically shares a fingerprint: "every scheme, implicitly"
+    # (routers=()) and by name, in any order, with repeats.
+    chosen = set(scenario.routers or registry.names())
+    fields["routers"] = [n for n in registry.names() if n in chosen]
     payload = {
         "schema": CACHE_SCHEMA,
         "code": _code_digest(),
@@ -269,10 +271,10 @@ class Cell:
 class CellResult:
     """One evaluated grid point.
 
-    ``point`` carries the same per-router aggregates the figure
-    pipeline consumes (delivery, hop/length summaries, max hops,
-    recovery counters) — computed through the golden-tested
-    :func:`~repro.api.session.run_scenario` facade, merged over the
+    ``point`` carries the per-router aggregates the figure pipeline
+    consumes (delivery, hop/length summaries, max hops, recovery
+    counters) — computed through
+    :func:`~repro.api.session.run_scenario`, merged over the
     scenario's ``networks`` replicas.
     """
 
@@ -396,10 +398,9 @@ class Study:
     ) -> "Study":
         """The classic density sweep, as a Study.
 
-        Axes are ``deployment_model`` × ``node_count`` in the legacy
-        plan order (models outer); the resulting
-        :meth:`StudyResult.sweep_result` panels are bit-identical to
-        the historical ``run_sweeps`` output.
+        Axes are ``deployment_model`` × ``node_count``, models outer;
+        :meth:`StudyResult.sweep_result` turns the result into the
+        per-model panels the figure layer consumes.
         """
         models = tuple(models)
         if not models:
@@ -558,10 +559,9 @@ class StudyResult:
     * :meth:`series` — one metric along one axis, the other axes fixed;
     * :meth:`table` — an aligned text table (axes × routers);
     * :meth:`to_csv` / :meth:`to_json` — exports;
-    * :meth:`sweep_result` — the legacy
+    * :meth:`sweep_result` — the
       :class:`~repro.experiments.sweep.SweepResult` adapter feeding
-      ``figures.py``/``report.py`` bit-identically (plain density
-      studies only).
+      ``figures.py``/``report.py`` (plain density studies only).
     """
 
     def __init__(
@@ -799,21 +799,16 @@ class StudyResult:
                     )
         return path
 
-    # -- interop with the legacy figure pipeline ------------------------
+    # -- the figure pipeline's input -----------------------------------
 
     def sweep_result(self, deployment_model: str | None = None):
-        """This study as a legacy ``SweepResult`` (figures/report input).
+        """This study as a ``SweepResult`` (figures/report input).
 
         Only plain density studies — axes within ``deployment_model``
         × ``node_count`` — are expressible as a sweep; richer grids
         should be projected with :meth:`series`/:meth:`table` instead.
-        The returned panel is bit-identical to the historical
-        ``run_sweeps`` output for the same configuration (golden-
-        tested), so ``figure_table``/``format_table``/``to_csv`` keep
-        working unchanged.
+        The panel feeds ``figure_table``/``format_table``/``to_csv``.
         """
-        from repro.experiments.sweep import SweepResult
-
         extra = set(self.axes) - {"deployment_model", "node_count"}
         if extra:
             raise ValueError(

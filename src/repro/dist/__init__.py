@@ -1,9 +1,9 @@
-"""Distributed study execution: shard Studies across hosts.
+"""Distributed study execution: shard Studies across processes.
 
-The engine parallelizes across one machine's cores; a Study's grid —
-axes × seeds × schemes — is embarrassingly parallel beyond that.  This
-package is the layer between the Study API and the engine that takes
-it across hosts:
+The engine parallelizes across one process pool; this package is the
+layer between the Study API and the engine that splits a Study's grid
+— axes × seeds × schemes — into shards evaluated by separate worker
+processes, each leaving a portable cache bundle:
 
 * :mod:`~repro.dist.plan` compiles a Study's deterministic ``(cell,
   scenario-fingerprint)`` work-unit plan, prunes already-cached cells
@@ -12,14 +12,9 @@ it across hosts:
   --bundle out/``, :mod:`~repro.dist.worker`) evaluates one shard
   anywhere the package is installed, growing an incremental **cache
   bundle** and streaming JSON progress lines;
-* a :class:`~repro.dist.driver.ClusterDriver` runs the shards —
-  :class:`~repro.dist.driver.LocalSubprocessDriver` (N local worker
-  processes, the CI-testable reference),
-  :class:`~repro.dist.ssh.SSHDriver` (stdlib ``subprocess`` + ssh,
-  per-host job lists, retry/requeue on host failure) or
-  :class:`~repro.dist.jobarray.JobArrayDriver` (emit shard files plus
-  a SLURM-style array submission script, collect bundles from a
-  shared directory);
+* :class:`~repro.dist.driver.LocalSubprocessDriver` runs the shards as
+  N local worker processes, relaunching a dead worker on its partial
+  bundle;
 * :func:`~repro.dist.driver.run_study` merges the returned bundles
   into the content-addressed ``.repro_cache`` (refusing mismatched
   code digests or registry identities) and assembles one
@@ -29,13 +24,11 @@ it across hosts:
 """
 
 from repro.dist.driver import (
-    ClusterDriver,
     ClusterError,
     DistStats,
     LocalSubprocessDriver,
     run_study,
 )
-from repro.dist.jobarray import JobArrayDriver
 from repro.dist.plan import (
     PlanError,
     PlanUnit,
@@ -45,18 +38,13 @@ from repro.dist.plan import (
     shard_plan,
     write_plan,
 )
-from repro.dist.ssh import SSHDriver, SSHHost
 
 __all__ = [
-    "ClusterDriver",
     "ClusterError",
     "DistStats",
-    "JobArrayDriver",
     "LocalSubprocessDriver",
     "PlanError",
     "PlanUnit",
-    "SSHDriver",
-    "SSHHost",
     "StudyPlan",
     "compile_plan",
     "read_plan",

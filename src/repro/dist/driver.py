@@ -1,23 +1,19 @@
-"""Cluster drivers: execute shard plans, return cache bundles.
+"""The shard driver: execute shard plans, return cache bundles.
 
 A driver does exactly one thing — given shard-plan files, get each one
-evaluated by a ``dist-worker`` somewhere and return the resulting
-bundle paths.  Everything else (planning, pruning, merging, assembly)
-is :func:`run_study`, so drivers stay small and a new cluster flavour
-is one class implementing :class:`ClusterDriver`.
+evaluated by a ``dist-worker`` and return the resulting bundle paths.
+Everything else (planning, pruning, merging, assembly) is
+:func:`run_study`, so the driver stays small.
 
-:class:`LocalSubprocessDriver` is the reference implementation — N
-worker *processes* on this machine, exercising the full protocol
-(plan files, JSON progress lines, kill/resume, bundle merge) with
-nothing but ``subprocess``, which is what the CI ``dist-smoke`` job
-and the test suite drive.  :class:`~repro.dist.ssh.SSHDriver` and
-:class:`~repro.dist.jobarray.JobArrayDriver` take the same protocol
-across real hosts.
+:class:`LocalSubprocessDriver` runs N worker *processes* on this
+machine, exercising the full protocol (plan files, JSON progress
+lines, kill/resume, bundle merge) with nothing but ``subprocess``,
+which is what the CI ``dist-smoke`` job and the test suite drive.
 
 Progress: workers stream one JSON line per event; the
 :class:`ShardMonitor` folds every shard's stream into the standard
 :class:`~repro.experiments.progress.ProgressEvent` feed — one
-completion event per cell *across all hosts*, with the
+completion event per cell *across all shards*, with the
 ``cached``/``computed`` split seeded by the cells pruned before
 dispatch, so totals never double-count pre-dispatch cache hits (and a
 retried shard's resumed cells, replayed by its second attempt, are
@@ -36,7 +32,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Sequence
 
 from repro.dist import worker as worker_module
 from repro.dist.plan import StudyPlan, compile_plan, shard_plan, write_plan
@@ -53,7 +49,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.study import Study, StudyResult
 
 __all__ = [
-    "ClusterDriver",
     "ClusterError",
     "DistStats",
     "LocalSubprocessDriver",
@@ -64,14 +59,14 @@ __all__ = [
 
 
 class ClusterError(RuntimeError):
-    """A shard could not be completed by the cluster."""
+    """A shard could not be completed by its worker."""
 
 
 class ShardMonitor:
     """Aggregates every worker's progress stream into one event feed.
 
-    Thread-safe (drivers pump worker stdout from one thread per
-    worker).  Cells are counted once by cache key, whatever host or
+    Thread-safe (the driver pumps worker stdout from one thread per
+    worker).  Cells are counted once by cache key, whatever shard or
     attempt reports them — a requeued shard replaying its resumed
     entries does not inflate the totals.
     """
@@ -163,31 +158,15 @@ class ShardMonitor:
         # "start"/"limit" events carry nothing the totals need.
 
 
-@runtime_checkable
-class ClusterDriver(Protocol):
-    """The one method a cluster flavour must provide.
-
-    ``shards`` are plan files (:func:`repro.dist.plan.write_plan`
-    output); the driver must get each evaluated by a ``dist-worker``
-    and return one local bundle path per shard — a directory or
-    tarball importable by
-    :func:`repro.experiments.cache.import_bundle`.  Worker stdout
-    lines go to ``monitor.line(shard_name, line)`` when a monitor is
-    given; unrecoverable shards raise :class:`ClusterError`.
-    """
-
-    def run(
-        self,
-        shards: Sequence[Path],
-        bundle_root: Path,
-        monitor: ShardMonitor | None = None,
-    ) -> list[Path]: ...  # pragma: no cover - protocol signature
-
-
 class LocalSubprocessDriver:
-    """N local worker processes — the reference :class:`ClusterDriver`.
+    """N local worker processes, one shard each.
 
-    Each shard runs as ``python -m repro.cli dist-worker`` with its
+    ``run(shards, bundle_root, monitor)`` takes plan files
+    (:func:`repro.dist.plan.write_plan` output) and returns one bundle
+    directory per shard, importable by
+    :func:`repro.experiments.cache.import_bundle`; worker stdout lines
+    go to ``monitor.line(shard_name, line)``, and an unrecoverable
+    shard raises :class:`ClusterError`.  Each shard runs as ``python -m repro.cli dist-worker`` with its
     stdout pumped into the monitor; a worker that dies (crash, OOM
     kill, ``kill -9``) is relaunched on the *same* bundle directory up
     to ``retries`` more times, so the relaunch resumes from the
@@ -305,7 +284,7 @@ class DistStats:
 
 def execute_plan(
     plan: StudyPlan,
-    driver: ClusterDriver,
+    driver: LocalSubprocessDriver,
     cache: ResultCache,
     shards: int,
     workdir: Path | None = None,
@@ -348,7 +327,7 @@ def execute_plan(
 
 def run_study(
     study: "Study",
-    driver: ClusterDriver | None = None,
+    driver: LocalSubprocessDriver | None = None,
     *,
     shards: int | None = None,
     cache: ResultCache | None = None,
@@ -356,7 +335,7 @@ def run_study(
     progress: Progress | None = None,
     stats: DistStats | None = None,
 ) -> "StudyResult":
-    """Evaluate a Study through a cluster driver; bit-identical results.
+    """Evaluate a Study through shard workers; bit-identical results.
 
     The pipeline: compile the deterministic work-unit plan, prune
     cells already in ``cache`` (resumability — only missing cells
@@ -368,9 +347,9 @@ def run_study(
     have written, so the result is bit-identical to a single-host run
     (pinned by ``tools/check_dist_identity.py`` in CI).
 
-    Cells a failed host never delivered (only possible when a driver
-    returns partial bundles instead of raising) are computed locally
-    during assembly — the run degrades, it does not lose work.  Pass a
+    Cells missing from the merged bundles (an entry skipped as corrupt
+    at import) are computed locally during assembly — the run
+    degrades, it does not lose work.  Pass a
     :class:`DistStats` as ``stats`` to receive the accounting.
     """
     from repro.api.study import StudyResult

@@ -13,11 +13,10 @@ the package source digest, so a worker running different code computes
 every key and refuses the shard on the first mismatch) and the bundle
 merge refuses again at the manifest level.
 
-Plans serialise to plain JSON (:func:`write_plan` / :func:`read_plan`)
-so they travel over ssh, shared filesystems and job-array submission
-scripts unchanged; :func:`shard_plan` deals units round-robin so axes
-that correlate with cost (e.g. node count, usually an early axis)
-spread evenly across shards.
+Plans serialise to plain JSON (:func:`write_plan` / :func:`read_plan`),
+one file per shard a worker reads; :func:`shard_plan` deals units
+round-robin so axes that correlate with cost (e.g. node count, usually
+an early axis) spread evenly across shards.
 """
 
 from __future__ import annotations

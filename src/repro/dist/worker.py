@@ -20,9 +20,9 @@ code or a diverged router registry would otherwise compute results
 filed under keys the driver can never match.
 
 Progress streams to stdout as one JSON line per event (``start`` /
-``unit`` / ``done`` / ``error``), which the cluster drivers parse and
-aggregate into per-host :class:`~repro.experiments.progress.ProgressEvent`
-streams.  ``--limit N`` stops after N computed cells with exit code 75
+``unit`` / ``done`` / ``error``), which the driver's
+:class:`~repro.dist.driver.ShardMonitor` folds into one
+:class:`~repro.experiments.progress.ProgressEvent` stream.  ``--limit N`` stops after N computed cells with exit code 75
 (EX_TEMPFAIL), the "ran out of walltime, resubmit me" convention of
 batch schedulers.
 """
@@ -210,9 +210,8 @@ def run_worker(
             description=unit.description,
         )
 
-    # The completion marker job-array collectors poll for; written
-    # atomically, after every entry, so its presence implies a full
-    # bundle.
+    # The completion marker: written atomically, after every entry,
+    # so its presence implies a full bundle.
     from repro.experiments.cache import _write_atomic
 
     _write_atomic(

@@ -1,20 +1,16 @@
 """Evaluation harness: regenerate every figure of Section 5.
 
-Pipeline: :mod:`~repro.experiments.config` fixes the parameters,
-:mod:`~repro.experiments.workload` generates networks and s-d pairs,
-:mod:`~repro.experiments.runner` routes and aggregates one figure
-point, :mod:`~repro.experiments.engine` streams parallel work units
-through the :mod:`~repro.experiments.cache` result cache (reporting
-:mod:`~repro.experiments.progress` events), and
+Pipeline: :mod:`~repro.experiments.config` fixes the parameters;
+:class:`repro.api.study.Study` compiles them into a grid of Scenario
+cells, each evaluated by :func:`~repro.api.session.run_scenario` into
+a :class:`~repro.experiments.sweep.PointResult`;
+:mod:`~repro.experiments.engine` streams those cells through worker
+processes and the :mod:`~repro.experiments.cache` result cache
+(reporting :mod:`~repro.experiments.progress` events); and
 :mod:`~repro.experiments.figures` / :mod:`~repro.experiments.report`
-project and render the paper's Figs. 5-7.
-
-The primary experiment surface is :class:`repro.api.study.Study` —
-declarative Scenario grids with streaming results, riding the same
-engine; ``Study.from_config(...).run().sweep_result(model)`` produces
-the :class:`~repro.experiments.sweep.SweepResult` panels the figure
-layer consumes.  (The one-release ``run_sweeps`` compatibility
-wrapper was removed on schedule.)
+project and render the paper's Figs. 5-7 from the
+:class:`~repro.experiments.sweep.SweepResult` panels that
+``Study.from_config(...).run().sweep_result(model)`` produces.
 """
 
 from repro.experiments.cache import (
@@ -24,10 +20,8 @@ from repro.experiments.cache import (
     ResultCache,
     default_cache,
     export_bundle,
-    factory_fingerprint,
     import_bundle,
     point_from_dict,
-    point_key,
     point_to_dict,
     verify_bundle,
 )
@@ -41,8 +35,6 @@ from repro.experiments.config import (
 from repro.experiments.engine import (
     EngineTask,
     ExperimentEngine,
-    WorkUnit,
-    plan_units,
     resolve_jobs,
 )
 from repro.experiments.progress import Progress, ProgressEvent
@@ -56,20 +48,7 @@ from repro.experiments.figures import (
     figure_table,
 )
 from repro.experiments.report import format_table, to_chart, to_csv, to_json
-from repro.experiments.runner import (
-    PointResult,
-    RouteTally,
-    RouterPointMetrics,
-    evaluate_network,
-    evaluate_point,
-    registry_routers,
-)
-from repro.experiments.sweep import SweepResult
-from repro.experiments.workload import (
-    NetworkInstance,
-    build_network,
-    sample_pairs,
-)
+from repro.experiments.sweep import PointResult, RouterPointMetrics, SweepResult
 
 __all__ = [
     "FIGURES",
@@ -80,39 +59,28 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentEngine",
     "FigureTable",
-    "NetworkInstance",
     "PAPER_CONFIG",
     "PointResult",
     "Progress",
     "ProgressEvent",
     "QUICK_CONFIG",
     "ResultCache",
-    "RouteTally",
     "RouterPointMetrics",
     "SweepResult",
-    "WorkUnit",
     "active_config",
     "all_figures",
-    "build_network",
     "default_cache",
     "default_jobs",
     "export_bundle",
     "import_bundle",
-    "evaluate_network",
-    "evaluate_point",
-    "factory_fingerprint",
     "fig5",
     "fig6",
     "fig7",
     "figure_table",
     "format_table",
-    "plan_units",
     "point_from_dict",
-    "point_key",
     "point_to_dict",
-    "registry_routers",
     "resolve_jobs",
-    "sample_pairs",
     "to_chart",
     "to_csv",
     "to_json",

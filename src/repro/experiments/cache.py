@@ -1,13 +1,15 @@
 """Content-addressed on-disk cache for figure points.
 
-A figure point — one :class:`~repro.experiments.runner.PointResult` —
-is fully determined by the experiment configuration, the deployment
-model, the node count and the router factory: every RNG stream inside
-:func:`~repro.experiments.runner.evaluate_point` is derived from those
-values alone.  That makes points safe to memoise on disk: the cache
-key is a SHA-256 digest over a canonical JSON encoding of exactly the
-inputs that influence the computation, and the value is the point
-serialised as JSON.
+A figure point — one :class:`~repro.experiments.sweep.PointResult` —
+is fully determined by the Study cell's
+:class:`~repro.api.scenario.Scenario`, its router selection and the
+package code: every RNG stream inside
+:func:`~repro.api.session.run_scenario` is derived from those alone.
+That makes points safe to memoise on disk.  The cache key is
+:func:`~repro.api.study.scenario_fingerprint`, a SHA-256 digest over
+a canonical JSON encoding of exactly those inputs (it folds in
+:data:`CACHE_SCHEMA` and the source digest of this package); the value
+is the point serialised as JSON.
 
 Layout: ``<root>/<key[:2]>/<key>.json`` (sharded by digest prefix so a
 paper-scale run does not pile thousands of files into one directory).
@@ -15,18 +17,14 @@ The root defaults to ``.repro_cache/`` under the current directory and
 can be moved with ``REPRO_CACHE_DIR``; setting ``REPRO_CACHE=0``
 disables caching entirely.
 
-The digest deliberately *excludes* ``node_counts``: a point cached
-while sweeping 400..600 is reused verbatim when a later sweep covers
-400..800.  It *includes* a digest of the package's own source code,
-so editing any routing/model module invalidates every point computed
-by the old code — the cache can never serve stale figures.
-
-Router factories are identified by qualified name plus — for
-factories defined outside this package — a digest of their defining
-module's source.  Lambdas, closures and partials have no reliable
-identity (two different lambdas share the name ``<lambda>``), so
-:func:`factory_fingerprint` returns ``None`` for them and the engine
-computes such units without caching.
+A key carries the cell's own node count, not the sweep's x-axis, so
+a point cached while sweeping 400..600 is reused verbatim when a later
+sweep covers 400..800.  It *includes* a digest of the package's own
+source code, so editing any routing/model module invalidates every
+point computed by the old code — the cache can never serve stale
+figures.  A scenario whose router selection has no stable identity
+(a lambda or closure factory) has no key, and its cells are computed
+without caching.
 
 Entries are written atomically (temp file + ``os.replace``), so a
 concurrent reader — another local run, or a bundle merge — never
@@ -56,12 +54,11 @@ import tarfile
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from repro import __version__
 from repro.analysis.stats import Summary
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import PointResult, RouterPointMetrics
+from repro.experiments.sweep import PointResult, RouterPointMetrics
 
 __all__ = [
     "BUNDLE_SCHEMA",
@@ -77,10 +74,8 @@ __all__ = [
     "default_cache_root",
     "encode_point",
     "export_bundle",
-    "factory_fingerprint",
     "import_bundle",
     "point_from_dict",
-    "point_key",
     "point_to_dict",
     "read_bundle",
     "start_bundle",
@@ -118,30 +113,6 @@ def default_cache() -> "ResultCache | None":
     return ResultCache(default_cache_root())
 
 
-def _config_fingerprint(config: ExperimentConfig) -> dict:
-    """The config fields that influence a single point's value.
-
-    ``node_counts`` is intentionally absent — the point's own node
-    count is keyed separately, so sweeps with different x-axes share
-    cached points.
-    """
-    return {
-        "area": [
-            config.area.x_min,
-            config.area.y_min,
-            config.area.x_max,
-            config.area.y_max,
-        ],
-        "radius": config.radius,
-        "networks_per_point": config.networks_per_point,
-        "routes_per_network": config.routes_per_network,
-        "seed": config.seed,
-        "obstacle_count": config.obstacle_count,
-        "min_obstacle_size": config.min_obstacle_size,
-        "max_obstacle_size": config.max_obstacle_size,
-    }
-
-
 _code_digest_cache: str | None = None
 
 
@@ -175,75 +146,6 @@ def _package_root() -> Path:
     import repro
 
     return Path(repro.__file__).resolve().parent
-
-
-# Sentinel distinguishing "no cache_fingerprint attribute" from an
-# explicit cache_fingerprint of None (= declared uncacheable).
-_NO_FINGERPRINT = object()
-
-
-def factory_fingerprint(router_factory: Callable) -> str | None:
-    """Stable identity of a router factory, or ``None`` if it has none.
-
-    Only module-level functions are nameable across runs; lambdas,
-    closures (qualnames containing ``<lambda>``/``<locals>``) and
-    callables without a qualified name (e.g. ``functools.partial``)
-    would collide under a shared name, so they are not cacheable.
-
-    Factories defined *outside* the ``repro`` package additionally get
-    a digest of their defining module's source folded in — editing a
-    user-supplied factory (or the routers it builds in that module)
-    invalidates its cached points just like editing package code does.
-    An external factory whose source cannot be read is not cacheable.
-
-    A factory may also speak for itself through a ``cache_fingerprint``
-    attribute (``str`` for a stable identity, ``None`` for "do not
-    cache me"), which takes precedence over introspection.  That is
-    how :class:`repro.api.RegistryRouterFactory` folds the registry's
-    identity — selected scheme names, their factories' sources and
-    per-scheme options — into the cache key, so third-party routers
-    cache correctly.
-    """
-    declared = getattr(router_factory, "cache_fingerprint", _NO_FINGERPRINT)
-    if declared is not _NO_FINGERPRINT:
-        return declared
-    # One set of identity rules for the whole system: the registry owns
-    # the introspection (module:qualname, lambda/closure rejection,
-    # external-source digest) and this layer reuses it, so a factory is
-    # judged cacheable the same way however it reaches the engine.
-    from repro.api.registry import _factory_identity
-
-    return _factory_identity(router_factory)
-
-
-def point_key(
-    config: ExperimentConfig,
-    deployment_model: str,
-    node_count: int,
-    router_factory: Callable,
-) -> str:
-    """Content hash identifying one figure point's inputs.
-
-    Raises :class:`ValueError` for factories without a stable
-    identity — the engine checks :func:`factory_fingerprint` first
-    and simply skips caching for those.
-    """
-    factory = factory_fingerprint(router_factory)
-    if factory is None:
-        raise ValueError(
-            f"router factory {router_factory!r} has no stable identity "
-            "(lambda/closure/partial); its results cannot be cached"
-        )
-    payload = {
-        "schema": CACHE_SCHEMA,
-        "code": _code_digest(),
-        "config": _config_fingerprint(config),
-        "model": deployment_model,
-        "nodes": node_count,
-        "factory": factory,
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def _summary_to_dict(summary: Summary) -> dict:
@@ -480,7 +382,7 @@ class ResultCache:
 # exact code and router registry that computed them.  Two forms share
 # one layout — a directory (what a worker grows incrementally, so a
 # killed host leaves a valid partial bundle) and a tarball of the same
-# files (what travels over ssh / a shared filesystem):
+# files (one file to copy or archive):
 #
 #     manifest.json          {"schema", "kind", "code", "registry", ...}
 #     entries/<key>.json     one cache entry, exactly ResultCache's text

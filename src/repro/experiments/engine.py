@@ -1,29 +1,23 @@
-"""Work-unit execution engine: streaming parallel dispatch with caching.
+"""Task execution engine: streaming parallel dispatch with caching.
 
-The evaluation of Section 5 is embarrassingly parallel: a figure point
-is a pure function of ``(config, deployment model, node count, router
-factory)`` (see :mod:`~repro.experiments.runner`), and a Study cell is
-a pure function of its :class:`~repro.api.scenario.Scenario`.  This
+The evaluation of Section 5 is embarrassingly parallel: a Study cell
+is a pure function of its :class:`~repro.api.scenario.Scenario`.  This
 module turns that purity into throughput behind one generic core:
 
-* :class:`EngineTask` names one independently computable unit of any
-  kind — an opaque ``key``, a picklable ``fn(*args)``, an optional
-  cache key and a progress description;
+* :class:`EngineTask` names one independently computable unit — an
+  opaque ``key``, a picklable ``fn(*args)``, an optional cache key and
+  a progress description;
 * :meth:`ExperimentEngine.stream` executes a task list *as a stream*:
   cached tasks are yielded immediately, the rest are dispatched over a
   :class:`~concurrent.futures.ProcessPoolExecutor` when ``jobs > 1``
   and yielded in completion order, each persisted to the cache the
-  moment it finishes (so an interrupted run is resumable);
-* :class:`WorkUnit` / :func:`plan_units` /
-  :meth:`ExperimentEngine.run` keep the classic figure-point surface:
-  a config × deployment-model product evaluated through
-  :func:`~repro.experiments.runner.evaluate_point`.
+  moment it finishes (so an interrupted run is resumable).
 
-:meth:`repro.api.study.Study.stream` compiles Scenario grids onto the
-same :class:`EngineTask` stream, so both pipelines share dispatch,
-caching, serial fallback and progress reporting.
+:meth:`repro.api.study.Study.stream` compiles Scenario grids onto this
+stream, which supplies dispatch, caching, serial fallback and progress
+reporting.
 
-Because per-unit RNG streams are derived from the unit identity alone,
+Because per-network RNG streams are derived from the scenario alone,
 parallel results are bit-identical to serial ones regardless of worker
 count or completion order; a determinism test in
 ``tests/experiments/test_parallel.py`` pins this.
@@ -36,9 +30,9 @@ ETA extrapolated from the computed tasks' pace.
 Worker count resolution: explicit ``jobs`` argument, else the
 ``REPRO_JOBS`` environment variable (via
 :func:`~repro.experiments.config.default_jobs`), else 1 (serial).
-Unpicklable inputs (e.g. a closure router factory) silently degrade to
-serial execution rather than failing — parallelism is an optimisation,
-never a requirement.
+Unpicklable inputs (e.g. a registry holding a closure factory) degrade
+to serial execution with a progress note rather than failing —
+parallelism is an optimisation, never a requirement.
 """
 
 from __future__ import annotations
@@ -48,47 +42,20 @@ import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
-from repro.experiments.cache import (
-    ResultCache,
-    default_cache,
-    factory_fingerprint,
-    point_key,
-)
-from repro.experiments.config import ExperimentConfig, default_jobs
+from repro.experiments.cache import ResultCache, default_cache
+from repro.experiments.config import default_jobs
 from repro.experiments.progress import Progress, ProgressEvent
-from repro.experiments.runner import (
-    PointResult,
-    RouterFactory,
-    evaluate_point,
-    registry_routers,
-)
+from repro.experiments.sweep import PointResult
 
 __all__ = [
     "EngineTask",
     "ExperimentEngine",
     "Progress",
     "ProgressEvent",
-    "WorkUnit",
-    "plan_units",
     "resolve_jobs",
 ]
-
-
-@dataclass(frozen=True, slots=True)
-class WorkUnit:
-    """One independently computable figure point."""
-
-    deployment_model: str
-    node_count: int
-
-    def describe(self, config: ExperimentConfig) -> str:
-        return (
-            f"[{self.deployment_model}] n={self.node_count} "
-            f"({config.networks_per_point} networks x "
-            f"{config.routes_per_network} routes)"
-        )
 
 
 @dataclass(frozen=True)
@@ -96,7 +63,7 @@ class EngineTask:
     """One unit of the engine's generic stream.
 
     ``fn(*args)`` must be a pure function of ``args`` returning a
-    :class:`~repro.experiments.runner.PointResult`, and picklable
+    :class:`~repro.experiments.sweep.PointResult`, and picklable
     (module-level) for parallel dispatch — unpicklable tasks degrade
     the whole batch to serial.  ``cache_key=None`` marks the task
     uncacheable: it is computed every run and never stored.  ``key``
@@ -108,17 +75,6 @@ class EngineTask:
     args: tuple = field(compare=False)
     cache_key: str | None
     description: str
-
-
-def plan_units(
-    config: ExperimentConfig, deployment_models: Sequence[str]
-) -> tuple[WorkUnit, ...]:
-    """Expand a sweep into its unit list, in presentation order."""
-    return tuple(
-        WorkUnit(deployment_model=model, node_count=n)
-        for model in deployment_models
-        for n in config.node_counts
-    )
 
 
 def resolve_jobs(jobs: int | None = None) -> int:
@@ -300,54 +256,3 @@ class ExperimentEngine:
     def _store(self, key: str | None, point: PointResult) -> None:
         if self.cache is not None and key is not None:
             self.cache.store(key, point)
-
-    # -- the classic figure-point surface -------------------------------
-
-    def run(
-        self,
-        config: ExperimentConfig,
-        units: Iterable[WorkUnit],
-        router_factory: RouterFactory | None = None,
-    ) -> dict[WorkUnit, PointResult]:
-        """Produce every unit's point, from cache or by computing.
-
-        ``router_factory=None`` resolves to a snapshot of every
-        registered scheme *here*, before fingerprinting and dispatch —
-        workers must receive the parent's resolved selection, never
-        re-resolve names against their own (possibly diverged)
-        registries.
-        """
-        if router_factory is None:
-            router_factory = registry_routers()
-        # Caching needs an enabled cache AND a factory with a stable
-        # identity — anonymous factories would collide under a shared
-        # key, so their units are computed every time.
-        keyable = (
-            self.caching
-            and factory_fingerprint(router_factory) is not None
-        )
-        tasks = [
-            EngineTask(
-                key=unit,
-                fn=evaluate_point,
-                args=(
-                    config,
-                    unit.deployment_model,
-                    unit.node_count,
-                    router_factory,
-                ),
-                cache_key=(
-                    point_key(
-                        config,
-                        unit.deployment_model,
-                        unit.node_count,
-                        router_factory,
-                    )
-                    if keyable
-                    else None
-                ),
-                description=unit.describe(config),
-            )
-            for unit in units
-        ]
-        return {task.key: point for task, point in self.stream(tasks)}

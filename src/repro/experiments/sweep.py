@@ -1,33 +1,81 @@
-"""Density-sweep result container: the x-axis of every figure in Section 5.
+"""Figure points and density sweeps: the x-axis of every figure in Section 5.
+
+One *point* of a paper figure is one (deployment model, node count)
+pair, evaluated over ``networks`` random networks with
+``routes_per_network`` random source-destination pairs each, for every
+routing scheme.  A :class:`PointResult` is that point's per-router
+aggregate: the payload of one Study cell and the value the result
+cache stores.
 
 "We test the networks when the number of nodes in the interest area is
 varied from 400 to 800 in increments of 50."  A :class:`SweepResult`
 holds one deployment model's full density sweep — every configured
-node count with its complete
-:class:`~repro.experiments.runner.PointResult` — so all three figures
-(and the phase/ablation benches) project from a single run.
+node count with its complete :class:`PointResult` — so all three
+figures project from a single run.
 
-Sweeps are *produced* by the declarative Study API:
+Both are *produced* by the declarative Study API:
 ``Study.from_config(config, models).run().sweep_result(model)``
-compiles the classic config × deployment-model grid, evaluates it
-through the engine's cached task stream, and adapts the result into
-this container bit-identically to the historical ``run_sweeps``
-pipeline (golden-tested).  The one-release ``run_sweeps``/``run_sweep``
-compatibility wrappers that used to live here were removed on
-schedule; callers holding an anonymous router factory (a closure or
-partial, inexpressible as registry names) drive
-:class:`~repro.experiments.engine.ExperimentEngine` directly over
-:func:`~repro.experiments.engine.plan_units`.
+compiles the config × deployment-model grid, evaluates each cell
+through :func:`~repro.api.session.run_scenario` on the engine's cached
+task stream, and adapts the result into this container.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
+from repro.analysis.stats import Summary
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import PointResult
 
-__all__ = ["SweepResult"]
+__all__ = ["PointResult", "RouterPointMetrics", "SweepResult"]
+
+
+@dataclass(frozen=True)
+class RouterPointMetrics:
+    """Aggregated performance of one router at one figure point.
+
+    Hop and length statistics are over *delivered* routes (the paper
+    reports path metrics, not delivery failures — failures are
+    surfaced separately via ``delivery_rate``).
+    """
+
+    router: str
+    samples: int
+    delivered: int
+    hops: Summary
+    length: Summary
+    max_hops: int
+    perimeter_entries_per_route: float
+    backup_entries_per_route: float
+
+    @property
+    def delivery_rate(self) -> float:
+        return self.delivered / self.samples if self.samples else 0.0
+
+
+@dataclass(frozen=True)
+class PointResult:
+    """All routers' metrics at one (deployment, node count) point."""
+
+    deployment_model: str
+    node_count: int
+    networks: int
+    per_router: dict[str, RouterPointMetrics] = field(repr=False)
+
+    def metric(self, router: str, name: str) -> float:
+        """Scalar projection used by the figure tables."""
+        metrics = self.per_router[router]
+        if name == "mean_hops":
+            return metrics.hops.mean
+        if name == "max_hops":
+            return float(metrics.max_hops)
+        if name == "mean_length":
+            return metrics.length.mean
+        if name == "delivery_rate":
+            return metrics.delivery_rate
+        if name == "perimeter_entries":
+            return metrics.perimeter_entries_per_route
+        raise KeyError(f"unknown metric {name!r}")
 
 
 @dataclass(frozen=True)

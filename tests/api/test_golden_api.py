@@ -1,62 +1,85 @@
-"""Golden equivalence: the facade reproduces the legacy harness bit
-for bit, and a fifth registered router flows end to end.
+"""Golden figures: pinned digests of a tiny Study, and a fifth
+registered router flowing end to end.
 
-The acceptance bar of the API redesign: ``Session``/``run_scenario``
-must be a *façade* over the same computation, not a reimplementation
-with drift — identical per-network seeds, pair streams, routing order
-and aggregation arithmetic.
+The digests are the figure-level regression bar of the one evaluation
+path (Scenario → Session → Study): any drift in per-network seeds, pair
+streams, routing order or aggregation arithmetic moves them.  A change
+that is *meant* to move a figure re-pins them in the same change, with
+before/after numbers in ``docs/REPRODUCING.md``.
 """
+
+import hashlib
+import json
+import pickle
 
 import pytest
 
 from repro.api import (
-    RegistryRouterFactory,
     Scenario,
     Session,
     Study,
     default_registry,
-    run_scenario,
+    scenario_fingerprint,
 )
 from repro.experiments import (
     ExperimentConfig,
     ResultCache,
-    evaluate_network,
-    evaluate_point,
     figure_table,
+    point_to_dict,
 )
-from repro.experiments.cache import factory_fingerprint, point_key
 from repro.routing import GreedyRouter
 
 TINY = ExperimentConfig(
     node_counts=(250,), networks_per_point=2, routes_per_network=5
 )
 
+GOLDEN_CONFIG = ExperimentConfig(
+    node_counts=(250, 300), networks_per_point=2, routes_per_network=5
+)
 
-class TestGoldenEquivalence:
-    @pytest.mark.parametrize("model", ["IA", "FA"])
-    def test_run_scenario_matches_evaluate_point_bit_identically(
-        self, model
-    ):
-        legacy = evaluate_point(TINY, model, 250)
-        scenario = Scenario.from_config(TINY, model, 250)
-        routes = run_scenario(scenario)
-        facade = routes.point_result(model, 250, scenario.networks)
-        # Frozen-dataclass equality compares every float exactly: any
-        # divergence in seeds, ordering or arithmetic fails here.
-        assert facade == legacy
+#: sha256 of ``json.dumps(obj, sort_keys=True)`` for the two objects
+#: built in :class:`TestGoldenDigests`.
+GOLDEN_POINTS = (
+    "9a19cb1b055f25f00278e48535494bb8d908f09a928ead2aa81de6e20ff8887f"
+)
+GOLDEN_TABLES = (
+    "30dbe821c9f3b5b510782b9ff902a42e809510d3aeee3f62055d392aba2b3f4a"
+)
 
-    def test_session_run_matches_evaluate_network_per_route(self):
-        legacy = evaluate_network(TINY, "IA", 250, index=1)
-        session = Session(Scenario.from_config(TINY, "IA", 250), 1)
-        routes = session.run()
-        # Same routers, same per-router sample counts...
-        assert set(routes.routers()) == set(legacy)
-        for name in routes.routers():
-            assert len(routes.results(name)) == legacy[name].samples
-        # ...and identical aggregate tallies per router.
-        point = routes.point_result("IA", 250, 1)
-        for name, tally in legacy.items():
-            assert point.per_router[name] == tally.finish(name)
+
+def _digest(obj) -> str:
+    return hashlib.sha256(
+        json.dumps(obj, sort_keys=True).encode("utf-8")
+    ).hexdigest()
+
+
+class TestGoldenDigests:
+    @pytest.fixture(scope="class")
+    def result(self):
+        return Study.from_config(GOLDEN_CONFIG, ("IA", "FA")).run(
+            cache=ResultCache.disabled()
+        )
+
+    def test_points_digest(self, result):
+        points = [point_to_dict(cell.point) for cell in result]
+        assert _digest(points) == GOLDEN_POINTS
+
+    def test_figure_tables_digest(self, result):
+        tables = []
+        for model in ("IA", "FA"):
+            sweep = result.sweep_result(model)
+            for figure_id in ("fig5", "fig6", "fig7"):
+                table = figure_table(sweep, figure_id)
+                tables.append(
+                    [
+                        figure_id,
+                        model,
+                        list(table.routers),
+                        list(table.node_counts),
+                        [table.values[r] for r in table.routers],
+                    ]
+                )
+        assert _digest(tables) == GOLDEN_TABLES
 
 
 def build_gf_face(instance, **kwargs):
@@ -80,24 +103,15 @@ class TestFifthRouter:
         self, fifth_router, tmp_path
     ):
         cache = ResultCache(tmp_path / "cache")
-        factory = RegistryRouterFactory()
-        assert fifth_router in factory.names
 
-        # Cache key: the augmented registry has a different identity.
-        four = RegistryRouterFactory(names=("GF", "LGF", "SLGF", "SLGF2"))
-        assert factory_fingerprint(factory) != factory_fingerprint(four)
-        assert point_key(TINY, "IA", 250, factory) != point_key(
-            TINY, "IA", 250, four
-        )
+        # Cache key: the augmented selection has a different identity.
+        scenario = Scenario.from_config(TINY, "IA", 250)
+        four = scenario.with_(routers=("GF", "LGF", "SLGF", "SLGF2"))
+        assert scenario_fingerprint(scenario) != scenario_fingerprint(four)
 
         # Sweep + report + figure legend, no harness edits.
         def registry_sweep():
-            study = Study.from_config(
-                TINY,
-                ("IA",),
-                routers=factory.names,
-                registry=factory.as_registry(),
-            )
+            study = Study.from_config(TINY, ("IA",))
             return study.run(cache=cache).sweep_result("IA")
 
         sweep = registry_sweep()
@@ -113,19 +127,16 @@ class TestFifthRouter:
     def test_default_factory_cache_key_tracks_registry(
         self, fifth_router
     ):
-        # Regression: the default factory (resolved at call time from
-        # the registry) builds whatever the registry holds, so its
-        # cache identity must change when the registry does —
-        # otherwise a warm cache serves four-scheme points after a
-        # fifth scheme is registered.
-        from repro.experiments import registry_routers
-
-        with_fifth = point_key(TINY, "IA", 250, registry_routers())
+        # Regression: the default selection (routers=()) builds
+        # whatever the registry holds, so its cache identity must
+        # change when the registry does — otherwise a warm cache
+        # serves four-scheme points after a fifth scheme is
+        # registered.
+        scenario = Scenario.from_config(TINY, "IA", 250)
+        with_fifth = scenario_fingerprint(scenario)
         default_registry.unregister(fifth_router)
         try:
-            without_fifth = point_key(
-                TINY, "IA", 250, registry_routers()
-            )
+            without_fifth = scenario_fingerprint(scenario)
         finally:
             default_registry.register(
                 fifth_router, build_gf_face, order=4
@@ -135,23 +146,18 @@ class TestFifthRouter:
     def test_default_factory_pickles_as_a_spec_snapshot(
         self, fifth_router
     ):
-        # Regression: the default factory must ship the *factories* to
-        # workers, not names to re-resolve — a worker whose registry
-        # diverged (spawn + __main__ registrations) must still build
-        # exactly the parent's schemes.
-        import pickle
-
-        from repro.experiments import registry_routers
-
-        payload = pickle.dumps(registry_routers())
+        # Regression: a Study must ship the *factories* to workers, not
+        # names to re-resolve — a worker whose registry diverged
+        # (spawn + __main__ registrations) must still build exactly
+        # the parent's schemes.  Its registry travels with every task.
+        study = Study.from_config(TINY, ("IA",))
+        payload = pickle.dumps(study.registry)
         # Simulate a diverged worker registry: the fifth scheme gone.
         default_registry.unregister(fifth_router)
         try:
             clone = pickle.loads(payload)
-            assert fifth_router in clone.names
-            assert any(
-                spec.factory is build_gf_face for spec in clone._specs
-            )
+            assert fifth_router in clone
+            assert clone.get(fifth_router).factory is build_gf_face
         finally:
             default_registry.register(
                 fifth_router, build_gf_face, order=4

@@ -1,11 +1,11 @@
 """Router registry: registration rules, lookup errors, fingerprints."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.api import RouterRegistry, default_registry
-from repro.api.registry import RegistryRouterFactory
 from repro.core import InformationModel
-from repro.experiments.workload import NetworkInstance
 from repro.geometry import Point
 from repro.network import EdgeDetector, build_unit_disk_graph
 from repro.protocols import build_hole_boundaries
@@ -25,12 +25,10 @@ def instance():
     positions = [Point(x * 8.0, 0.0) for x in range(6)]
     graph = build_unit_disk_graph(positions, radius=10.0)
     graph = EdgeDetector(strategy="convex").apply(graph)
-    return NetworkInstance(
+    return SimpleNamespace(
         graph=graph,
         model=InformationModel.build(graph),
         boundaries=build_hole_boundaries(graph),
-        deployment_model="IA",
-        seed=0,
     )
 
 
@@ -154,43 +152,3 @@ class TestFingerprint:
         registry = RouterRegistry()
         registry.register("L", lambda instance, **kw: LgfRouter(instance.graph))
         assert registry.fingerprint() is None
-
-
-class TestRegistryRouterFactory:
-    def test_is_a_router_factory(self, instance):
-        factory = RegistryRouterFactory(names=("GF", "SLGF2"))
-        routers = factory(instance)
-        assert list(routers) == ["GF", "SLGF2"]
-
-    def test_cache_fingerprint_matches_registry(self):
-        factory = RegistryRouterFactory(names=("GF", "LGF"))
-        assert factory.cache_fingerprint == default_registry.fingerprint(
-            names=("GF", "LGF")
-        )
-
-    def test_resolves_specs_at_construction(self, instance):
-        registry = RouterRegistry()
-        registry.register("A", build_lgf_zone)
-        factory = RegistryRouterFactory(registry=registry)
-        registry.register("B", build_lgf_other)  # after the snapshot
-        assert list(factory(instance)) == ["A"]
-
-    def test_unknown_option_rejected(self):
-        with pytest.raises(KeyError):
-            RegistryRouterFactory(
-                names=("GF",), options={"SLGF2": {"ttl": 5}}
-            )
-
-    def test_engine_fingerprint_sees_declared_identity(self):
-        from repro.experiments.cache import factory_fingerprint
-
-        factory = RegistryRouterFactory(names=("GF",))
-        assert factory_fingerprint(factory) == factory.cache_fingerprint
-
-    def test_picklable_for_worker_dispatch(self):
-        import pickle
-
-        factory = RegistryRouterFactory()
-        clone = pickle.loads(pickle.dumps(factory))
-        assert clone.names == factory.names
-        assert clone.cache_fingerprint == factory.cache_fingerprint

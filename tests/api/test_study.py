@@ -1,11 +1,12 @@
-"""The Study API: grid compilation, streaming, caching, golden parity.
+"""The Study API: grid compilation, streaming, caching, sweep panels.
 
 Four promises under test:
 
 * a Study **compiles** deterministically — axis order, row-major
   product, eager validation through Scenario's own rules;
-* a plain density Study reproduces the legacy ``run_sweeps`` numbers
-  **bit-identically** (the ISSUE's golden acceptance bar);
+* a plain density Study's columnar projections and **sweep panels**
+  carry exactly its cells' points (the figure digests themselves are
+  pinned in ``tests/api/test_golden_api.py``);
 * **streaming** is order-independent, cancellable mid-run without
   losing cached progress, and fires exactly one progress event per
   cell;
@@ -27,18 +28,12 @@ from repro.api import (
     RandomFailure,
     RegionFailure,
     Scenario,
+    Session,
     Study,
     scenario_fingerprint,
 )
 from repro.api.registry import RouterRegistry
-from repro.experiments import (
-    FIGURES,
-    ExperimentConfig,
-    ResultCache,
-    evaluate_point,
-    figure_table,
-)
-from repro.experiments.sweep import SweepResult
+from repro.experiments import ExperimentConfig, ResultCache
 from repro.geometry import Rect
 from repro.network.obstacles import RectObstacle
 
@@ -149,7 +144,7 @@ class TestCell:
 
 
 class TestGoldenDensityParity:
-    """ISSUE acceptance: a plain density Study == today's run_sweeps."""
+    """A plain density Study: projections and the sweep adapter."""
 
     @pytest.fixture(scope="class")
     def study_result(self):
@@ -157,37 +152,21 @@ class TestGoldenDensityParity:
             cache=ResultCache.disabled()
         )
 
-    @pytest.mark.parametrize("model", ["IA", "FA"])
-    def test_points_bit_identical_to_legacy_pipeline(
-        self, study_result, model
-    ):
-        legacy = SweepResult(
-            deployment_model=model,
-            config=TINY,
-            points=tuple(
-                evaluate_point(TINY, model, n) for n in TINY.node_counts
-            ),
-        )
-        adapted = study_result.sweep_result(model)
-        # Frozen-dataclass equality compares every float exactly.
-        assert adapted.points == legacy.points
-        assert adapted.config == TINY
-        for figure_id in FIGURES:
-            assert figure_table(adapted, figure_id) == figure_table(
-                legacy, figure_id
-            )
-
     def test_columnar_projections_agree_with_points(self, study_result):
         axis, series = study_result.series(
             "SLGF2", "mean_hops", along="node_count",
             where={"deployment_model": "IA"},
         )
         assert axis == [250, 300]
-        legacy = [
-            evaluate_point(TINY, "IA", n).metric("SLGF2", "mean_hops")
+        points = [
+            study_result.cell(deployment_model="IA", node_count=n).point
             for n in TINY.node_counts
         ]
-        assert series == legacy
+        assert series == [p.metric("SLGF2", "mean_hops") for p in points]
+        # The figure layer's panel carries exactly these points.
+        sweep = study_result.sweep_result("IA")
+        assert sweep.points == tuple(points)
+        assert sweep.config == TINY
 
     def test_sweep_adapter_guards(self, study_result):
         with pytest.raises(ValueError, match="name one"):
@@ -391,6 +370,25 @@ class TestFingerprints:
             _tiny_base(routers=default_registry.names())
         )
         assert implicit == explicit
+
+    def test_selection_spelling_shares_a_key(self, tmp_path):
+        # The Session builds a selection in registry order, each scheme
+        # once, so these spellings route identically — and must hit
+        # one cache entry, not recompute under three keys.
+        spellings = [("GF", "SLGF2"), ("SLGF2", "GF"), ("GF", "GF", "SLGF2")]
+        scenarios = [_tiny_base(routers=r) for r in spellings]
+        assert len({scenario_fingerprint(s) for s in scenarios}) == 1
+        routes = [Session(s).run() for s in scenarios]
+        assert routes[1] == routes[0] and routes[2] == routes[0]
+
+        cache = ResultCache(tmp_path)
+        Study(scenarios[0], nodes=(250, 300)).run(cache=cache)
+        for scenario in scenarios[1:]:
+            events = []
+            Study(scenario, nodes=(250, 300)).run(
+                cache=cache, progress=events.append
+            )
+            assert [e.kind for e in events] == ["cached", "cached"]
 
     def test_unfingerprintable_registry_disables_caching(self, tmp_path):
         registry = RouterRegistry()

@@ -1,24 +1,15 @@
-"""Cluster drivers: bit-identity, failure recovery, both real backends.
+"""The shard driver: bit-identity and failure recovery, end to end.
 
 :class:`LocalSubprocessDriver` runs real worker subprocesses — these
 tests are the protocol end-to-end, including the headline guarantee
 (a sharded run's StudyResult equals a local run's, byte for byte) and
-requeue-on-death.  :class:`SSHDriver` runs against an in-process fake
-transport that evaluates shards with the real worker code and packs
-real tarballs, so the scheduler's requeue/retire logic and the
-tarball fetch path are exercised without an ssh daemon.
-:class:`JobArrayDriver` is driven by a fake ``sbatch`` — a shell loop
-over the array indices — submitting the very script it emits.
+requeue-on-death.
 """
 
 from __future__ import annotations
 
-import contextlib
-import io
 import json
 import sys
-import tarfile
-import threading
 from pathlib import Path
 
 import pytest
@@ -27,17 +18,12 @@ from repro.dist import (
     ClusterError,
     DistStats,
     LocalSubprocessDriver,
-    SSHDriver,
-    SSHHost,
     compile_plan,
     run_study,
     shard_plan,
     write_plan,
 )
-from repro.dist.driver import ShardMonitor
-from repro.dist.jobarray import JobArrayDriver
-from repro.dist.worker import run_worker
-from repro.experiments import ResultCache, import_bundle
+from repro.experiments import ResultCache
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -156,221 +142,3 @@ class TestLocalSubprocessDriver:
     def test_distribution_requires_a_cache(self, study):
         with pytest.raises(ValueError, match="enabled result cache"):
             run_study(study, cache=ResultCache.disabled())
-
-
-# -- ssh: fake transport, real worker, real tarballs -------------------------
-
-
-class FakeTransport:
-    """An ssh stand-in: each host is a directory, commands run in-process.
-
-    Understands exactly the three commands :class:`SSHDriver` issues —
-    ship a plan (``cat >``), run the worker, fetch a tarball — and
-    executes them against ``root/<address>/`` with the real worker and
-    real ``tarfile`` packing, so everything but the ssh binary itself
-    is the production code path.
-    """
-
-    def __init__(self, root: Path, dead: set[str] = frozenset()):
-        self.root = Path(root)
-        self.dead = set(dead)
-        self.calls: list[tuple[str, str]] = []
-        # redirect_stdout swaps the *global* sys.stdout; host threads
-        # run concurrently, so in-process workers must be serialized.
-        self._stdout_lock = threading.Lock()
-
-    def _real(self, host: SSHHost, remote: str) -> Path:
-        return self.root / host.address / remote
-
-    def run(self, host, command, *, stdin_text=None, line_sink=None,
-            stdout_path=None):
-        self.calls.append((host.address, command.split()[0]))
-        if host.address in self.dead:
-            return 255  # ssh's "could not connect"
-        if stdin_text is not None:  # mkdir -p ... && cat > <plan>
-            target = self._real(host, command.rsplit("> ", 1)[1])
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(stdin_text)
-            return 0
-        if command.startswith("tar "):  # tar -C <bundle> -cf - .
-            bundle = self._real(host, command.split()[2])
-            with tarfile.open(stdout_path, "w") as tar:
-                for path in sorted(bundle.rglob("*")):
-                    tar.add(
-                        path,
-                        arcname=f"./{path.relative_to(bundle)}",
-                        recursive=False,
-                    )
-            return 0
-        # ... python -m repro.cli dist-worker --plan P --bundle B
-        words = command.split()
-        plan = self._real(host, words[words.index("--plan") + 1])
-        bundle = self._real(host, words[words.index("--bundle") + 1])
-        out = io.StringIO()
-        with self._stdout_lock, contextlib.redirect_stdout(out):
-            code = run_worker(plan, bundle)
-        if line_sink is not None:
-            for line in out.getvalue().splitlines():
-                line_sink(line)
-        return code
-
-
-class TestSSHDriver:
-    def _shards(self, study, tmp_path, n=3):
-        plan = compile_plan(study)
-        return plan, [
-            write_plan(shard, tmp_path / "plans" / f"{shard.shard}.json")
-            for shard in shard_plan(plan, n)
-        ]
-
-    def test_round_trip_over_fake_hosts(
-        self, study, make_study, cache, other_cache, tmp_path
-    ):
-        make_study().run(cache=cache)  # the single-host truth
-        plan, shards = self._shards(study, tmp_path)
-        local_texts = {key: cache.load_text(key) for key in plan.keys()}
-        hosts = [
-            SSHHost("node1", workdir="scratch"),
-            SSHHost("node2", workdir="scratch"),
-        ]
-        transport = FakeTransport(tmp_path / "hosts")
-        monitor = ShardMonitor(progress=None, total=plan.total)
-        driver = SSHDriver(hosts, transport=transport)
-        bundles = driver.run(shards, tmp_path / "bundles", monitor)
-        assert [b.suffix for b in bundles] == [".tar"] * 3
-        for bundle in bundles:
-            import_bundle(other_cache, bundle, registry=plan.registry)
-        assert {
-            key: other_cache.load_text(key) for key in plan.keys()
-        } == local_texts
-        # The streamed worker lines were aggregated, deduplicated.
-        assert monitor.computed == plan.total
-
-    def test_dead_host_requeues_to_survivor(self, study, tmp_path):
-        plan, shards = self._shards(study, tmp_path)
-        transport = FakeTransport(tmp_path / "hosts", dead={"deadnode"})
-        driver = SSHDriver(
-            [SSHHost("deadnode", workdir="s"), SSHHost("ok", workdir="s")],
-            transport=transport,
-            retries=3,
-            host_strikes=1,
-        )
-        bundles = driver.run(shards, tmp_path / "bundles")
-        assert len(bundles) == 3
-        # The dead host was tried, struck out and retired; every shard
-        # still came back — computed by the survivor.
-        assert ("deadnode", "mkdir") in transport.calls
-
-    def test_every_host_dead_raises(self, study, tmp_path):
-        _, shards = self._shards(study, tmp_path, n=2)
-        transport = FakeTransport(tmp_path / "hosts", dead={"a", "b"})
-        driver = SSHDriver(
-            [SSHHost("a"), SSHHost("b")],
-            transport=transport,
-            retries=1,
-            host_strikes=0,
-        )
-        with pytest.raises(ClusterError, match="retired|retries"):
-            driver.run(shards, tmp_path / "bundles")
-
-    def test_mismatch_is_fatal_not_requeued(self, study, tmp_path):
-        _, shards = self._shards(study, tmp_path, n=1)
-        data = json.loads(shards[0].read_text())
-        data["code"] = "0" * 64
-        shards[0].write_text(json.dumps(data))
-        transport = FakeTransport(tmp_path / "hosts")
-        driver = SSHDriver(
-            [SSHHost("node", workdir="s")], transport=transport, retries=5
-        )
-        with pytest.raises(ClusterError, match="exit 4"):
-            driver.run(shards, tmp_path / "bundles")
-        # No retry loop: one ship + one worker invocation, nothing more.
-        worker_calls = [c for c in transport.calls if c[1] != "mkdir"]
-        assert len(worker_calls) == 1
-
-    def test_needs_hosts(self):
-        with pytest.raises(ValueError, match="at least one host"):
-            SSHDriver([])
-
-
-# -- job array: emitted script, fake sbatch, shared-dir collection ------------
-
-
-FAKE_SBATCH = """#!/bin/sh
-# A stand-in scheduler: run every array task of the submitted script,
-# serially, the way `sbatch --wait` eventually would.
-script="$1"
-last=$(sed -n 's/^#SBATCH --array=0-//p' "$script")
-i=0
-while [ "$i" -le "$last" ]; do
-    sh "$script" "$i" || exit 1
-    i=$((i + 1))
-done
-echo "Submitted batch job 42"
-"""
-
-
-class TestJobArrayDriver:
-    def test_prepare_emits_script_and_guidance(self, study, tmp_path):
-        plan = compile_plan(study)
-        shards = [
-            write_plan(shard, tmp_path / "plans" / f"{shard.shard}.json")
-            for shard in shard_plan(plan, 2)
-        ]
-        driver = JobArrayDriver(directives=("--time=00:10:00",))
-        with pytest.raises(ClusterError, match="submit it yourself"):
-            driver.run(shards, tmp_path / "bundles")
-        script = (tmp_path / "plans" / "submit.sh").read_text()
-        assert "#SBATCH --array=0-1" in script
-        assert "#SBATCH --time=00:10:00" in script
-        assert "dist-worker" in script
-
-    def test_submit_collect_round_trip(
-        self, study, make_study, cache, other_cache, tmp_path
-    ):
-        local = make_study().run(cache=cache)
-        plan = compile_plan(study)
-        shards = [
-            write_plan(shard, tmp_path / "plans" / f"{shard.shard}.json")
-            for shard in shard_plan(plan, 2)
-        ]
-        sbatch = tmp_path / "sbatch"
-        sbatch.write_text(FAKE_SBATCH)
-        sbatch.chmod(0o755)
-        events: list = []
-        monitor = ShardMonitor(progress=events.append, total=plan.total)
-        driver = JobArrayDriver(
-            submit=[str(sbatch)],
-            python=sys.executable,
-            pythonpath=str(SRC),
-            poll_s=0.05,
-            timeout_s=60,
-        )
-        bundles = driver.run(shards, tmp_path / "bundles", monitor)
-        assert len(bundles) == 2
-        for bundle in bundles:
-            import_bundle(other_cache, bundle, registry=plan.registry)
-        dist = make_study().run(cache=other_cache)
-        assert _result_digest(dist) == _result_digest(local)
-        assert any("Submitted batch job" in str(e) for e in events)
-        assert any("bundle complete" in str(e) for e in events)
-
-    def test_collect_timeout_names_missing_shards(self, study, tmp_path):
-        plan = compile_plan(study)
-        shards = [
-            write_plan(shard, tmp_path / "plans" / f"{shard.shard}.json")
-            for shard in shard_plan(plan, 2)
-        ]
-        driver = JobArrayDriver(poll_s=0.01, timeout_s=0.05)
-        with pytest.raises(ClusterError, match="timed out.*shard_0, shard_1"):
-            driver.collect(shards, tmp_path / "bundles")
-
-    def test_failed_submission_raises(self, study, tmp_path):
-        plan = compile_plan(study)
-        shards = [
-            write_plan(shard, tmp_path / "plans" / f"{shard.shard}.json")
-            for shard in shard_plan(plan, 1)
-        ]
-        driver = JobArrayDriver(submit=["false"])
-        with pytest.raises(ClusterError, match="submission failed"):
-            driver.run(shards, tmp_path / "bundles")

@@ -5,23 +5,18 @@ import warnings as warnings_module
 
 import pytest
 
-from repro.api import Study
+from repro.api import RouterRegistry, Scenario, Study, scenario_fingerprint
+from repro.api.registry import build_gf, build_lgf
 from repro.experiments import (
     ExperimentConfig,
-    ExperimentEngine,
     ResultCache,
     default_cache,
-    evaluate_point,
-    factory_fingerprint,
     figure_table,
-    plan_units,
     point_from_dict,
-    point_key,
     point_to_dict,
 )
 from repro.experiments import CacheCorruptionWarning
 from repro.experiments.cache import default_cache_root
-from repro.experiments.runner import registry_routers
 
 TINY = ExperimentConfig(
     node_counts=(250, 300),
@@ -30,30 +25,59 @@ TINY = ExperimentConfig(
 )
 
 
-def _sweep(model, jobs=None, cache=None):
+def _sweep(model, jobs=None, cache=None, registry=None):
     """The classic density sweep, through its Study replacement."""
-    result = Study.from_config(TINY, (model,)).run(jobs=jobs, cache=cache)
+    result = Study.from_config(TINY, (model,), registry=registry).run(
+        jobs=jobs, cache=cache
+    )
     return result.sweep_result(model)
+
+
+def _key(model="IA", n=250, config=TINY, registry=None):
+    """The cache key of one figure point's Study cell."""
+    return scenario_fingerprint(
+        Scenario.from_config(config, model, n), registry
+    )
+
+
+@pytest.fixture(scope="module")
+def cell():
+    """One computed Study cell: its point and its cache key."""
+    study = Study.from_config(TINY, ("IA",))
+    result = study.run(cache=ResultCache.disabled())
+    return result.cell(node_count=250).point, _key()
+
+
+def _anonymous_registry():
+    """A registry whose GF factory is a closure: no stable identity."""
+    registry = RouterRegistry()
+
+    def local_gf(instance, **kwargs):  # <locals>: not picklable
+        return build_gf(instance, **kwargs)
+
+    registry.register("GF", local_gf, order=0)
+    registry.register("LGF", build_lgf, order=1)
+    return registry
 
 
 class TestKeying:
     def test_stable(self):
-        a = point_key(TINY, "IA", 250, registry_routers())
-        b = point_key(TINY, "IA", 250, registry_routers())
+        a = _key()
+        b = _key()
         assert a == b
         assert len(a) == 64  # sha256 hex
 
     def test_sensitive_to_inputs(self):
-        base = point_key(TINY, "IA", 250, registry_routers())
-        assert point_key(TINY, "FA", 250, registry_routers()) != base
-        assert point_key(TINY, "IA", 300, registry_routers()) != base
+        base = _key()
+        assert _key(model="FA") != base
+        assert _key(n=300) != base
         reseeded = ExperimentConfig(
             node_counts=TINY.node_counts,
             networks_per_point=TINY.networks_per_point,
             routes_per_network=TINY.routes_per_network,
             seed=TINY.seed + 1,
         )
-        assert point_key(reseeded, "IA", 250, registry_routers()) != base
+        assert _key(config=reseeded) != base
 
     def test_node_counts_axis_excluded(self):
         """A point cached in one sweep is reusable in any sweep."""
@@ -62,26 +86,25 @@ class TestKeying:
             networks_per_point=TINY.networks_per_point,
             routes_per_network=TINY.routes_per_network,
         )
-        assert point_key(TINY, "IA", 250, registry_routers()) == point_key(
-            wider, "IA", 250, registry_routers()
-        )
+        keys = {
+            cell.values: scenario_fingerprint(scenario)
+            for cell, scenario in Study.from_config(wider, ("IA",)).plan()
+        }
+        assert keys[("IA", 250)] == _key()
 
     def test_anonymous_factories_not_keyable(self):
         """Two lambdas share a name — refusing beats colliding."""
         import functools
 
-        assert factory_fingerprint(registry_routers()) is not None
-        assert factory_fingerprint(lambda instance: {}) is None
-        assert (
-            factory_fingerprint(functools.partial(registry_routers())) is None
-        )
-
-        def local_factory(instance):
-            return registry_routers()(instance)
-
-        assert factory_fingerprint(local_factory) is None  # <locals>
-        with pytest.raises(ValueError):
-            point_key(TINY, "IA", 250, lambda instance: {})
+        assert _key() is not None
+        for factory in (
+            lambda instance, **kwargs: build_lgf(instance, **kwargs),
+            functools.partial(build_lgf),
+        ):
+            registry = RouterRegistry()
+            registry.register("LGF", factory)
+            assert _key(registry=registry) is None
+        assert _key(registry=_anonymous_registry()) is None  # <locals>
 
     def test_external_factory_source_digested(self, tmp_path):
         """Editing a user-defined factory module invalidates its keys."""
@@ -89,9 +112,9 @@ class TestKeying:
 
         module_path = tmp_path / "user_factories.py"
         body = (
-            "from repro.experiments import registry_routers\n"
-            "def my_factory(instance):\n"
-            "    return registry_routers()(instance)\n"
+            "from repro.routing import LgfRouter\n"
+            "def my_factory(instance, **kwargs):\n"
+            "    return LgfRouter(instance.graph, **kwargs)\n"
         )
         module_path.write_text(body)
         spec = importlib.util.spec_from_file_location(
@@ -99,36 +122,37 @@ class TestKeying:
         )
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
+        registry = RouterRegistry()
+        registry.register("MINE", module.my_factory)
 
-        before = factory_fingerprint(module.my_factory)
+        before = registry.fingerprint()
         assert before is not None
         module_path.write_text(body + "\n# routing behaviour changed\n")
-        after = factory_fingerprint(module.my_factory)
+        after = registry.fingerprint()
         assert after is not None
         assert before != after  # stale results cannot be served
 
 
 class TestRoundTrip:
-    def test_point_survives_json(self):
-        point = evaluate_point(TINY, "IA", 250)
+    def test_point_survives_json(self, cell):
+        point, _ = cell
         rebuilt = point_from_dict(
             json.loads(json.dumps(point_to_dict(point)))
         )
         assert rebuilt == point
 
-    def test_store_failure_swallowed(self, tmp_path):
+    def test_store_failure_swallowed(self, tmp_path, cell):
         """An unwritable cache must not abort a paid-for sweep."""
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory")
         cache = ResultCache(blocker / "cache")  # mkdir will fail
-        point = evaluate_point(TINY, "IA", 250)
+        point, _ = cell
         assert cache.store("ab" * 32, point) is None
         assert cache.stores == 0
 
-    def test_store_load(self, tmp_path):
+    def test_store_load(self, tmp_path, cell):
         cache = ResultCache(tmp_path)
-        point = evaluate_point(TINY, "IA", 250)
-        key = point_key(TINY, "IA", 250, registry_routers())
+        point, key = cell
         path = cache.store(key, point)
         assert path is not None and path.exists()
         assert cache.load(key) == point
@@ -166,10 +190,9 @@ class TestSweepCaching:
                 cold, figure_id
             )
 
-    def test_corrupt_entry_recomputed(self, tmp_path):
+    def test_corrupt_entry_recomputed(self, tmp_path, cell):
         cache = ResultCache(tmp_path)
-        point = evaluate_point(TINY, "IA", 250)
-        key = point_key(TINY, "IA", 250, registry_routers())
+        point, key = cell
         cache.store(key, point)
         cache.path_for(key).write_text("{not json", encoding="utf-8")
         assert cache.load(key) is None  # miss, not an error
@@ -182,7 +205,7 @@ class TestSweepCaching:
         assert warm.points == cold.points
         assert warm.points[0] == point
 
-    def test_corrupt_entry_warned_discarded_counted(self, tmp_path):
+    def test_corrupt_entry_warned_discarded_counted(self, tmp_path, cell):
         """Detect, warn, discard, recompute — and never warn twice.
 
         A truncated entry (a writer killed before the atomic rename
@@ -190,8 +213,7 @@ class TestSweepCaching:
         :class:`CacheCorruptionWarning`, be unlinked so it cannot
         shadow the recomputation, and show up in the stats line."""
         cache = ResultCache(tmp_path)
-        point = evaluate_point(TINY, "IA", 250)
-        key = point_key(TINY, "IA", 250, registry_routers())
+        point, key = cell
         cache.store(key, point)
         path = cache.path_for(key)
         path.write_text(json.dumps(point_to_dict(point))[:40])  # truncated
@@ -208,11 +230,10 @@ class TestSweepCaching:
         cache.store(key, point)
         assert cache.load(key) == point
 
-    def test_entry_writes_are_atomic(self, tmp_path):
+    def test_entry_writes_are_atomic(self, tmp_path, cell):
         """No partial entries: temp file + rename, temp never left behind."""
         cache = ResultCache(tmp_path)
-        point = evaluate_point(TINY, "IA", 250)
-        key = point_key(TINY, "IA", 250, registry_routers())
+        point, key = cell
         cache.store(key, point)
         leftovers = [
             p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")
@@ -228,35 +249,29 @@ class TestSweepCaching:
         assert cache.hits == cache.misses == cache.stores == 0
 
     def test_disabled_cache_accepts_anonymous_factory(self, tmp_path):
-        """--no-cache must not trip over unkeyable factories.
-
-        Anonymous factories run through the classic work-unit engine
-        (no registry identity, hence no Study cell fingerprint)."""
-        import functools
-
-        engine = ExperimentEngine(
-            jobs=1, cache=ResultCache(tmp_path, enabled=False)
+        """--no-cache must not trip over unkeyable factories."""
+        registry = _anonymous_registry()
+        sweep = _sweep(
+            "IA",
+            jobs=1,
+            cache=ResultCache(tmp_path, enabled=False),
+            registry=registry,
         )
-        units = plan_units(TINY, ("IA",))
-        results = engine.run(
-            TINY, units, functools.partial(registry_routers())
-        )
-        assert set(results) == set(units)
+        assert sweep.node_counts == TINY.node_counts
+        assert sweep.routers() == ("GF", "LGF")
 
     def test_anonymous_factory_computes_without_caching(self, tmp_path):
         """An enabled cache is silently bypassed, never collided."""
         cache = ResultCache(tmp_path)
-        engine = ExperimentEngine(jobs=1, cache=cache)
-        units = plan_units(TINY, ("IA",))
-        results = engine.run(
-            TINY, units, lambda inst: registry_routers()(inst)
+        sweep = _sweep(
+            "IA", jobs=1, cache=cache, registry=_anonymous_registry()
         )
         assert not list(tmp_path.iterdir())  # nothing stored
         assert cache.hits == cache.stores == 0
-        reference = _sweep("IA", jobs=1, cache=ResultCache.disabled())
-        assert tuple(
-            results[unit] for unit in units
-        ) == reference.points
+        reference = Study.from_config(
+            TINY, ("IA",), routers=("GF", "LGF")
+        ).run(cache=ResultCache.disabled())
+        assert sweep.points == reference.sweep_result("IA").points
 
 
 class TestDefaults:

@@ -1,19 +1,14 @@
 """Tests for the evaluation harness (config through figures)."""
 
-import random
-
 import pytest
 
-from repro.api import Study
+from repro.api import Scenario, Session, Study, run_scenario
 from repro.experiments import (
     ExperimentConfig,
     FIGURES,
     ResultCache,
-    build_network,
-    evaluate_point,
     figure_table,
     format_table,
-    sample_pairs,
     to_chart,
     to_csv,
 )
@@ -23,6 +18,16 @@ TINY = ExperimentConfig(
     networks_per_point=2,
     routes_per_network=4,
 )
+
+
+def _session(model, n, index=0):
+    return Session(Scenario.from_config(TINY, model, n), index)
+
+
+def _point(model, n):
+    """One figure point, evaluated as a Study cell evaluates it."""
+    scenario = Scenario.from_config(TINY, model, n)
+    return run_scenario(scenario).point_result(model, n, scenario.networks)
 
 
 class TestConfig:
@@ -55,50 +60,50 @@ class TestConfig:
 
 class TestWorkload:
     def test_build_network_ia(self):
-        instance = build_network(TINY, "IA", 300, seed=5)
-        assert len(instance.graph) == 300
-        assert instance.deployment_model == "IA"
-        assert instance.model.graph is instance.graph
+        session = _session("IA", 300)
+        assert len(session.graph) == 300
+        assert session.instance.deployment_model == "IA"
+        assert session.model.graph is session.graph
 
     def test_build_network_fa_avoids_obstacles(self):
-        instance = build_network(TINY, "FA", 300, seed=5)
-        assert instance.deployment_model == "FA"
+        session = _session("FA", 300)
+        assert session.instance.deployment_model == "FA"
         # FA networks must have been deployed around obstacles; the
         # obstacles themselves live in the deployment result, but the
         # detectable consequence is a valid graph of the right size.
-        assert len(instance.graph) == 300
+        assert len(session.graph) == 300
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):
-            build_network(TINY, "XX", 300, seed=5)
+            Scenario.from_config(TINY, "XX", 300)
 
     def test_deterministic_by_seed(self):
-        a = build_network(TINY, "IA", 300, seed=9)
-        b = build_network(TINY, "IA", 300, seed=9)
+        a = _session("IA", 300, index=1)
+        b = _session("IA", 300, index=1)
         assert [n.position for n in a.graph.nodes()] == [
             n.position for n in b.graph.nodes()
         ]
 
     def test_sample_pairs_within_component(self):
-        instance = build_network(TINY, "IA", 300, seed=5)
-        pairs = sample_pairs(instance.graph, 30, random.Random(1))
+        session = _session("IA", 300)
+        pairs = session.sample_pairs(30)
         assert len(pairs) == 30
         for s, d in pairs:
             assert s != d
-            assert instance.graph.same_component(s, d)
+            assert session.graph.same_component(s, d)
 
     def test_sample_pairs_tiny_graph(self):
         from repro.network import build_unit_disk_graph
         from repro.geometry import Point
 
         g = build_unit_disk_graph([Point(0, 0)], radius=5)
-        assert sample_pairs(g, 5, random.Random(1)) == []
+        assert Session.from_graph(g).sample_pairs(5) == []
 
 
 class TestEvaluatePoint:
     @pytest.fixture(scope="class")
     def point(self):
-        return evaluate_point(TINY, "IA", 300)
+        return _point("IA", 300)
 
     def test_all_routers_present(self, point):
         assert set(point.per_router) == {"GF", "LGF", "SLGF", "SLGF2"}
@@ -189,8 +194,8 @@ class TestSweepAndFigures:
 
 class TestDeterminism:
     def test_same_config_same_results(self):
-        a = evaluate_point(TINY, "IA", 300)
-        b = evaluate_point(TINY, "IA", 300)
+        a = _point("IA", 300)
+        b = _point("IA", 300)
         for name in a.per_router:
             assert a.per_router[name].hops.mean == b.per_router[name].hops.mean
             assert a.per_router[name].max_hops == b.per_router[name].max_hops

@@ -2,15 +2,13 @@
 
 import pytest
 
-from repro.api import Study
+from repro.api import RouterRegistry, Study
+from repro.api.registry import build_gf
 from repro.experiments import (
     ExperimentConfig,
     ExperimentEngine,
     ResultCache,
-    WorkUnit,
     default_jobs,
-    plan_units,
-    registry_routers,
     resolve_jobs,
 )
 
@@ -67,18 +65,20 @@ class TestJobsResolution:
 
 class TestPlanUnits:
     def test_product_in_order(self):
-        units = plan_units(TINY, ("IA", "FA"))
-        assert units == (
-            WorkUnit("IA", 250),
-            WorkUnit("IA", 300),
-            WorkUnit("FA", 250),
-            WorkUnit("FA", 300),
-        )
+        cells = Study.from_config(TINY, ("IA", "FA")).cells()
+        assert [cell.values for cell in cells] == [
+            ("IA", 250),
+            ("IA", 300),
+            ("FA", 250),
+            ("FA", 300),
+        ]
 
     def test_describe_mentions_scale(self):
-        line = WorkUnit("IA", 250).describe(TINY)
-        assert "[IA] n=250" in line
-        assert "2 networks" in line
+        events = []
+        study = Study.from_config(TINY, ("IA",))
+        study.run(jobs=1, cache=_no_cache(), progress=events.append)
+        assert "[IA] n=250" in events[0]
+        assert "2 networks" in events[0]
 
 
 class TestParallelDeterminism:
@@ -103,22 +103,28 @@ class TestParallelDeterminism:
         assert result.sweep_result("IA").points == ia.points
 
     def test_unpicklable_factory_degrades_to_serial(self):
-        """The classic engine path: anonymous factories cannot ride
-        the Study pipeline (no registry identity), so they drive the
-        work-unit engine directly — and, being unpicklable, serially."""
+        """A registry holding a closure factory cannot be shipped to
+        worker processes, so the Study runs its cells serially."""
         captured = []
 
-        def factory(instance):  # a closure: not picklable
+        def local_gf(instance, **kwargs):  # a closure: not picklable
             captured.append(instance.seed)
-            return registry_routers()(instance)
+            return build_gf(instance, **kwargs)
 
-        units = plan_units(TINY, ("IA",))
-        engine = ExperimentEngine(jobs=2, cache=_no_cache())
-        results = engine.run(TINY, units, factory)
-        reference = _sweep("IA", jobs=1, cache=_no_cache())
-        assert tuple(
-            results[unit] for unit in units
-        ) == reference.points
+        registry = RouterRegistry()
+        registry.register("GF", local_gf)
+        events = []
+        result = Study.from_config(TINY, ("IA",), registry=registry).run(
+            jobs=2, cache=_no_cache(), progress=events.append
+        )
+        assert "[engine] inputs not picklable; running serially" in events
+        reference = Study.from_config(TINY, ("IA",), routers=("GF",)).run(
+            jobs=1, cache=_no_cache()
+        )
+        assert (
+            result.sweep_result("IA").points
+            == reference.sweep_result("IA").points
+        )
         assert captured  # the factory really ran, in this process
 
     def test_empty_model_list_rejected(self):
@@ -129,11 +135,11 @@ class TestParallelDeterminism:
 
     def test_engine_counts_computed_units(self):
         engine = ExperimentEngine(jobs=1, cache=_no_cache())
-        units = plan_units(TINY, ("IA",))
-        results = engine.run(TINY, units)
-        assert engine.computed_units == len(units)
+        study = Study.from_config(TINY, ("IA",))
+        results = dict(study.stream_through(engine))
+        assert engine.computed_units == len(study)
         assert engine.cached_units == 0
-        assert set(results) == set(units)
+        assert set(results) == set(study.cells())
 
     def test_progress_lines_emitted(self):
         lines = []
@@ -149,10 +155,7 @@ class TestParallelDeterminism:
         from repro.experiments import ProgressEvent
 
         events = []
-        engine = ExperimentEngine(
-            jobs=1, cache=_no_cache(), progress=events.append
-        )
-        engine.run(TINY, plan_units(TINY, ("IA",)))
+        _sweep("IA", jobs=1, cache=_no_cache(), progress=events.append)
         assert all(isinstance(e, ProgressEvent) for e in events)
         assert all(isinstance(e, str) for e in events)
         assert [e.kind for e in events] == [

@@ -12,12 +12,13 @@ parameterised variants built through the same registry, so a newly
 registered scheme is fuzzed automatically.
 """
 
+from types import SimpleNamespace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import default_registry
 from repro.core import InformationModel
-from repro.experiments.workload import NetworkInstance
 from repro.network import (
     DynamicTopology,
     EdgeDetector,
@@ -49,17 +50,15 @@ VARIANTS = (
 )
 
 
-def _instance_for(g) -> NetworkInstance:
-    return NetworkInstance(
+def _instance_for(g) -> SimpleNamespace:
+    return SimpleNamespace(
         graph=g,
         model=InformationModel.build(g),
         boundaries=build_hole_boundaries(g),
-        deployment_model="IA",
-        seed=0,
     )
 
 
-def _instance(positions) -> NetworkInstance:
+def _instance(positions) -> SimpleNamespace:
     g = build_unit_disk_graph(positions, radius=30.0)
     g = EdgeDetector(strategy="convex").apply(g)
     return _instance_for(g)
