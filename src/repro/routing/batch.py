@@ -2,12 +2,12 @@
 
 :meth:`Router.route_batch` routes whole (source, destination) batches
 over one :class:`~repro.network.core.TopologyCore`.  The per-scheme
-executors in this module run the hot forwarding loops — greedy/safe
-advance everywhere, plus LGF/SLGF's tried-set perimeter sweep —
-directly on the core's flat columns: neighbour-id tuples, plain-list
-coordinate reads, one ``math.hypot`` per surviving candidate.  No
-``Point`` objects, no per-hop dict lookups, no ``PacketTrace`` method
-dispatch.
+executors in this module run the forwarding loops — greedy/safe
+advance everywhere, LGF/SLGF's tried-set perimeter sweep, and every
+rung of SLGF2's Algorithm 3 — directly on the core's flat columns:
+neighbour-id tuples, plain-list coordinate reads, one ``math.hypot``
+per surviving candidate.  No ``Point`` objects, no per-hop dict
+lookups, no ``PacketTrace`` method dispatch.
 
 Exactness is non-negotiable: ``route_batch`` must return results
 bit-identical to sequential :meth:`Router.route` calls (the
@@ -23,21 +23,22 @@ it:
   could win (or tie) is ever skipped, and every surviving comparison
   uses the same ``math.hypot`` values the legacy code computes.
 
-* **Operation-for-operation replicas.**  Where a phase is fast-pathed
-  (the ray-sweep perimeter of Algorithm 1 step 4, the superseding
-  splits gate of Algorithm 3 step 3), the replica performs the same
-  floating-point operations in the same order — ``atan2``/``fmod``
-  normalisation, tie-breaks, epsilon conventions — only on flat
-  columns instead of objects.
+* **Operation-for-operation replicas.**  Where a phase runs here —
+  the hand-rule sweeps of every perimeter and backup phase, the face
+  walk's crossing test, the superseding rule's divider sides — the
+  replica performs the same floating-point operations in the same
+  order — ``atan2``/``fmod`` normalisation, tie-breaks, epsilon
+  conventions — only on flat columns instead of objects.
 
-* **Handover before divergence.**  The moment a scheme would do
-  anything the executor does not replicate — GF's face recovery,
-  SLGF2's backup/perimeter ladder — it materialises a
+* **Handover before divergence.**  Two cases are not replicated:
+  GF's recovery (face walk or hole boundary) and an LGF/SLGF packet
+  at a node coincident with its destination, where the zone
+  machinery is degenerate.  There the executor materialises a
   :class:`~repro.routing.base.PacketTrace` seeded with the hops
   routed so far and hands the packet to the scheme's own ``_run``.
-  Every scheme's per-packet state is still at its initial value at
+  The scheme's per-packet state is still at its initial value at
   that moment, so the original loop continues exactly as if it had
-  routed the prefix itself.
+  routed the prefix itself.  SLGF2 never hands over.
 
 Executors dispatch on the *exact* router type: subclasses that
 override selection behaviour fall back to sequential ``route`` calls
@@ -49,7 +50,7 @@ from __future__ import annotations
 import math
 
 from repro._optional import load_numpy
-from repro.geometry import Point
+from repro.core.regions import Hand
 from repro.network.node import NodeId
 from repro.routing.base import (
     PacketTrace,
@@ -73,11 +74,22 @@ _EPS = 1e-9  # the routers' successor-selection tolerance (see greedy.py)
 # provably farther than the incumbent, with ~1e4 slack.
 _GUARD = 1.0 + 1e-12
 
+# The geometry layer's sign and angle band (``angles``, ``segment``,
+# ``regions``): sweep exclusivity, crossing bounds and divider sides.
+_GEOM_EPS = 1e-12
+_CROSS_HI = 1.0 - _GEOM_EPS
+
 _GREEDY = Phase.GREEDY
 _SAFE = Phase.SAFE
+_BACKUP = Phase.BACKUP
 _PERIMETER = Phase.PERIMETER
 
 _TAU = math.tau
+
+# Q_t as sign tests: an offset (dx, dy) from the apex lies in the closed
+# quadrant t when sx * dx >= 0 and sy * dy >= 0 (the apex itself is in
+# no forwarding zone).  Multiplying by +-1.0 is exact.
+_QUADRANT_SIGNS = (None, (1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0))
 
 
 def _zone_type_rel(dx: float, dy: float) -> int:
@@ -135,9 +147,11 @@ class _Executor:
     ) -> RouteResult:
         """Finish the route through the scheme's own ``_run``.
 
-        The trace is seeded with the fast-path prefix; ``_run``
-        re-examines the current node from scratch, so the hop the fast
-        path declined to take is decided by the original code.
+        GF's recovery and the LGF/SLGF coincident-destination case
+        only; the SLGF2 executor never calls it.  The trace is seeded
+        with the fast-path prefix; ``_run`` re-examines the current
+        node afresh, so the hop the fast path declined to take is
+        decided by the original code.
         """
         router = self.router
         trace = PacketTrace(router.graph, source, router.ttl)
@@ -170,6 +184,8 @@ class _Executor:
         arrived: bool,
         perimeter_entries: int = 0,
         failure: str | None = None,
+        backup_entries: int = 0,
+        bound_escapes: int = 0,
     ) -> RouteResult:
         if failure is None and not arrived:
             failure = "ttl_exceeded"
@@ -182,6 +198,8 @@ class _Executor:
             phases=tuple(phases),
             length=length,
             perimeter_entries=perimeter_entries,
+            backup_entries=backup_entries,
+            bound_escapes=bound_escapes,
             failure_reason=failure,
         )
 
@@ -658,161 +676,208 @@ class _SlgfExecutor(_LgfExecutor):
 
 
 class _Slgf2Executor(_Executor):
-    """SLGF2 fast path: the safe-forwarding rungs of Algorithm 3.
+    """SLGF2 on indices: every rung of ``Slgf2Router._run``.
 
-    Handles hops where a safe zone candidate exists (steps 2-3, the
-    dominant case), including the superseding rule's split gathering
-    over precomputed per-node unsafe types; the first hop that needs
-    the detour ladder — unsafe greedy entry, backup paths, perimeter
-    routing — hands the packet to the original ``_run`` with all
-    per-packet state still at its initial value.
+    Safe forwarding under the superseding rule, unsafe greedy entry
+    (with the safe-arrival gate and the size-aware entry test), backup
+    episodes and the perimeter phase — face walk or (bounded) DFS —
+    run on the core's flat columns with ``_run``'s per-packet state:
+    the committed hand, the backup flag and budget, and the backup
+    visited set, which lives for the whole packet.  No packet hands
+    over.
+
+    Lazily memoised, never built up front (serve rebuilds the executor
+    after every write; a paper cell routes 20 pairs through it): per
+    node, the split-capable (quadrant, anchor, far corner) records of
+    the node itself and of its neighbourhood, and the backup episode
+    cap.  The rare size-aware entry test and the bound of a DFS phase
+    call the router itself, which is exact by construction.
     """
 
     def __init__(self, router: Slgf2Router, core) -> None:
         super().__init__(router, core)
         self.quadrant_scope = router._scope == "quadrant"
         self.superseding = router._use_superseding
-        model = router.model
-        self.safety = _statuses_by_id(model, len(self.rows))
-        # Unsafe zone types per node id, ascending (usually empty):
-        # the splits of the superseding rule can only come from these.
-        self.unsafe_types: list[tuple[int, ...]] = [
-            ()
-            if status is None
-            else tuple(t for t in (1, 2, 3, 4) if not status[t - 1])
-            for status in self.safety
-        ]
+        self.use_backup = router._use_backup
+        # Adaptive greedy widens the quadrant scope only.
+        self.adaptive = router._adaptive_greedy and self.quadrant_scope
+        self.face = router._perimeter_mode == "face"
+        self.either_hand = router._perimeter_hand == "either"
+        # Touching .model here rebuilds it if a rebind left it stale,
+        # exactly as the first route() after a rebind would.
+        self.model = router.model
+        self.safety = _statuses_by_id(self.model, len(self.rows))
+        self._own: list = [None] * len(self.rows)
+        self._near: list = [None] * len(self.rows)
+        self._caps: dict[NodeId, int] = {}
 
-    def _splits_at(self, u: NodeId, destination: NodeId):
-        """Exact replica of ``Slgf2Router._region_splits_at``.
+    # -- the superseding rule's splits ----------------------------------
 
-        Same (node, type) enumeration order — ``u`` first, then its
-        neighbours ascending, types ascending — but driven by the
-        precomputed unsafe-type tuples, so fully-safe neighbourhood
-        members cost one empty-tuple check instead of four model
-        calls.
+    def _own_splits(self, w: NodeId) -> tuple:
+        """``(sx, sy, ax, ay, cx, cy)`` for each split ``w`` can induce:
+        the quadrant signs of its type, ``w``'s position and the far
+        corner.
+
+        One record per unsafe type with a shape record whose far
+        corner differs from ``w``'s position (``region_split_for``'s
+        ``None`` cases), types ascending.
         """
-        router = self.router
-        xs = self.xs
-        ys = self.ys
-        unsafe_types = self.unsafe_types
-        xd = xs[destination]
-        yd = ys[destination]
+        records = self._own[w]
+        if records is None:
+            status = self.safety[w]
+            far_corner = self.model.shapes.far_corner
+            ax = self.xs[w]
+            ay = self.ys[w]
+            found = []
+            for t in (1, 2, 3, 4):
+                if status[t - 1]:
+                    continue
+                corner = far_corner(w, t)
+                if corner is None or (corner.x == ax and corner.y == ay):
+                    continue
+                found.append((*_QUADRANT_SIGNS[t], ax, ay, corner.x, corner.y))
+            records = self._own[w] = tuple(found)
+        return records
+
+    def _near_splits(self, u: NodeId) -> tuple:
+        """The split records of ``u``, then of its neighbours ascending:
+        ``_region_splits_at``'s enumeration order."""
+        records = self._near[u]
+        if records is None:
+            found = list(self._own_splits(u))
+            for w in self.rows[u]:
+                found.extend(self._own_splits(w))
+            records = self._near[u] = tuple(found)
+        return records
+
+    @staticmethod
+    def _visible(records, xd: float, yd: float) -> list:
+        """``_region_splits_at``: the records whose forwarding zone holds
+        the destination off the divider, with the destination's side."""
         splits = []
-        model = None
-        pd = None
-        for w in (u, *self.rows[u]):
-            types = unsafe_types[w]
-            if not types:
+        for sx, sy, ax, ay, cx, cy in records:
+            dx = xd - ax
+            dy = yd - ay
+            if sx * dx < 0.0 or sy * dy < 0.0 or (dx == 0.0 and dy == 0.0):
                 continue
-            xw = xs[w]
-            yw = ys[w]
-            dx = xd - xw
-            dy = yd - yw
-            if dx == 0.0 and dy == 0.0:
-                continue  # pd == pw: in no forwarding zone
-            for t in types:
-                if t == 1:
-                    if dx < 0.0 or dy < 0.0:
-                        continue
-                elif t == 2:
-                    if dx > 0.0 or dy < 0.0:
-                        continue
-                elif t == 3:
-                    if dx > 0.0 or dy > 0.0:
-                        continue
-                else:
-                    if dx < 0.0 or dy > 0.0:
-                        continue
-                if model is None:
-                    model = router.model
-                    pd = router.graph.position(destination)
-                split = model.region_split(w, t, pd)
-                if split is not None and split.destination_side != 0:
-                    splits.append(split)
+            # regions._side, operation for operation, with its band.
+            cross = (cx - ax) * dy - (cy - ay) * dx
+            if cross > _GEOM_EPS:
+                splits.append((sx, sy, ax, ay, cx, cy, 1))
+            elif cross < -_GEOM_EPS:
+                splits.append((sx, sy, ax, ay, cx, cy, -1))
         return splits
 
-    def _superseded_pick(
-        self,
-        row,
-        xu: float,
-        yu: float,
-        xd: float,
-        yd: float,
-        k: int,
-        floor: float,
-        splits,
-    ) -> NodeId:
-        """Steps 2+3 with visible splits: exact flat-column replica.
+    @staticmethod
+    def _forbidden(splits, xv: float, yv: float) -> bool:
+        """``in_forbidden_region`` of any visible split."""
+        for sx, sy, ax, ay, cx, cy, side in splits:
+            dx = xv - ax
+            dy = yv - ay
+            if sx * dx < 0.0 or sy * dy < 0.0 or (dx == 0.0 and dy == 0.0):
+                continue
+            cross = (cx - ax) * dy - (cy - ay) * dx
+            if (cross < -_GEOM_EPS) if side > 0 else (cross > _GEOM_EPS):
+                return True
+        return False
 
-        Rebuilds the *ordered* safe candidate set (the cut-prefiltered
-        main scan only tracks the minimum), drops candidates inside
-        any split's forbidden region — a preference, not a constraint:
-        when every candidate is forbidden the unfiltered set is used —
-        and greedy-picks among the survivors, matching
-        ``_safe_zone_candidates`` → ``_prefer_non_forbidden`` →
-        ``_greedy_pick`` decision for decision.  ``k`` is the zone
-        type (0 = rectangle scope).
+    def _prefer(self, candidates: list, splits) -> NodeId:
+        """``_prefer_non_forbidden`` then ``_greedy_pick``.
+
+        ``candidates`` are ``(node, distance to d)`` in row order, so
+        the first strict minimum is the smallest id among ties.  When
+        every candidate is forbidden the superseding rule yields and
+        all of them compete.
         """
+        xs = self.xs
+        ys = self.ys
+        forbidden = self._forbidden
+        best = -1
+        best_dist = math.inf
+        for v, dv in candidates:
+            if dv < best_dist and not forbidden(splits, xs[v], ys[v]):
+                best = v
+                best_dist = dv
+        if best < 0:
+            for v, dv in candidates:
+                if dv < best_dist:
+                    best = v
+                    best_dist = dv
+        return best
+
+    def _superseded(self, u: NodeId, candidates: list, xd, yd) -> NodeId:
+        """Greedy pick at ``u`` under the superseding rule, if enabled."""
+        if self.superseding:
+            records = self._near_splits(u)
+            if records:
+                return self._prefer(candidates, self._visible(records, xd, yd))
+        return self._prefer(candidates, ())
+
+    def _hand_at(self, u: NodeId, xd: float, yd: float) -> Hand:
+        """``_choose_hand``: the first visible split's side, else right."""
+        splits = self._visible(self._near_splits(u), xd, yd)
+        return Hand.LEFT if splits and splits[0][6] < 0 else Hand.RIGHT
+
+    # -- candidate sets --------------------------------------------------
+
+    def _zone_scan(self, row, xu, yu, xd, yd, k, du) -> tuple[list, list]:
+        """``_plain_zone_candidates`` and ``_safe_zone_candidates``.
+
+        Both as ``(node, distance to d)`` lists in row order; ``k`` is
+        the quadrant type, ignored under the rectangle scope.
+        """
+        xs = self.xs
+        ys = self.ys
+        if self.quadrant_scope:
+            sx, sy = _QUADRANT_SIGNS[k]
+            members = [
+                v
+                for v in row
+                if sx * (xs[v] - xu) >= 0.0
+                and sy * (ys[v] - yu) >= 0.0
+                and (xs[v] != xu or ys[v] != yu)
+            ]
+            floor = du - _EPS  # strictly closer only
+        else:
+            xlo, xhi = (xu, xd) if xu <= xd else (xd, xu)
+            ylo, yhi = (yu, yd) if yu <= yd else (yd, yu)
+            members = [
+                v for v in row if xlo <= xs[v] <= xhi and ylo <= ys[v] <= yhi
+            ]
+            floor = math.inf
+        plain, safe = self._closer(members, xd, yd, floor)
+        if not plain and self.adaptive:
+            # Adaptive greedy: any strictly closer neighbour.
+            plain, safe = self._closer(row, xd, yd, floor)
+        return plain, safe
+
+    def _closer(self, nodes, xd, yd, floor) -> tuple[list, list]:
+        """``(node, distance)`` of the ``nodes`` closer to d than
+        ``floor``, and those of them safe for their own zone toward d."""
         xs = self.xs
         ys = self.ys
         safety = self.safety
-        hyp = math.hypot
-        if k == 0:
-            xlo, xhi = (xu, xd) if xu <= xd else (xd, xu)
-            ylo, yhi = (yu, yd) if yu <= yd else (yd, yu)
-        safe: list[NodeId] = []
-        dists: list[float] = []
-        for v in row:
-            xv = xs[v]
-            yv = ys[v]
-            if k == 0:
-                if xv < xlo or xv > xhi or yv < ylo or yv > yhi:
-                    continue
-            else:
-                dx = xv - xu
-                dy = yv - yu
-                if k == 1:
-                    if dx < 0.0 or dy < 0.0:
-                        continue
-                elif k == 2:
-                    if dx > 0.0 or dy < 0.0:
-                        continue
-                elif k == 3:
-                    if dx > 0.0 or dy > 0.0:
-                        continue
-                else:
-                    if dx < 0.0 or dy > 0.0:
-                        continue
-                if dx == 0.0 and dy == 0.0:
-                    continue
-            dx = xv - xd
-            dy = yv - yd
-            dv = hyp(dx, dy)
-            if k != 0 and dv >= floor:
-                continue  # quadrant scope: strictly-closer only
-            kv = _zone_type_rel(dx, dy)
-            if kv == 0 or safety[v][kv - 1]:
-                safe.append(v)
-                dists.append(dv)
-        preferred = [
-            i
-            for i, v in enumerate(safe)
-            if not any(
-                split.in_forbidden_region(Point(xs[v], ys[v]))
-                for split in splits
-            )
-        ]
-        if not preferred:
-            preferred = range(len(safe))
-        best = -1
-        best_dist = math.inf
-        for i in preferred:
-            dv = dists[i]
-            if dv < best_dist:
-                best = safe[i]
-                best_dist = dv
-        return best
+        plain: list = []
+        safe: list = []
+        for v in nodes:
+            dx = xs[v] - xd
+            dy = ys[v] - yd
+            dv = math.hypot(dx, dy)
+            if dv < floor:
+                plain.append((v, dv))
+                kv = _zone_type_rel(dx, dy)
+                if kv == 0 or safety[v][kv - 1]:
+                    safe.append((v, dv))
+        return plain, safe
+
+    def _backup_cap(self, u: NodeId) -> int:
+        """``Slgf2Router._backup_cap``, memoised per node."""
+        cap = self._caps.get(u)
+        if cap is None:
+            cap = self._caps[u] = self.router._backup_cap(u)
+        return cap
+
+    # -- the packet -----------------------------------------------------
 
     def route(self, source: NodeId, destination: NodeId) -> RouteResult:
         self._check(source, destination)
@@ -821,19 +886,28 @@ class _Slgf2Executor(_Executor):
         ys = self.ys
         rows = self.rows
         safety = self.safety
-        unsafe_types = self.unsafe_types
+        near = self._near
         superseding = self.superseding
+        use_backup = self.use_backup
         hyp = math.hypot
         quadrant_scope = self.quadrant_scope
         ttl = router.ttl
         xd = xs[destination]
         yd = ys[destination]
+        arrival = safety[destination]
         path = [source]
         phases: list[str] = []
         length = 0.0
         u = source
         hops = 0
-        du = hyp(xs[u] - xd, ys[u] - yd)
+        hand: Hand | None = None  # committed hand while in backup mode
+        in_backup = False
+        budget = 0
+        visited: set[NodeId] = set()  # per packet, see slgf2's docstring
+        backup_entries = 0
+        perimeter_entries = 0
+        bound_escapes = 0
+        failure = None
         while hops < ttl:
             if u == destination:
                 break
@@ -842,26 +916,27 @@ class _Slgf2Executor(_Executor):
             yu = ys[u]
             if destination in row:
                 path.append(destination)
-                phases.append(_SAFE)  # in_backup is False on this path
+                phases.append(_BACKUP if in_backup else _SAFE)
                 length += hyp(xu - xd, yu - yd)
                 u = destination
-                hops += 1
-                continue
-            if xu == xd and yu == yd:
-                return self._handover(
-                    source, destination, path, phases, length
-                )
+                break
+            ddx = xd - xu
+            ddy = yd - yu
+            if ddx > 0.0 and ddy >= 0.0:
+                k = 1
+            elif ddx <= 0.0 and ddy > 0.0:
+                k = 2
+            elif ddx < 0.0 and ddy <= 0.0:
+                k = 3
+            elif xu == xd and yu == yd:
+                raise ValueError("zone type undefined for coincident points")
+            else:
+                k = 4
+            du = hyp(xu - xd, yu - yd)
+
+            # Steps 2+3, the dominant case: the nearest safe zone
+            # candidate, found under the squared-distance prefilter.
             if quadrant_scope:
-                ddx = xd - xu
-                ddy = yd - yu
-                if ddx > 0.0 and ddy >= 0.0:
-                    k = 1
-                elif ddx <= 0.0 and ddy > 0.0:
-                    k = 2
-                elif ddx < 0.0 and ddy <= 0.0:
-                    k = 3
-                else:
-                    k = 4
                 floor = du - _EPS
                 cut = floor * floor * _GUARD
             else:
@@ -869,12 +944,9 @@ class _Slgf2Executor(_Executor):
                 ylo, yhi = (yu, yd) if yu <= yd else (yd, yu)
                 floor = math.inf
                 cut = math.inf
-            best_safe = -1
+            pick = -1
             safe_dist = floor
-            needs_splits = superseding and bool(unsafe_types[u])
             for v in row:
-                if superseding and unsafe_types[v]:
-                    needs_splits = True
                 xv = xs[v]
                 yv = ys[v]
                 if quadrant_scope:
@@ -905,41 +977,359 @@ class _Slgf2Executor(_Executor):
                 if dv < safe_dist:
                     kv = _zone_type_rel(dx, dy)
                     if kv == 0 or safety[v][kv - 1]:
-                        best_safe = v
+                        pick = v
                         safe_dist = dv
                         cut = dv * dv * _GUARD
-            if best_safe < 0:
-                # No safe zone successor (or, under adaptive greedy, a
-                # candidate set this loop does not model): steps 3-5
-                # belong to the original ladder.
-                return self._handover(
-                    source, destination, path, phases, length
-                )
-            pick = best_safe
-            if needs_splits:
-                splits = self._splits_at(u, destination)
-                if splits:
-                    # Splits visible: apply the paper's superseding
-                    # rule (step 3) over the full ordered safe set.
-                    pick = self._superseded_pick(
-                        row,
-                        xu,
-                        yu,
-                        xd,
-                        yd,
-                        k if quadrant_scope else 0,
-                        floor,
-                        splits,
+            safe = None
+            if pick < 0:
+                plain, safe = self._zone_scan(row, xu, yu, xd, yd, k, du)
+                if safe:  # adaptive greedy widened the candidate set
+                    pick = self._prefer(safe, ())
+            if pick >= 0:
+                if superseding:
+                    records = near[u]
+                    if records is None:
+                        records = self._near_splits(u)
+                    if records:
+                        # The nearest safe candidate stands unless a
+                        # visible split forbids it.
+                        splits = self._visible(records, xd, yd)
+                        if splits and self._forbidden(
+                            splits, xs[pick], ys[pick]
+                        ):
+                            if safe is None:
+                                _, safe = self._zone_scan(
+                                    row, xu, yu, xd, yd, k, du
+                                )
+                            pick = self._prefer(safe, splits)
+                if in_backup:
+                    # "until the forwarding from v to d is safe".
+                    in_backup = False
+                    hand = None
+                phase = _SAFE
+            else:
+                # Safe-arrival gate, and the backup trigger on u's own
+                # status, with the size-aware entry test last (it is
+                # the only costly term; the router computes it).
+                arrival_safe = arrival[(k + 1) % 4]  # S_k'(d), k' = k + 2
+                status = safety[u]
+                detour = (
+                    use_backup
+                    and arrival_safe
+                    and not status[k - 1]
+                    and (status[0] or status[1] or status[2] or status[3])
+                    and not (
+                        plain
+                        and router._entering_is_cheap(
+                            self._prefer(plain, ()),
+                            router.graph.position(destination),
+                        )
                     )
+                )
+                if plain and not detour:
+                    pick = self._superseded(u, plain, xd, yd)
+                    phase = _GREEDY
+                elif use_backup and arrival_safe:
+                    # Step 4: backup path forwarding.
+                    if in_backup and budget <= 0:
+                        # Episode over budget: enter the area if possible.
+                        if plain:
+                            pick = self._superseded(u, plain, xd, yd)
+                            phase = _GREEDY
+                            in_backup = False
+                            hand = None
+                    else:
+                        # Safe type-t forwarding for some quadrant type
+                        # t that v occupies relative to u.
+                        backup = []
+                        for v in row:
+                            if v in visited:
+                                continue
+                            dx = xs[v] - xu
+                            dy = ys[v] - yu
+                            if dx == 0.0 and dy == 0.0:
+                                continue
+                            sv = safety[v]
+                            if (
+                                (sv[0] and dx >= 0.0 and dy >= 0.0)
+                                or (sv[1] and dx <= 0.0 and dy >= 0.0)
+                                or (sv[2] and dx <= 0.0 and dy <= 0.0)
+                                or (sv[3] and dx >= 0.0 and dy <= 0.0)
+                            ):
+                                backup.append(v)
+                        if backup:
+                            if not in_backup:
+                                in_backup = True
+                                backup_entries += 1
+                                budget = self._backup_cap(u)
+                                visited.add(u)
+                                if hand is None:
+                                    hand = self._hand_at(u, xd, yd)
+                            pick = self._hand_sweep(
+                                xu,
+                                yu,
+                                _norm(math.atan2(yd - yu, xd - xu)),
+                                backup,
+                                hand is Hand.RIGHT,
+                                False,
+                            )
+                            if pick >= 0:
+                                visited.add(pick)
+                                budget -= 1
+                                phase = _BACKUP
+                if pick < 0:
+                    # Step 5: perimeter routing.
+                    in_backup = False
+                    perimeter_entries += 1
+                    if not self.either_hand:
+                        ccw = True
+                    elif hand is not None:
+                        ccw = hand is Hand.RIGHT
+                    else:
+                        ccw = self._hand_at(u, xd, yd) is Hand.RIGHT
+                    if self.face:
+                        u, length, failure = self._face_phase(
+                            u, destination, path, phases, length, ttl, ccw
+                        )
+                    else:
+                        u, length, failure, escapes = self._dfs_phase(
+                            u, destination, path, phases, length, ttl, ccw
+                        )
+                        bound_escapes += escapes
+                    if failure is not None:
+                        break
+                    hand = None
+                    hops = len(path) - 1
+                    continue
             path.append(pick)
-            phases.append(_SAFE)
+            phases.append(phase)
             length += hyp(xu - xs[pick], yu - ys[pick])
             u = pick
-            du = hyp(xs[u] - xd, ys[u] - yd)
             hops += 1
         return self._finish(
-            source, destination, path, phases, length, u == destination
+            source,
+            destination,
+            path,
+            phases,
+            length,
+            u == destination,
+            perimeter_entries,
+            failure,
+            backup_entries,
+            bound_escapes,
         )
+
+    # -- steps 4 and 5 -------------------------------------------------
+
+    def _hand_sweep(
+        self,
+        xu: float,
+        yu: float,
+        ref: float,
+        candidates,
+        ccw: bool,
+        exclusive: bool,
+    ) -> NodeId:
+        """Exact replica of ``hand_sweep``; -1 when nothing is hit.
+
+        The first candidate a ray from ``(xu, yu)`` at angle ``ref``
+        hits, rotating counter-clockwise (``ccw``, the right hand) or
+        clockwise: smaller offset first, Euclidean distance on exact
+        offset ties, first-seen on full ties.  Candidates coincident
+        with the origin are skipped; under ``exclusive`` a zero offset
+        is pushed a full turn away.
+        """
+        xs = self.xs
+        ys = self.ys
+        atan2 = math.atan2
+        best = -1
+        best_off = 0.0
+        best_dist = -1.0  # lazily computed, only on offset ties
+        for v in candidates:
+            xv = xs[v]
+            yv = ys[v]
+            if xv == xu and yv == yu:
+                continue
+            theta = _norm(atan2(yv - yu, xv - xu))
+            off = _norm(theta - ref) if ccw else _norm(ref - theta)
+            if exclusive and off < _GEOM_EPS:
+                off = _TAU
+            if best < 0 or off < best_off:
+                best = v
+                best_off = off
+                best_dist = -1.0
+            elif off == best_off:
+                if best_dist < 0.0:
+                    best_dist = math.hypot(xu - xs[best], yu - ys[best])
+                dv = math.hypot(xu - xv, yu - yv)
+                if dv < best_dist:
+                    best = v
+                    best_dist = dv
+        return best
+
+    def _face_phase(self, u, destination, path, phases, length, ttl, ccw):
+        """Exact replica of ``perimeter.face_recovery`` on indices.
+
+        Returns ``(current, length, failure)``; ``failure`` is ``None``
+        when the ladder resumes (or the packet arrived).
+        """
+        xs = self.xs
+        ys = self.ys
+        rows = self.rows
+        planar = self.router._planar.adjacency
+        hyp = math.hypot
+        atan2 = math.atan2
+        sweep = self._hand_sweep
+        xd = xs[destination]
+        yd = ys[destination]
+        stuck = u
+        sx = xs[u]
+        sy = ys[u]
+        # The stuck->destination segment of proper_intersection_point.
+        ex = xd - sx
+        ey = yd - sy
+        exit_dist = hyp(sx - xd, sy - yd)
+        exit_limit = exit_dist - _EPS
+        best_cross = exit_dist
+        first_u = -1  # the face's first edge, (first_u, first_v)
+        first_v = -1
+        hops = len(path) - 1
+        while hops < ttl:
+            xu = xs[u]
+            yu = ys[u]
+            if u != stuck and hyp(xu - xd, yu - yd) < exit_limit:
+                return u, length, None  # resume forwarding
+            if destination in rows[u]:
+                path.append(destination)
+                phases.append(_PERIMETER)
+                length += hyp(xu - xd, yu - yd)
+                return destination, length, None
+            candidates = planar[u]
+            if not candidates:
+                return u, length, "isolated_in_planar_graph"
+            if first_u < 0:
+                ref = _norm(atan2(yd - yu, xd - xu))
+                nxt = sweep(xu, yu, ref, candidates, ccw, False)
+            else:
+                prev = path[-2]
+                ref = _norm(atan2(ys[prev] - yu, xs[prev] - xu))
+                nxt = sweep(xu, yu, ref, candidates, ccw, True)
+            if nxt < 0:
+                return u, length, "isolated_in_planar_graph"
+            # Face change: rotate past edges crossing the stuck->d
+            # segment closer to d (proper_intersection_point's bounds).
+            changed_face = False
+            px = sx - xu
+            py = sy - yu
+            for _ in range(len(candidates)):
+                xn = xs[nxt]
+                yn = ys[nxt]
+                d1x = xn - xu
+                d1y = yn - yu
+                denom = d1x * ey - d1y * ex
+                if abs(denom) <= _GEOM_EPS:
+                    break
+                t = (px * ey - py * ex) / denom
+                s = (px * d1y - py * d1x) / denom
+                if not (
+                    _GEOM_EPS < t < _CROSS_HI and _GEOM_EPS < s < _CROSS_HI
+                ):
+                    break
+                cross_dist = hyp(xu + t * d1x - xd, yu + t * d1y - yd)
+                if cross_dist >= best_cross - _EPS:
+                    break
+                best_cross = cross_dist
+                changed_face = True
+                ref = _norm(atan2(yn - yu, xn - xu))
+                rotated = sweep(xu, yu, ref, candidates, ccw, True)
+                if rotated < 0:
+                    break
+                nxt = rotated
+            if changed_face or first_u < 0:
+                first_u = u
+                first_v = nxt
+            elif u == first_u and nxt == first_v:
+                return u, length, "unreachable"  # GPSR drop rule
+            path.append(nxt)
+            phases.append(_PERIMETER)
+            length += hyp(xu - xs[nxt], yu - ys[nxt])
+            u = nxt
+            hops += 1
+        return u, length, "ttl_exceeded"
+
+    def _dfs_phase(self, u, destination, path, phases, length, ttl, ccw):
+        """Exact replica of ``Slgf2Router._bounded_perimeter_phase``.
+
+        Returns ``(current, length, failure, bound_escapes)``.  Unlike
+        the face walk, the edge to ``d`` is tested before the exit.
+        """
+        xs = self.xs
+        ys = self.ys
+        rows = self.rows
+        hyp = math.hypot
+        xd = xs[destination]
+        yd = ys[destination]
+        bound = self.router._perimeter_bound(u)
+        if bound is not None:
+            bx0, by0 = bound.x_min, bound.y_min
+            bx1, by1 = bound.x_max, bound.y_max
+        entry = u
+        entry_limit = hyp(xs[u] - xd, ys[u] - yd) - _EPS
+        escapes = 0
+        tried = {u}
+        stack = [u]
+        hops = len(path) - 1
+        while hops < ttl:
+            xu = xs[u]
+            yu = ys[u]
+            row = rows[u]
+            if destination in row:
+                path.append(destination)
+                phases.append(_PERIMETER)
+                length += hyp(xu - xd, yu - yd)
+                return destination, length, None, escapes
+            if u != entry and hyp(xu - xd, yu - yd) < entry_limit:
+                return u, length, None, escapes  # resume the ladder
+            candidates = [v for v in row if v not in tried]
+            if bound is not None and candidates:
+                inside = [
+                    v
+                    for v in candidates
+                    if bx0 <= xs[v] <= bx1 and by0 <= ys[v] <= by1
+                ]
+                if inside:
+                    candidates = inside
+                else:
+                    escapes += 1
+            if candidates:
+                pick = self._hand_sweep(
+                    xu,
+                    yu,
+                    _norm(math.atan2(yd - yu, xd - xu)),
+                    candidates,
+                    ccw,
+                    False,
+                )
+                if pick >= 0:
+                    tried.add(pick)
+                    stack.append(pick)
+                    path.append(pick)
+                    phases.append(_PERIMETER)
+                    length += hyp(xu - xs[pick], yu - ys[pick])
+                    u = pick
+                    hops += 1
+                    continue
+            # Dead end inside the bound: backtrack.
+            stack.pop()
+            if not stack:
+                return u, length, "unreachable", escapes
+            prev = stack[-1]
+            path.append(prev)
+            phases.append(_PERIMETER)
+            length += hyp(xu - xs[prev], yu - ys[prev])
+            u = prev
+            hops += 1
+        return u, length, "ttl_exceeded", escapes
 
 
 _BUILDERS = {

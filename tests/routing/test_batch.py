@@ -8,13 +8,17 @@ deployment models, a pocketed grid (perimeter-heavy), every built-in
 scheme's option surface, sparse networks (frequent recovery), and the
 dynamic rebind lifecycle.  Grid fixtures matter here: their exact
 coordinate ties exercise the tie-breaking paths of the angle sweep
-and the greedy minimum.
+and the greedy minimum.  SLGF2's executor runs every rung of
+Algorithm 3 itself, so no SLGF2 packet may leave it for the object
+path; pairs across components pin the failure reasons.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
+from _backend_diff import assert_backends_identical
 from repro.core import InformationModel
 from repro.geometry import Point, Rect
 from repro.network import (
@@ -57,6 +61,19 @@ def sample_pairs(graph, count, seed):
     return [tuple(rng.sample(pool, 2)) for _ in range(count)]
 
 
+def slgf2_routers(model):
+    """SLGF2 across its option surface (one router per config)."""
+    return [
+        Slgf2Router(model),
+        Slgf2Router(model, candidate_scope="zone"),
+        Slgf2Router(model, perimeter_mode="dfs"),
+        Slgf2Router(model, perimeter_mode="dfs-bounded"),
+        Slgf2Router(model, use_superseding=False, use_backup=False),
+        Slgf2Router(model, perimeter_hand="either", adaptive_greedy=True),
+        Slgf2Router(model, ttl=24),  # tight budget: mid-phase cutoffs
+    ]
+
+
 def all_routers(graph, model):
     """Every scheme across its option surface (one router per config)."""
     return [
@@ -71,14 +88,23 @@ def all_routers(graph, model):
         LgfRouter(graph, candidate_scope="quadrant"),
         SlgfRouter(model),
         SlgfRouter(model, candidate_scope="quadrant"),
-        Slgf2Router(model),
-        Slgf2Router(model, candidate_scope="zone"),
-        Slgf2Router(model, perimeter_mode="dfs"),
-        Slgf2Router(model, perimeter_mode="dfs-bounded"),
-        Slgf2Router(model, use_superseding=False, use_backup=False),
-        Slgf2Router(model, perimeter_hand="either", adaptive_greedy=True),
-        Slgf2Router(model, ttl=24),  # tight budget: mid-phase cutoffs
+        *slgf2_routers(model),
     ]
+
+
+def on_unit_disk_substrate(router, graph):
+    """Make ``router``'s face walks run on the unit-disk adjacency.
+
+    Gabriel edges do not cross, so a face walk on the planarized graph
+    almost always reaches a node closer than its stuck node before any
+    edge crosses the stuck-to-destination segment (no crossing in ~5000
+    face-walk steps of 500 routes on an FA n = 800 network).  The
+    unplanarized adjacency
+    crosses itself everywhere, so the face-change test and the GPSR
+    drop rule after a face change both fire.
+    """
+    router._planar._adjacency = {u: graph.neighbors(u) for u in graph.node_ids}
+    return router
 
 
 def assert_batch_equivalent(router, pairs):
@@ -125,6 +151,167 @@ class TestBatchEquivalence:
         pairs = sample_pairs(survivor, 30, seed=6)
         for router in all_routers(survivor, model):
             assert_batch_equivalent(router, pairs)
+
+
+class TestSlgf2OnIndices:
+    def test_no_packet_hands_over(
+        self, monkeypatch, random_net, obstacle_net, pocket_grid
+    ):
+        """Every SLGF2 config over the equivalence networks and pairs
+        above, with the object-path bridge closed: each rung runs on
+        indices and still matches route() bit for bit."""
+        from repro.routing import batch
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("SLGF2 handed a packet to _run")
+
+        monkeypatch.setattr(batch._Executor, "_handover", refuse)
+        graph, _, model = random_net
+        cases = [(graph, model, sample_pairs(graph, 40, s)) for s in (0, 1, 2)]
+        graph, _, model = obstacle_net
+        cases.append((graph, model, sample_pairs(graph, 40, seed=3)))
+        graph, _, model = pocket_grid
+        cases.append((graph, model, sample_pairs(graph, 60, seed=4)))
+        graph, _ = make_random_graph(n=70, seed=9)
+        cases.append(
+            (graph, InformationModel.build(graph), sample_pairs(graph, 50, 5))
+        )
+        graph = random_net[0].without_nodes(range(0, 400, 5))
+        cases.append(
+            (graph, InformationModel.build(graph), sample_pairs(graph, 30, 6))
+        )
+        reached = [Counter() for _ in slgf2_routers(cases[0][1])]
+        for graph, model, pairs in cases:
+            for tally, router in zip(reached, slgf2_routers(model)):
+                sequential = [router.route(s, d) for s, d in pairs]
+                batched = router.route_batch(pairs, backend="scalar")
+                assert batched == sequential
+                for result in sequential:
+                    tally["backup"] += result.backup_entries > 0
+                    tally["perimeter"] += result.perimeter_entries > 0
+                    tally["escapes"] += result.bound_escapes
+                    tally["ttl"] += result.failure_reason == "ttl_exceeded"
+        # Not vacuous: each config reaches the rung it exists for.
+        default, zone, dfs, bounded, plain, either, tight = reached
+        for tally in reached:
+            assert tally["perimeter"] > 0
+        for tally in (default, zone, dfs, bounded, either, tight):
+            assert tally["backup"] > 0
+        assert plain["backup"] == 0
+        assert bounded["escapes"] > 0
+        assert dfs["escapes"] == 0
+        assert tight["ttl"] > 0
+
+    def test_inexact_lattice_all_pairs(self):
+        """A pocketed grid at spacing 0.1: collinear lattice points carry
+        ~1e-17 rounding residues, inside the 1e-12 band of the divider
+        sides, so a superseding split must be dropped exactly where
+        ``regions._side`` reads 0."""
+        removed = {(6, j) for j in range(2, 7)} | {(i, 6) for i in range(2, 7)}
+        positions = [
+            Point(i * 0.1, j * 0.1)
+            for j in range(8)
+            for i in range(8)
+            if (i, j) not in removed
+        ]
+        graph = EdgeDetector(strategy="convex").apply(
+            build_unit_disk_graph(positions, 0.15)
+        )
+        model = InformationModel.build(graph)
+        nodes = graph.node_ids
+        pairs = [(s, d) for s in nodes for d in nodes if s != d]
+        # The superseding rule, under the quadrant and the zone scope.
+        for router in slgf2_routers(model)[:2]:
+            assert_batch_equivalent(router, pairs)
+
+    def test_face_walk_on_a_crossing_substrate(self):
+        """Face changes, and the drop rule on the face entered by one."""
+        graph, _ = make_random_graph(n=20, seed=18, area=100.0)
+        model = InformationModel.build(graph)
+        nodes = graph.node_ids
+        pairs = [(s, d) for s in nodes for d in nodes if s != d]
+        for router in slgf2_routers(model):
+            if router._planar is not None:
+                on_unit_disk_substrate(router, graph)
+                assert_batch_equivalent(router, pairs)
+
+    def test_face_change_tie_at_the_band_edge(self):
+        """An edge crossing the stuck-to-destination segment exactly
+        ``_EPS`` closer than the stuck node is no face change
+        (``cross_dist >= best_cross - _EPS``)."""
+        positions = [
+            Point(0.0, 0.0),  # the stuck node
+            Point(1e-9, 1.0),
+            Point(1e-9, -1.0),
+            Point(10.0, 0.0),  # the destination, 10 - 1e-9 from the crossing
+        ]
+        graph = build_unit_disk_graph(positions, 2.5)
+        model = InformationModel.build(graph)
+        router = on_unit_disk_substrate(
+            Slgf2Router(model, use_superseding=False, use_backup=False), graph
+        )
+        expected = router.route(0, 3)
+        assert expected.path == (0, 1, 2, 0)
+        assert expected.failure_reason == "unreachable"
+        assert router.route_batch([(0, 3)]) == [expected]
+
+    def test_backup_budgets_on_a_paper_fa_network(self):
+        """An FA network at paper density, where backup episodes run out
+        of their budget: each episode must get the cap of the node it
+        started at."""
+        from repro.api import Scenario, Session
+
+        session = Session(
+            Scenario(deployment_model="FA", node_count=400, seed=2)
+        )
+        pairs = sample_pairs(session.graph, 200, seed=2)
+        for router in slgf2_routers(session.model)[:2]:
+            assert_batch_equivalent(router, pairs)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("seed", [2009, 2010, 2011])
+    @pytest.mark.parametrize("deployment", ["IA", "FA"])
+    def test_paper_scale_sweep(self, deployment, seed):
+        """Paper-scale networks, where obstacle rims make the backup
+        and perimeter rungs common."""
+        from repro.api import Scenario, Session
+
+        session = Session(
+            Scenario(deployment_model=deployment, node_count=800, seed=seed)
+        )
+        pairs = sample_pairs(session.graph, 500, seed)
+        for router in slgf2_routers(session.model):
+            assert router.route_batch(pairs, backend="scalar") == [
+                router.route(s, d) for s, d in pairs
+            ]
+
+
+class TestDisconnectedPairs:
+    def test_cross_component_pairs_every_scheme(self):
+        """Pairs in different components, isolated sources included:
+        the drop rules' failure reasons ("unreachable" from the GPSR
+        drop rule, DFS stack exhaustion and the tried set,
+        "isolated_in_planar_graph") must match route() on every
+        backend."""
+        graph, _ = make_random_graph(n=70, seed=9)
+        model = InformationModel.build(graph)
+        components = [sorted(c) for c in graph.connected_components()]
+        owner = {u: i for i, c in enumerate(components) for u in c}
+        isolated = [c[0] for c in components if len(c) == 1]
+        assert len(components) > 2 and isolated
+        rng = random.Random(10)
+        nodes = sorted(owner)
+        pairs = [(s, rng.choice(components[0])) for s in isolated[:10]]
+        while len(pairs) < 40:
+            s, d = rng.sample(nodes, 2)
+            if owner[s] != owner[d]:
+                pairs.append((s, d))
+        reasons = Counter()
+        for router in all_routers(graph, model):
+            assert_backends_identical(router, pairs)
+            reasons.update(router.route(s, d).failure_reason for s, d in pairs)
+        assert reasons["unreachable"] > 0
+        assert reasons["isolated_in_planar_graph"] > 0
 
 
 class TestBatchContract:
