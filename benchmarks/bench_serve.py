@@ -60,9 +60,7 @@ class _Server:
     """RoutingServer on its own loop thread (see tests/serve)."""
 
     def __init__(self) -> None:
-        self.server = RoutingServer(
-            ServerConfig(port=0, flush_interval=0.001)
-        )
+        self.server = RoutingServer(ServerConfig(port=0))
         self.loop: asyncio.AbstractEventLoop | None = None
         self._ready = threading.Event()
         self._stop_event: asyncio.Event | None = None

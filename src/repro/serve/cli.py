@@ -61,14 +61,8 @@ def _parser() -> argparse.ArgumentParser:
         type=int,
         default=defaults.max_batch,
         metavar="N",
-        help="micro-batch size cap per flush",
-    )
-    parser.add_argument(
-        "--flush-interval",
-        type=float,
-        default=defaults.flush_interval,
-        metavar="S",
-        help="micro-batch coalescing window, seconds",
+        help="cap on requests per batch (a batch is whatever is "
+        "queued when the drain is free)",
     )
     parser.add_argument(
         "--queue-depth",
@@ -132,7 +126,6 @@ def main(argv: list[str] | None = None) -> int:
             port=args.port,
             backend=args.backend,
             max_batch=args.max_batch,
-            flush_interval=args.flush_interval,
             queue_depth=args.queue_depth,
             default_timeout=args.timeout,
             max_sessions=args.max_sessions,

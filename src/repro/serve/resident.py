@@ -7,16 +7,18 @@ kept in memory answering queries until evicted.  Three mechanisms turn
 that into a service rather than a cache:
 
 * **Micro-batching.**  Every query enters a bounded per-session queue;
-  a single drain task coalesces whatever arrives within
-  ``flush_interval`` (up to ``max_batch`` items) into one executor
-  job, so concurrent clients share one
+  a single drain task dispatches the moment it is free: it takes the
+  first queued item plus whatever is already queued behind it (up to
+  ``max_batch`` items) as one executor job, and never waits for more.
+  Work that arrives while the executor runs a batch queues up and
+  forms the next batch, so concurrent clients share one
   :meth:`~repro.routing.base.Router.route_batch` call instead of
-  paying its dispatch per request (batches below the numpy kernel's
-  crossover, the default 64 included, run on the scalar executor
-  under ``auto``).  Single-route queries are grouped
-  per router into one batch call; results are bit-identical to
-  sequential ``route()`` calls (the cross-backend suite pins that), so
-  coalescing is invisible to clients.
+  paying its dispatch per request, and a lone request waits on no
+  clock (batches below the numpy kernel's crossover, the default 64
+  included, run on the scalar executor under ``auto``).  Single-route
+  queries are grouped per router into one batch call; results are
+  bit-identical to sequential ``route()`` calls (the cross-backend
+  suite pins that), so batching is invisible to clients.
 * **Live topology.**  A topology update is queued like any query but
   acts as a *barrier*: it is applied alone, between batches, through a
   :class:`~repro.network.dynamic.DynamicTopology` that every resident
@@ -29,7 +31,8 @@ that into a service rather than a cache:
   HTTP layer answers 503 + ``Retry-After``) instead of letting latency
   grow without bound.  Each queued item carries a deadline; items that
   expire while queued are answered with a timeout error, not routed
-  pointlessly.
+  pointlessly.  Evicting a session answers everything it still holds,
+  queued or in the drain's hands, with 409 at once.
 
 The CPU-bound work — materialisation, routing, topology application —
 always runs in the server's executor, never on the event loop.
@@ -209,7 +212,6 @@ class ResidentSession:
         *,
         queue_depth: int,
         max_batch: int,
-        flush_interval: float,
         retry_after: float,
         backend: str = "auto",
         executor=None,
@@ -223,7 +225,6 @@ class ResidentSession:
         self._backend = backend
         self._executor = executor
         self._max_batch = max_batch
-        self._flush_interval = flush_interval
         self._retry_after = retry_after
         self._queue: asyncio.Queue[_Work] = asyncio.Queue(
             maxsize=queue_depth
@@ -246,7 +247,12 @@ class ResidentSession:
             self._drain_task = self._loop.create_task(self._drain())
 
     async def close(self) -> None:
-        """Stop serving: cancel the drain task and fail queued work."""
+        """Stop serving: cancel the drain task and fail queued work.
+
+        The drain answers the work in its hands (a running or held
+        batch, a carried topology update) as it is cancelled; what is
+        still queued is answered here.  Either way the answer is 409.
+        """
         if self._drain_task is not None:
             self._drain_task.cancel()
             try:
@@ -255,11 +261,13 @@ class ResidentSession:
                 pass
             self._drain_task = None
         while not self._queue.empty():
-            item = self._queue.get_nowait()
-            if not item.future.done():
-                item.future.set_exception(
-                    WireError("session evicted", 409)
-                )
+            self._evicted(self._queue.get_nowait())
+
+    @staticmethod
+    def _evicted(work: _Work | None) -> None:
+        """Answer one request an evicted session still held: 409."""
+        if work is not None and not work.future.done():
+            work.future.set_exception(WireError("session evicted", 409))
 
     def hold(self) -> None:
         """Pause intake processing (maintenance drain; tests).
@@ -299,52 +307,54 @@ class ResidentSession:
     # -- the drain loop -------------------------------------------------
 
     async def _drain(self) -> None:
-        """Coalesce queued work into micro-batches; run in executor.
+        """Dispatch queued work as batches; run them in the executor.
 
-        One batch at a time, in arrival order.  Topology updates are
-        barriers: they never share a batch with queries, so every
-        query observes a single consistent topology.
+        One batch at a time, in arrival order, and no timer: a batch
+        is the first queued item plus whatever is already queued
+        behind it, cut at ``max_batch`` or at a topology update, and
+        it is dispatched at once.  Topology updates are barriers: they
+        run alone, so every query observes a single consistent
+        topology.  Cancelled (the session is evicted), the drain
+        answers every item in its hands with 409 before it stops.
         """
         loop = asyncio.get_running_loop()
         carry: _Work | None = None
-        while True:
-            item = carry if carry is not None else await self._queue.get()
-            carry = None
-            await self._held.wait()
-            if item.kind == "topology":
-                await self._run_in_executor(self._apply_topology, item)
-                continue
-            batch = [item]
-            flush_at = loop.time() + self._flush_interval
-            while len(batch) < self._max_batch:
-                remaining = flush_at - loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    nxt = await asyncio.wait_for(
-                        self._queue.get(), remaining
+        batch: list[_Work] = []
+        try:
+            while True:
+                batch = [carry or await self._queue.get()]
+                carry = None
+                await self._held.wait()
+                if batch[0].kind == "topology":
+                    await self._run_in_executor(
+                        self._apply_topology, batch[0]
                     )
-                except asyncio.TimeoutError:
-                    break
-                if nxt.kind == "topology":
-                    carry = nxt  # barrier: handled after this batch
-                    break
-                batch.append(nxt)
-            now = loop.time()
-            live = []
-            for work in batch:
-                if work.deadline is not None and work.deadline < now:
-                    self.stats.timeouts += 1
-                    if not work.future.done():
-                        work.future.set_exception(asyncio.TimeoutError())
-                elif work.future.done():
-                    pass  # client went away (its waiter timed out)
-                else:
-                    live.append(work)
-            if live:
-                self.stats.batches += 1
-                self.stats.batched_items += len(live)
-                await self._run_in_executor(self._execute_batch, live)
+                    continue
+                while len(batch) < self._max_batch and not self._queue.empty():
+                    nxt = self._queue.get_nowait()
+                    if nxt.kind == "topology":
+                        carry = nxt  # barrier: handled after this batch
+                        break
+                    batch.append(nxt)
+                now = loop.time()
+                live = []
+                for work in batch:
+                    if work.deadline is not None and work.deadline < now:
+                        self.stats.timeouts += 1
+                        if not work.future.done():
+                            work.future.set_exception(asyncio.TimeoutError())
+                    elif work.future.done():
+                        pass  # client went away (its waiter timed out)
+                    else:
+                        live.append(work)
+                if live:
+                    self.stats.batches += 1
+                    self.stats.batched_items += len(live)
+                    await self._run_in_executor(self._execute_batch, live)
+        except asyncio.CancelledError:
+            for work in (*batch, carry):
+                self._evicted(work)
+            raise
 
     async def _run_in_executor(self, fn, arg) -> None:
         loop = asyncio.get_running_loop()
@@ -631,7 +641,6 @@ class SessionManager:
         *,
         queue_depth: int = 256,
         max_batch: int = 64,
-        flush_interval: float = 0.002,
         retry_after: float = 1.0,
         backend: str = "auto",
         max_sessions: int = 16,
@@ -642,7 +651,6 @@ class SessionManager:
         self._sessions: "OrderedDict[str, ResidentSession]" = OrderedDict()
         self._queue_depth = queue_depth
         self._max_batch = max_batch
-        self._flush_interval = flush_interval
         self._retry_after = retry_after
         self._backend = backend
         self._max_sessions = max_sessions
@@ -788,7 +796,6 @@ class SessionManager:
             session,
             queue_depth=self._queue_depth,
             max_batch=self._max_batch,
-            flush_interval=self._flush_interval,
             retry_after=self._retry_after,
             backend=self._backend,
             executor=self._executor,

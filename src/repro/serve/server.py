@@ -79,9 +79,8 @@ class ServerConfig:
 
     host: str = "127.0.0.1"
     port: int = 8707  # "8707" ~ WASN-ish; 0 = ephemeral (tests, CI)
-    #: Batch coalescing: flush a session's intake queue after this many
-    #: seconds or this many queued requests, whichever first.
-    flush_interval: float = 0.002
+    #: Batch cap: a session's drain dispatches whatever is queued the
+    #: moment it is free, at most this many requests per batch.
     max_batch: int = 64
     #: Intake bound per session; full queue = 503 + Retry-After.
     queue_depth: int = 256
@@ -98,8 +97,6 @@ class ServerConfig:
     workers: int = 2
 
     def __post_init__(self) -> None:
-        if self.flush_interval < 0:
-            raise ValueError("flush_interval must be >= 0")
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         if self.queue_depth < 1:
@@ -141,7 +138,6 @@ class RoutingServer:
         self.sessions = SessionManager(
             queue_depth=config.queue_depth,
             max_batch=config.max_batch,
-            flush_interval=config.flush_interval,
             retry_after=config.retry_after,
             backend=config.backend,
             max_sessions=config.max_sessions,
@@ -315,7 +311,6 @@ class RoutingServer:
         return {
             "uptime_s": time.time() - self._started_at,
             "config": {
-                "flush_interval": config.flush_interval,
                 "max_batch": config.max_batch,
                 "queue_depth": config.queue_depth,
                 "max_sessions": config.max_sessions,
@@ -394,10 +389,7 @@ class RoutingServer:
             "destination": body["destination"],
             "router": router,
         }
-        started = time.perf_counter()
-        future = resident.submit("route", payload, timeout)
-        result = await asyncio.wait_for(future, timeout)
-        resident.stats.latency.record(time.perf_counter() - started)
+        result = await self._queued(resident, "route", payload, timeout)
         return 200, result, {}
 
     async def _route_pairs(
@@ -455,15 +447,14 @@ class RoutingServer:
                 )
             payload["backend"] = backend
         timeout = self._timeout(body)
-        started = time.perf_counter()
-        future = resident.submit("route_pairs", payload, timeout)
         try:
-            result = await asyncio.wait_for(future, timeout)
+            result = await self._queued(
+                resident, "route_pairs", payload, timeout
+            )
         except ImportError as error:
             # backend="numpy" without numpy: the client asked for a
             # specific implementation this deployment cannot offer.
             raise WireError(str(error)) from None
-        resident.stats.latency.record(time.perf_counter() - started)
         return 200, result, {}
 
     async def _topology(
@@ -477,8 +468,23 @@ class RoutingServer:
             if "events" in body
             else body
         )
-        started = time.perf_counter()
-        future = resident.submit("topology", {"events": events}, timeout)
-        result = await asyncio.wait_for(future, timeout)
-        resident.stats.latency.record(time.perf_counter() - started)
+        result = await self._queued(
+            resident, "topology", {"events": events}, timeout
+        )
         return 200, result, {}
+
+    @staticmethod
+    async def _queued(resident, kind: str, payload: dict, timeout: float):
+        """Queue one request on ``resident`` and wait for its answer.
+
+        The latency histogram records every request that was queued,
+        whatever its outcome (504s and errors included); a 503 from
+        :meth:`~repro.serve.resident.ResidentSession.submit` never
+        queued and counts only in ``rejected``.
+        """
+        started = time.perf_counter()
+        future = resident.submit(kind, payload, timeout)
+        try:
+            return await asyncio.wait_for(future, timeout)
+        finally:
+            resident.stats.latency.record(time.perf_counter() - started)

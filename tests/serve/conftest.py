@@ -37,7 +37,6 @@ class ServeHarness:
 
     def __init__(self, **overrides) -> None:
         overrides.setdefault("port", 0)
-        overrides.setdefault("flush_interval", 0.001)
         self.config = ServerConfig(**overrides)
         self.server = RoutingServer(self.config)
         self.loop: asyncio.AbstractEventLoop | None = None

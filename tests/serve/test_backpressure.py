@@ -102,6 +102,11 @@ class TestTimeouts:
         assert status == 504
         assert "timed out" in body["error"]
         assert elapsed < 10  # answered at the deadline, not at release
+        # The slow tail reaches /stats: the 504 is in the histogram.
+        _, stats, _ = server.request("GET", "/stats")
+        latency = stats["sessions"][session_id]["latency"]
+        assert latency["count"] == 1
+        assert latency["max_ms"] >= 200
 
     def test_expired_work_is_not_routed(self, make_harness, scenario_doc):
         """A request that times out while queued is counted, and the
