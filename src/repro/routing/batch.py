@@ -3,8 +3,9 @@
 :meth:`Router.route_batch` routes whole (source, destination) batches
 over one :class:`~repro.network.core.TopologyCore`.  The per-scheme
 executors in this module run the forwarding loops — greedy/safe
-advance everywhere, LGF/SLGF's tried-set perimeter sweep, and every
-rung of SLGF2's Algorithm 3 — directly on the core's flat columns:
+advance everywhere, GF's face and hole-boundary recovery, LGF/SLGF's
+tried-set perimeter sweep, and every rung of SLGF2's Algorithm 3 —
+directly on the core's flat columns:
 neighbour-id tuples, plain-list coordinate reads, one ``math.hypot``
 per surviving candidate.  No ``Point`` objects, no per-hop dict
 lookups, no ``PacketTrace`` method dispatch.
@@ -25,20 +26,22 @@ it:
 
 * **Operation-for-operation replicas.**  Where a phase runs here —
   the hand-rule sweeps of every perimeter and backup phase, the face
-  walk's crossing test, the superseding rule's divider sides — the
+  walk's crossing test, the hole-boundary walk's direction and exit
+  tests, the superseding rule's divider sides — the
   replica performs the same floating-point operations in the same
   order — ``atan2``/``fmod`` normalisation, tie-breaks, epsilon
   conventions — only on flat columns instead of objects.
 
-* **Handover before divergence.**  Two cases are not replicated:
-  GF's recovery (face walk or hole boundary) and an LGF/SLGF packet
-  at a node coincident with its destination, where the zone
-  machinery is degenerate.  There the executor materialises a
-  :class:`~repro.routing.base.PacketTrace` seeded with the hops
-  routed so far and hands the packet to the scheme's own ``_run``.
-  The scheme's per-packet state is still at its initial value at
-  that moment, so the original loop continues exactly as if it had
-  routed the prefix itself.  SLGF2 never hands over.
+* **Handover before divergence.**  One case is not replicated: an
+  LGF/SLGF packet at a node coincident with its destination, where
+  the zone machinery is degenerate.  Unit-disk graphs always link
+  coincident nodes, so only hand-built graphs reach it.  There the
+  executor materialises a :class:`~repro.routing.base.PacketTrace`
+  seeded with the hops routed so far and hands the packet to the
+  scheme's own ``_run``.  The scheme's per-packet state is still at
+  its initial value at that moment, so the original loop continues
+  exactly as if it had routed the prefix itself.  GF and SLGF2 never
+  hand over.
 
 Executors dispatch on the *exact* router type: subclasses that
 override selection behaviour fall back to sequential ``route`` calls
@@ -147,8 +150,8 @@ class _Executor:
     ) -> RouteResult:
         """Finish the route through the scheme's own ``_run``.
 
-        GF's recovery and the LGF/SLGF coincident-destination case
-        only; the SLGF2 executor never calls it.  The trace is seeded
+        The LGF/SLGF coincident-destination case only; the GF and
+        SLGF2 executors never call it.  The trace is seeded
         with the fast-path prefix; ``_run`` re-examines the current
         node afresh, so the hop the fast path declined to take is
         decided by the original code.
@@ -302,9 +305,161 @@ class _Executor:
             hops += 1
         return u, length, "ttl_exceeded", False
 
+    # -- the face walk (GF's recovery, SLGF2's perimeter phase) --------
+
+    def _hand_sweep(
+        self,
+        xu: float,
+        yu: float,
+        ref: float,
+        candidates,
+        ccw: bool,
+        exclusive: bool,
+    ) -> NodeId:
+        """Exact replica of ``hand_sweep``; -1 when nothing is hit.
+
+        The first candidate a ray from ``(xu, yu)`` at angle ``ref``
+        hits, rotating counter-clockwise (``ccw``, the right hand) or
+        clockwise: smaller offset first, Euclidean distance on exact
+        offset ties, first-seen on full ties.  Candidates coincident
+        with the origin are skipped; under ``exclusive`` a zero offset
+        is pushed a full turn away.
+        """
+        xs = self.xs
+        ys = self.ys
+        atan2 = math.atan2
+        best = -1
+        best_off = 0.0
+        best_dist = -1.0  # lazily computed, only on offset ties
+        for v in candidates:
+            xv = xs[v]
+            yv = ys[v]
+            if xv == xu and yv == yu:
+                continue
+            theta = _norm(atan2(yv - yu, xv - xu))
+            off = _norm(theta - ref) if ccw else _norm(ref - theta)
+            if exclusive and off < _GEOM_EPS:
+                off = _TAU
+            if best < 0 or off < best_off:
+                best = v
+                best_off = off
+                best_dist = -1.0
+            elif off == best_off:
+                if best_dist < 0.0:
+                    best_dist = math.hypot(xu - xs[best], yu - ys[best])
+                dv = math.hypot(xu - xv, yu - yv)
+                if dv < best_dist:
+                    best = v
+                    best_dist = dv
+        return best
+
+    def _face_phase(self, u, destination, path, phases, length, ttl, ccw):
+        """Exact replica of ``perimeter.face_recovery`` on indices.
+
+        ``ccw`` is the hand: GF always walks with the right hand
+        (``True``), SLGF2 with the one its either-hand rule chose.
+        Returns ``(current, length, failure)``; ``failure`` is ``None``
+        when forwarding resumes (or the packet arrived).
+        """
+        xs = self.xs
+        ys = self.ys
+        rows = self.rows
+        planar = self.router._planar.adjacency
+        hyp = math.hypot
+        atan2 = math.atan2
+        sweep = self._hand_sweep
+        xd = xs[destination]
+        yd = ys[destination]
+        stuck = u
+        sx = xs[u]
+        sy = ys[u]
+        # The stuck->destination segment of proper_intersection_point.
+        ex = xd - sx
+        ey = yd - sy
+        exit_dist = hyp(sx - xd, sy - yd)
+        exit_limit = exit_dist - _EPS
+        best_cross = exit_dist
+        first_u = -1  # the face's first edge, (first_u, first_v)
+        first_v = -1
+        hops = len(path) - 1
+        while hops < ttl:
+            xu = xs[u]
+            yu = ys[u]
+            if u != stuck and hyp(xu - xd, yu - yd) < exit_limit:
+                return u, length, None  # resume forwarding
+            if destination in rows[u]:
+                path.append(destination)
+                phases.append(_PERIMETER)
+                length += hyp(xu - xd, yu - yd)
+                return destination, length, None
+            candidates = planar[u]
+            if not candidates:
+                return u, length, "isolated_in_planar_graph"
+            if first_u < 0:
+                ref = _norm(atan2(yd - yu, xd - xu))
+                nxt = sweep(xu, yu, ref, candidates, ccw, False)
+            else:
+                prev = path[-2]
+                ref = _norm(atan2(ys[prev] - yu, xs[prev] - xu))
+                nxt = sweep(xu, yu, ref, candidates, ccw, True)
+            if nxt < 0:
+                return u, length, "isolated_in_planar_graph"
+            # Face change: rotate past edges crossing the stuck->d
+            # segment closer to d (proper_intersection_point's bounds).
+            changed_face = False
+            px = sx - xu
+            py = sy - yu
+            for _ in range(len(candidates)):
+                xn = xs[nxt]
+                yn = ys[nxt]
+                d1x = xn - xu
+                d1y = yn - yu
+                denom = d1x * ey - d1y * ex
+                if abs(denom) <= _GEOM_EPS:
+                    break
+                t = (px * ey - py * ex) / denom
+                s = (px * d1y - py * d1x) / denom
+                if not (
+                    _GEOM_EPS < t < _CROSS_HI and _GEOM_EPS < s < _CROSS_HI
+                ):
+                    break
+                cross_dist = hyp(xu + t * d1x - xd, yu + t * d1y - yd)
+                if cross_dist >= best_cross - _EPS:
+                    break
+                best_cross = cross_dist
+                changed_face = True
+                ref = _norm(atan2(yn - yu, xn - xu))
+                rotated = sweep(xu, yu, ref, candidates, ccw, True)
+                if rotated < 0:
+                    break
+                nxt = rotated
+            if changed_face or first_u < 0:
+                first_u = u
+                first_v = nxt
+            elif u == first_u and nxt == first_v:
+                return u, length, "unreachable"  # GPSR drop rule
+            path.append(nxt)
+            phases.append(_PERIMETER)
+            length += hyp(xu - xs[nxt], yu - ys[nxt])
+            u = nxt
+            hops += 1
+        return u, length, "ttl_exceeded"
+
 
 class _GreedyExecutor(_Executor):
-    """GF fast path: greedy advance; recovery phases hand over."""
+    """GF on indices: greedy advance and both recovery modes.
+
+    At a local minimum the packet recovers here, as ``GreedyRouter._run``
+    does: ``recovery="face"`` runs the right-hand face walk, and
+    ``recovery="boundhole"`` walks the stuck node's hole boundary
+    (:meth:`_boundary_walk`).  No packet hands over;
+    ``GreedyRouter._run`` and ``_boundhole_recovery`` stay as the
+    oracle.
+    """
+
+    def __init__(self, router: GreedyRouter, core) -> None:
+        super().__init__(router, core)
+        self.boundhole = router._recovery == "boundhole"
 
     def route(self, source: NodeId, destination: NodeId) -> RouteResult:
         self._check(source, destination)
@@ -321,6 +476,8 @@ class _GreedyExecutor(_Executor):
         u = source
         hops = 0
         du = hyp(xs[u] - xd, ys[u] - yd)
+        perimeter_entries = 0
+        failure = None
         while hops < ttl:
             if u == destination:
                 break
@@ -348,11 +505,22 @@ class _GreedyExecutor(_Executor):
                     best_dist = dv
                     cut = dv * dv * _GUARD
             if best < 0:
-                # Local minimum: the original recovery machinery owns
-                # the rest of the packet (face walk or hole boundary).
-                return self._handover(
-                    source, destination, path, phases, length
-                )
+                # Local minimum: recover, then resume greedy wherever
+                # the phase left the packet.
+                perimeter_entries += 1
+                if self.boundhole:
+                    u, length, failure = self._boundary_walk(
+                        u, destination, path, phases, length, ttl
+                    )
+                else:
+                    u, length, failure = self._face_phase(
+                        u, destination, path, phases, length, ttl, True
+                    )
+                if failure is not None:
+                    break
+                hops = len(path) - 1
+                du = hyp(xs[u] - xd, ys[u] - yd)
+                continue
             path.append(best)
             phases.append(_GREEDY)
             length += hyp(xu - xs[best], yu - ys[best])
@@ -360,8 +528,81 @@ class _GreedyExecutor(_Executor):
             du = best_dist
             hops += 1
         return self._finish(
-            source, destination, path, phases, length, u == destination
+            source,
+            destination,
+            path,
+            phases,
+            length,
+            u == destination,
+            perimeter_entries,
+            failure,
         )
+
+    def _boundary_walk(self, u, destination, path, phases, length, ttl):
+        """Exact replica of ``GreedyRouter._boundhole_recovery``.
+
+        Walks the hole boundary through the stuck node ``u`` in the
+        direction whose first node is no farther from ``d``, and exits
+        on the first node closer to ``d`` than ``u``.  The face walk
+        takes over where the object path calls ``face_recovery``: no
+        boundary through ``u``, or a boundary edge the graph no longer
+        has.  Returns ``(current, length, failure)`` like
+        :meth:`_face_phase`.
+        """
+        cycle = self.router._hole_boundaries().boundary_of(u)
+        if cycle is None or len(cycle) < 2:
+            return self._face_phase(
+                u, destination, path, phases, length, ttl, True
+            )
+        xs = self.xs
+        ys = self.ys
+        rows = self.rows
+        hyp = math.hypot
+        xd = xs[destination]
+        yd = ys[destination]
+        exit_limit = hyp(xs[u] - xd, ys[u] - yd) - _EPS
+        index = cycle.index(u)
+        forward = cycle[index + 1 :] + cycle[:index]
+        backward = cycle[:index][::-1] + cycle[index + 1 :][::-1]
+        ahead = forward[0]
+        behind = backward[0]
+        graph = self.router.graph
+        for first in (ahead, behind):
+            if first not in graph:
+                # A stale cycle's absent node: the object path's
+                # position lookup fails the same way.
+                raise KeyError(first)
+        if hyp(xs[ahead] - xd, ys[ahead] - yd) <= hyp(
+            xs[behind] - xd, ys[behind] - yd
+        ):
+            walk = forward
+        else:
+            walk = backward
+        hops = len(path) - 1
+        for node in walk:
+            if hops >= ttl:
+                return u, length, "ttl_exceeded"
+            if node not in rows[u]:
+                # A stale boundary (the graph lost this edge).
+                return self._face_phase(
+                    u, destination, path, phases, length, ttl, True
+                )
+            xn = xs[node]
+            yn = ys[node]
+            path.append(node)
+            phases.append(_PERIMETER)
+            length += hyp(xs[u] - xn, ys[u] - yn)
+            u = node
+            hops += 1
+            if destination in rows[node]:
+                # No TTL check: the route may end one hop past ttl.
+                path.append(destination)
+                phases.append(_PERIMETER)
+                length += hyp(xn - xd, yn - yd)
+                return destination, length, None
+            if hyp(xn - xd, yn - yd) < exit_limit:
+                return u, length, None  # resume greedy
+        return u, length, "unreachable"  # the whole cycle, no closer
 
 
 class _LgfExecutor(_Executor):
@@ -1119,143 +1360,7 @@ class _Slgf2Executor(_Executor):
             bound_escapes,
         )
 
-    # -- steps 4 and 5 -------------------------------------------------
-
-    def _hand_sweep(
-        self,
-        xu: float,
-        yu: float,
-        ref: float,
-        candidates,
-        ccw: bool,
-        exclusive: bool,
-    ) -> NodeId:
-        """Exact replica of ``hand_sweep``; -1 when nothing is hit.
-
-        The first candidate a ray from ``(xu, yu)`` at angle ``ref``
-        hits, rotating counter-clockwise (``ccw``, the right hand) or
-        clockwise: smaller offset first, Euclidean distance on exact
-        offset ties, first-seen on full ties.  Candidates coincident
-        with the origin are skipped; under ``exclusive`` a zero offset
-        is pushed a full turn away.
-        """
-        xs = self.xs
-        ys = self.ys
-        atan2 = math.atan2
-        best = -1
-        best_off = 0.0
-        best_dist = -1.0  # lazily computed, only on offset ties
-        for v in candidates:
-            xv = xs[v]
-            yv = ys[v]
-            if xv == xu and yv == yu:
-                continue
-            theta = _norm(atan2(yv - yu, xv - xu))
-            off = _norm(theta - ref) if ccw else _norm(ref - theta)
-            if exclusive and off < _GEOM_EPS:
-                off = _TAU
-            if best < 0 or off < best_off:
-                best = v
-                best_off = off
-                best_dist = -1.0
-            elif off == best_off:
-                if best_dist < 0.0:
-                    best_dist = math.hypot(xu - xs[best], yu - ys[best])
-                dv = math.hypot(xu - xv, yu - yv)
-                if dv < best_dist:
-                    best = v
-                    best_dist = dv
-        return best
-
-    def _face_phase(self, u, destination, path, phases, length, ttl, ccw):
-        """Exact replica of ``perimeter.face_recovery`` on indices.
-
-        Returns ``(current, length, failure)``; ``failure`` is ``None``
-        when the ladder resumes (or the packet arrived).
-        """
-        xs = self.xs
-        ys = self.ys
-        rows = self.rows
-        planar = self.router._planar.adjacency
-        hyp = math.hypot
-        atan2 = math.atan2
-        sweep = self._hand_sweep
-        xd = xs[destination]
-        yd = ys[destination]
-        stuck = u
-        sx = xs[u]
-        sy = ys[u]
-        # The stuck->destination segment of proper_intersection_point.
-        ex = xd - sx
-        ey = yd - sy
-        exit_dist = hyp(sx - xd, sy - yd)
-        exit_limit = exit_dist - _EPS
-        best_cross = exit_dist
-        first_u = -1  # the face's first edge, (first_u, first_v)
-        first_v = -1
-        hops = len(path) - 1
-        while hops < ttl:
-            xu = xs[u]
-            yu = ys[u]
-            if u != stuck and hyp(xu - xd, yu - yd) < exit_limit:
-                return u, length, None  # resume forwarding
-            if destination in rows[u]:
-                path.append(destination)
-                phases.append(_PERIMETER)
-                length += hyp(xu - xd, yu - yd)
-                return destination, length, None
-            candidates = planar[u]
-            if not candidates:
-                return u, length, "isolated_in_planar_graph"
-            if first_u < 0:
-                ref = _norm(atan2(yd - yu, xd - xu))
-                nxt = sweep(xu, yu, ref, candidates, ccw, False)
-            else:
-                prev = path[-2]
-                ref = _norm(atan2(ys[prev] - yu, xs[prev] - xu))
-                nxt = sweep(xu, yu, ref, candidates, ccw, True)
-            if nxt < 0:
-                return u, length, "isolated_in_planar_graph"
-            # Face change: rotate past edges crossing the stuck->d
-            # segment closer to d (proper_intersection_point's bounds).
-            changed_face = False
-            px = sx - xu
-            py = sy - yu
-            for _ in range(len(candidates)):
-                xn = xs[nxt]
-                yn = ys[nxt]
-                d1x = xn - xu
-                d1y = yn - yu
-                denom = d1x * ey - d1y * ex
-                if abs(denom) <= _GEOM_EPS:
-                    break
-                t = (px * ey - py * ex) / denom
-                s = (px * d1y - py * d1x) / denom
-                if not (
-                    _GEOM_EPS < t < _CROSS_HI and _GEOM_EPS < s < _CROSS_HI
-                ):
-                    break
-                cross_dist = hyp(xu + t * d1x - xd, yu + t * d1y - yd)
-                if cross_dist >= best_cross - _EPS:
-                    break
-                best_cross = cross_dist
-                changed_face = True
-                ref = _norm(atan2(yn - yu, xn - xu))
-                rotated = sweep(xu, yu, ref, candidates, ccw, True)
-                if rotated < 0:
-                    break
-                nxt = rotated
-            if changed_face or first_u < 0:
-                first_u = u
-                first_v = nxt
-            elif u == first_u and nxt == first_v:
-                return u, length, "unreachable"  # GPSR drop rule
-            path.append(nxt)
-            phases.append(_PERIMETER)
-            length += hyp(xu - xs[nxt], yu - ys[nxt])
-            u = nxt
-            hops += 1
-        return u, length, "ttl_exceeded"
+    # -- step 5's DFS perimeter phase -----------------------------------
 
     def _dfs_phase(self, u, destination, path, phases, length, ttl, ccw):
         """Exact replica of ``Slgf2Router._bounded_perimeter_phase``.

@@ -393,9 +393,17 @@ class ResidentSession:
             self._answer_route_group(loop, router_name, items)
 
     def _answer(self, loop, work: _Work, fn, payload) -> None:
+        # ImportError: backend="numpy" without numpy, which the server
+        # answers with 400 for this request alone.
         try:
             result = fn(payload)
-        except (WireError, RoutingError, KeyError, ValueError) as error:
+        except (
+            WireError,
+            RoutingError,
+            KeyError,
+            ValueError,
+            ImportError,
+        ) as error:
             self._resolve(loop, work.future, error, is_error=True)
         else:
             self._resolve(loop, work.future, result, is_error=False)

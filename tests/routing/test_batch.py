@@ -8,9 +8,10 @@ deployment models, a pocketed grid (perimeter-heavy), every built-in
 scheme's option surface, sparse networks (frequent recovery), and the
 dynamic rebind lifecycle.  Grid fixtures matter here: their exact
 coordinate ties exercise the tie-breaking paths of the angle sweep
-and the greedy minimum.  SLGF2's executor runs every rung of
-Algorithm 3 itself, so no SLGF2 packet may leave it for the object
-path; pairs across components pin the failure reasons.
+and the greedy minimum.  GF's executor runs both recovery modes and
+SLGF2's every rung of Algorithm 3 itself, so no GF or SLGF2 packet
+may leave them for the object path; pairs across components pin the
+failure reasons.
 """
 
 import random
@@ -31,6 +32,7 @@ from repro.protocols import build_hole_boundaries
 from repro.routing import (
     GreedyRouter,
     LgfRouter,
+    RouteResult,
     RoutingError,
     SlgfRouter,
     Slgf2Router,
@@ -74,16 +76,38 @@ def slgf2_routers(model):
     ]
 
 
-def all_routers(graph, model):
-    """Every scheme across its option surface (one router per config)."""
-    return [
+def gf_routers(graph, before=None):
+    """GF across its option surface (one router per config).
+
+    ``before``, the graph ``graph`` was cut from, adds boundhole
+    recovery fed ``before``'s boundaries: their walks meet edges that
+    ``graph`` no longer has.
+    """
+    boundaries = build_hole_boundaries(graph)
+    routers = [
         GreedyRouter(graph),
         GreedyRouter(graph, planarization="rng"),
+        GreedyRouter(graph, recovery="boundhole", hole_boundaries=boundaries),
+        # Tight budget: boundary walks cut mid-cycle.
         GreedyRouter(
-            graph,
-            recovery="boundhole",
-            hole_boundaries=build_hole_boundaries(graph),
+            graph, ttl=24, recovery="boundhole", hole_boundaries=boundaries
         ),
+    ]
+    if before is not None:
+        routers.append(
+            GreedyRouter(
+                graph,
+                recovery="boundhole",
+                hole_boundaries=build_hole_boundaries(before),
+            )
+        )
+    return routers
+
+
+def all_routers(graph, model, before=None):
+    """Every scheme across its option surface (one router per config)."""
+    return [
+        *gf_routers(graph, before),
         LgfRouter(graph),
         LgfRouter(graph, candidate_scope="quadrant"),
         SlgfRouter(model),
@@ -111,6 +135,72 @@ def assert_batch_equivalent(router, pairs):
     sequential = [router.route(s, d) for s, d in pairs]
     batched = router.route_batch(pairs)
     assert batched == sequential  # frozen dataclasses: exact floats
+
+
+def outcomes(router, pairs, backend=None):
+    """Per pair: the route from ``route()`` (or from a one-pair batch
+    on ``backend``), or the ``KeyError`` it raised.
+
+    GF's object-path boundary walk reads the positions of a stale
+    cycle's first nodes, and fails on those the graph no longer has.
+    """
+    found = []
+    for s, d in pairs:
+        try:
+            if backend is None:
+                found.append(router.route(s, d))
+            else:
+                [result] = router.route_batch([(s, d)], backend=backend)
+                found.append(result)
+        except KeyError as error:
+            found.append(("KeyError", error.args))
+    return found
+
+
+class FixedBoundary:
+    """One hand-written hole boundary (the ``HoleBoundaries`` protocol)."""
+
+    def __init__(self, cycle):
+        self.cycle = cycle
+
+    def boundary_of(self, node):
+        return self.cycle if node in self.cycle else None
+
+
+def spy_on_gf_recovery(monkeypatch):
+    """Tally the recovery rungs ``GreedyRouter._run`` reaches.
+
+    The oracle is watched, not the executor: with batches equal to
+    ``route()`` and no handover, every rung the object path reaches
+    is one the executor replicated.
+    """
+    from repro.routing import greedy
+
+    tally = Counter()
+    face_walk = greedy.face_recovery
+    boundary_walk = GreedyRouter._boundhole_recovery
+
+    def face(trace, *args, **kwargs):
+        tally["face walk"] += 1
+        return face_walk(trace, *args, **kwargs)
+
+    def walk(self, trace, destination):
+        stuck = trace.current
+        faces = tally["face walk"]
+        failure = boundary_walk(self, trace, destination)
+        if tally["face walk"] > faces:
+            cycle = self._hole_boundaries().boundary_of(stuck)
+            short = cycle is None or len(cycle) < 2
+            tally["no boundary" if short else "stale edge"] += 1
+        elif failure is None:
+            tally["arrived" if trace.current == destination else "exit"] += 1
+        else:
+            tally[failure] += 1  # the whole cycle, or a TTL cut
+        return failure
+
+    monkeypatch.setattr(greedy, "face_recovery", face)
+    monkeypatch.setattr(GreedyRouter, "_boundhole_recovery", walk)
+    return tally
 
 
 class TestBatchEquivalence:
@@ -144,13 +234,122 @@ class TestBatchEquivalence:
             assert_batch_equivalent(router, pairs)
 
     def test_batch_over_failure_restricted_graph(self, random_net):
-        """Sparse ids (failures leave holes) take the padded views."""
+        """Sparse ids (failures leave holes) take the padded views; GF
+        also walks the boundaries of the graph before the failures."""
         graph, _, _ = random_net
         survivor = graph.without_nodes(range(0, 400, 5))
         model = InformationModel.build(survivor)
         pairs = sample_pairs(survivor, 30, seed=6)
-        for router in all_routers(survivor, model):
-            assert_batch_equivalent(router, pairs)
+        for router in all_routers(survivor, model, before=graph):
+            assert outcomes(router, pairs, "auto") == outcomes(router, pairs)
+
+
+class TestGfOnIndices:
+    def test_no_packet_hands_over(
+        self, monkeypatch, random_net, obstacle_net, pocket_grid
+    ):
+        """Every GF config over the equivalence networks, with the
+        object-path bridge closed: both recovery modes run on indices
+        and match route() bit for bit, errors included."""
+        from repro.routing import batch
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("GF handed a packet to _run")
+
+        monkeypatch.setattr(batch._Executor, "_handover", refuse)
+        tally = spy_on_gf_recovery(monkeypatch)
+        graph = random_net[0]
+        cases = [(graph, None, sample_pairs(graph, 40, s)) for s in (0, 1, 2)]
+        graph = obstacle_net[0]
+        cases.append((graph, None, sample_pairs(graph, 40, seed=3)))
+        graph = pocket_grid[0]
+        cases.append((graph, None, sample_pairs(graph, 60, seed=4)))
+        graph, _ = make_random_graph(n=70, seed=9)
+        cases.append((graph, None, sample_pairs(graph, 50, 5)))
+        # More pairs here: few packets stick on a stale boundary.
+        graph = random_net[0].without_nodes(range(0, 400, 5))
+        cases.append((graph, random_net[0], sample_pairs(graph, 150, 6)))
+        reached = [Counter() for _ in range(5)]
+        for graph, before, pairs in cases:
+            for counts, router in zip(reached, gf_routers(graph, before)):
+                tally.clear()
+                sequential = outcomes(router, pairs)
+                assert outcomes(router, pairs, "scalar") == sequential
+                counts.update(tally)
+                counts["re-entered"] += sum(
+                    result.perimeter_entries > 1
+                    for result in sequential
+                    if isinstance(result, RouteResult)
+                )
+        # Not vacuous: each rung of the recovery is reached.
+        face, rng, boundhole, tight, stale = reached
+        assert face["face walk"] > 0 and rng["face walk"] > 0
+        assert face["re-entered"] > 0 and boundhole["re-entered"] > 0
+        assert boundhole["exit"] > 0
+        assert boundhole["unreachable"] > 0  # a whole cycle, no closer
+        assert tight["ttl_exceeded"] > 0  # cut mid-walk
+        assert stale["stale edge"] > 0 and stale["no boundary"] > 0
+
+    def test_boundary_hop_to_d_one_past_ttl(self):
+        """The walk takes the hop to an adjacent destination without a
+        TTL check, so the route ends one hop past ``ttl``."""
+        positions = [
+            Point(0.0, 0.0),  # the destination
+            Point(10.0, 0.0),  # the source, stuck: 2 is farther
+            Point(13.0, 4.0),
+            Point(9.0, 7.0),
+            Point(4.0, 4.0),  # the destination's only neighbour
+        ]
+        graph = build_unit_disk_graph(positions, 6.0)
+        router = GreedyRouter(
+            graph,
+            ttl=3,
+            recovery="boundhole",
+            hole_boundaries=FixedBoundary((1, 2, 3, 4, 3, 2)),
+        )
+        expected = router.route(1, 0)
+        assert expected.path == (1, 2, 3, 4, 0) and expected.delivered
+        assert router.route_batch([(1, 0)]) == [expected]
+
+    def test_boundary_exit_needs_a_clear_gain(self):
+        """A walk node less than ``_EPS`` closer than the stuck node is
+        no exit (``< exit_dist - 1e-9``): the walk goes on past it."""
+        k = 1.0 - 5e-11  # |3| = 10 - 5e-10, inside the band
+        positions = [
+            Point(0.0, 0.0),  # the destination
+            Point(10.0, 0.0),  # the source, stuck: 2 is farther
+            Point(13.0, 4.0),
+            Point(8.0 * k, 6.0 * k),
+            Point(4.0, 6.0),  # the first clear gain
+            Point(2.0, 3.0),
+        ]
+        graph = build_unit_disk_graph(positions, 6.0)
+        router = GreedyRouter(
+            graph,
+            recovery="boundhole",
+            hole_boundaries=FixedBoundary((1, 2, 3, 4, 3, 2)),
+        )
+        expected = router.route(1, 0)
+        assert expected.path == (1, 2, 3, 4, 5, 0)
+        assert expected.phases[:3] == ("perimeter",) * 3
+        assert router.route_batch([(1, 0)]) == [expected]
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("seed", [2009, 2010, 2011])
+    @pytest.mark.parametrize("deployment", ["IA", "FA"])
+    def test_paper_scale_sweep(self, deployment, seed):
+        """Paper-scale networks, where FA's obstacle rims make boundary
+        walks long and common."""
+        from repro.api import Scenario, Session
+
+        session = Session(
+            Scenario(deployment_model=deployment, node_count=800, seed=seed)
+        )
+        pairs = sample_pairs(session.graph, 500, seed)
+        for router in gf_routers(session.graph):
+            assert router.route_batch(pairs, backend="scalar") == [
+                router.route(s, d) for s, d in pairs
+            ]
 
 
 class TestSlgf2OnIndices:

@@ -7,6 +7,7 @@ under concurrency, across backends, and through topology updates.
 
 import builtins
 import threading
+import time
 
 import pytest
 
@@ -280,3 +281,61 @@ class TestWithoutNumpy:
         )
         assert status == 400
         assert "numpy" in body["error"]
+
+    def test_a_numpy_request_leaves_its_batch_mates_alone(
+        self, make_harness, scenario_doc, no_numpy
+    ):
+        """The 400 is that request's alone: a plain route sharing its
+        micro-batch still answers 200 with the direct result."""
+        server = make_harness()
+        created = server.create(scenario_doc)
+        session_id = created["session"]
+        source, destination = created["node_ids"][0], created["node_ids"][9]
+        resident = server.resident(session_id)
+
+        def queued():
+            return server.call(lambda: sum(resident.stats.queries.values()))
+
+        before = queued()
+        server.call(resident.hold)
+        answers = {}
+
+        def send(kind, body):
+            answers[kind] = server.request(
+                "POST", f"/sessions/{session_id}/{kind}", body
+            )
+
+        threads = [
+            threading.Thread(
+                target=send,
+                args=("route_pairs", {"count": 2, "backend": "numpy"}),
+            ),
+            threading.Thread(
+                target=send,
+                args=(
+                    "route",
+                    {
+                        "source": source,
+                        "destination": destination,
+                        "router": "GF",
+                    },
+                ),
+            ),
+        ]
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + 30
+        while queued() < before + 2:  # both wait for the held drain
+            assert time.monotonic() < deadline, "requests never queued"
+            time.sleep(0.01)
+        server.call(resident.release)
+        for thread in threads:
+            thread.join(timeout=30)
+        status, body, _ = answers["route_pairs"]
+        assert status == 400
+        assert "numpy" in body["error"]
+        status, body, _ = answers["route"]
+        assert status == 200, body
+        direct = Session(scenario_from_dict(scenario_doc))
+        expected = direct.router("GF").route(source, destination)
+        assert RouteResult.from_dict(body["result"]) == expected
