@@ -113,8 +113,8 @@ def _jsonable(value):
         # 200 and 200.0 are the same scenario input (and compute the
         # same numbers), but json.dumps renders them differently; the
         # wire codec delivers int-valued coordinates as floats, so
-        # without this an exported plan's keys would never match the
-        # keys a worker re-derives from the decoded scenario.
+        # without this a decoded scenario would never share a key
+        # with the one it was encoded from.
         return int(value) if value.is_integer() else value
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
@@ -444,24 +444,6 @@ class Study:
 
     def cells(self) -> tuple[Cell, ...]:
         return tuple(cell for cell, _ in self.plan())
-
-    def export_plan(self, path=None, cache: ResultCache | None = None):
-        """The grid as a distributable work-unit plan (:mod:`repro.dist`).
-
-        Compiles every cell to a ``(scenario, cache-key)`` unit for the
-        distributed layer; with ``cache``, already-cached cells are
-        pruned (resumability).  With ``path``, the plan is also written
-        as its portable JSON document and the path returned; otherwise
-        the :class:`~repro.dist.plan.StudyPlan` itself is.  Imported
-        lazily — the Study API does not pay for the dist layer until a
-        plan is exported.
-        """
-        from repro.dist.plan import compile_plan, write_plan
-
-        plan = compile_plan(self, cache=cache)
-        if path is not None:
-            return write_plan(plan, path)
-        return plan
 
     def scenario(self, cell: Cell) -> Scenario:
         for candidate, scenario in self.plan():

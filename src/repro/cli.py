@@ -11,8 +11,6 @@ figure tables::
     repro-wasn --full --jobs 8         # 8 worker processes
     repro-wasn --full                  # second run: served from cache
     repro-wasn serve --port 8707       # routing-as-a-service (HTTP)
-    repro-wasn dist-worker --plan shard_0.json --bundle out/shard_0
-                                       # headless shard worker (repro.dist)
 
 The CLI drives everything through :mod:`repro.api`: router selection
 is by registered name (schemes added via
@@ -163,9 +161,7 @@ def main(argv: list[str] | None = None) -> int:
 
     ``repro-wasn serve ...`` hands over to the service CLI
     (:mod:`repro.serve.cli`) — a resident-session query server over
-    HTTP; ``repro-wasn dist-worker ...`` to the distributed-execution
-    shard worker (:mod:`repro.dist.worker`); everything else is the
-    figure pipeline below.
+    HTTP; everything else is the figure pipeline below.
     """
     if argv is None:
         argv = sys.argv[1:]
@@ -175,12 +171,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.serve.cli import main as serve_main
 
         return serve_main(argv[1:])
-    if argv and argv[0] == "dist-worker":
-        # Likewise on demand: the headless shard worker of the
-        # distributed layer (:mod:`repro.dist.worker`).
-        from repro.dist.worker import main as worker_main
-
-        return worker_main(argv[1:])
     parser = _parser()
     args = parser.parse_args(argv)
     if args.list_routers:

@@ -14,16 +14,11 @@ project and render the paper's Figs. 5-7 from the
 """
 
 from repro.experiments.cache import (
-    BundleError,
-    BundleStats,
     CacheCorruptionWarning,
     ResultCache,
     default_cache,
-    export_bundle,
-    import_bundle,
     point_from_dict,
     point_to_dict,
-    verify_bundle,
 )
 from repro.experiments.config import (
     PAPER_CONFIG,
@@ -52,8 +47,6 @@ from repro.experiments.sweep import PointResult, RouterPointMetrics, SweepResult
 
 __all__ = [
     "FIGURES",
-    "BundleError",
-    "BundleStats",
     "CacheCorruptionWarning",
     "EngineTask",
     "ExperimentConfig",
@@ -71,8 +64,6 @@ __all__ = [
     "all_figures",
     "default_cache",
     "default_jobs",
-    "export_bundle",
-    "import_bundle",
     "fig5",
     "fig6",
     "fig7",
@@ -84,5 +75,4 @@ __all__ = [
     "to_chart",
     "to_csv",
     "to_json",
-    "verify_bundle",
 ]

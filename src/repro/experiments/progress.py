@@ -46,10 +46,8 @@ class ProgressEvent(str):
         The split behind ``completed``: units served from the result
         cache vs. units evaluated this run.  ``completed == cached +
         computed`` on every completion event, which is what lets a
-        consumer that aggregates *several* streams (the CLI's summary
-        line, the distributed driver's per-host merge) report an
-        honest hit rate instead of double-counting cells that were
-        cache hits before dispatch.
+        consumer (the CLI's summary line) report an honest hit rate
+        from the final event alone, without counting events itself.
     elapsed_s / eta_s:
         Seconds since the run started, and the remaining-time estimate
         extrapolated from the *computed* units' pace (``None`` while

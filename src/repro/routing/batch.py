@@ -545,12 +545,23 @@ class _GreedyExecutor(_Executor):
         direction whose first node is no farther from ``d``, and exits
         on the first node closer to ``d`` than ``u``.  The face walk
         takes over where the object path calls ``face_recovery``: no
-        boundary through ``u``, or a boundary edge the graph no longer
-        has.  Returns ``(current, length, failure)`` like
-        :meth:`_face_phase`.
+        boundary through ``u``, a first node the graph no longer has,
+        or a boundary edge the graph no longer has.  Returns
+        ``(current, length, failure)`` like :meth:`_face_phase`.
         """
         cycle = self.router._hole_boundaries().boundary_of(u)
         if cycle is None or len(cycle) < 2:
+            return self._face_phase(
+                u, destination, path, phases, length, ttl, True
+            )
+        index = cycle.index(u)
+        forward = cycle[index + 1 :] + cycle[:index]
+        backward = cycle[:index][::-1] + cycle[index + 1 :][::-1]
+        ahead = forward[0]
+        behind = backward[0]
+        graph = self.router.graph
+        if ahead not in graph or behind not in graph:
+            # A stale cycle names a node the graph no longer has.
             return self._face_phase(
                 u, destination, path, phases, length, ttl, True
             )
@@ -561,17 +572,6 @@ class _GreedyExecutor(_Executor):
         xd = xs[destination]
         yd = ys[destination]
         exit_limit = hyp(xs[u] - xd, ys[u] - yd) - _EPS
-        index = cycle.index(u)
-        forward = cycle[index + 1 :] + cycle[:index]
-        backward = cycle[:index][::-1] + cycle[index + 1 :][::-1]
-        ahead = forward[0]
-        behind = backward[0]
-        graph = self.router.graph
-        for first in (ahead, behind):
-            if first not in graph:
-                # A stale cycle's absent node: the object path's
-                # position lookup fails the same way.
-                raise KeyError(first)
         if hyp(xs[ahead] - xd, ys[ahead] - yd) <= hyp(
             xs[behind] - xd, ys[behind] - yd
         ):
@@ -595,7 +595,8 @@ class _GreedyExecutor(_Executor):
             u = node
             hops += 1
             if destination in rows[node]:
-                # No TTL check: the route may end one hop past ttl.
+                if hops >= ttl:
+                    return u, length, "ttl_exceeded"
                 path.append(destination)
                 phases.append(_PERIMETER)
                 length += hyp(xn - xd, yn - yd)

@@ -20,7 +20,6 @@ destination than the point where it got stuck.
 
 from __future__ import annotations
 
-import math
 from typing import Protocol
 
 from repro.geometry import Point
@@ -173,15 +172,17 @@ class GreedyRouter(Router):
         backward = tuple(reversed(cycle[:index])) + tuple(
             reversed(cycle[index + 1 :])
         )
+        if forward[0] not in graph or backward[0] not in graph:
+            # A stale boundary that names a node the graph no longer
+            # has (e.g. built before node failures).
+            return face_recovery(trace, graph, self._planar, destination)
         # Pick the direction that gets closer to the destination sooner.
-        def first_gain(order: tuple[NodeId, ...]) -> float:
-            return (
-                graph.position(order[0]).distance_to(pd)
-                if order
-                else math.inf
-            )
-
-        walk = forward if first_gain(forward) <= first_gain(backward) else backward
+        walk = (
+            forward
+            if graph.position(forward[0]).distance_to(pd)
+            <= graph.position(backward[0]).distance_to(pd)
+            else backward
+        )
         for node in walk:
             if trace.exhausted():
                 return "ttl_exceeded"
@@ -191,6 +192,8 @@ class GreedyRouter(Router):
                 return face_recovery(trace, graph, self._planar, destination)
             trace.advance(node, Phase.PERIMETER)
             if graph.has_edge(node, destination):
+                if trace.exhausted():
+                    return "ttl_exceeded"
                 trace.advance(destination, Phase.PERIMETER)
                 return None
             if graph.position(node).distance_to(pd) < exit_dist - _EPS:

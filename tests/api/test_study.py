@@ -295,9 +295,8 @@ class TestStreaming:
         """Satellite: ``completed == cached + computed`` on every event.
 
         Pre-dispatch cache hits must be reported as *cached*, never
-        folded into the computed count — the invariant that lets
-        multi-stream consumers (the distributed driver's aggregator,
-        the CLI hit-rate line) add counters without double-counting."""
+        folded into the computed count — the invariant the CLI's
+        hit-rate line reads off the final event."""
         study = self._study()
         cold_events, warm_events = [], []
         study.run(cache=ResultCache(tmp_path), progress=cold_events.append)

@@ -32,7 +32,6 @@ from repro.protocols import build_hole_boundaries
 from repro.routing import (
     GreedyRouter,
     LgfRouter,
-    RouteResult,
     RoutingError,
     SlgfRouter,
     Slgf2Router,
@@ -131,30 +130,11 @@ def on_unit_disk_substrate(router, graph):
     return router
 
 
-def assert_batch_equivalent(router, pairs):
+def assert_batch_equivalent(router, pairs, backend="auto"):
     sequential = [router.route(s, d) for s, d in pairs]
-    batched = router.route_batch(pairs)
+    batched = router.route_batch(pairs, backend=backend)
     assert batched == sequential  # frozen dataclasses: exact floats
-
-
-def outcomes(router, pairs, backend=None):
-    """Per pair: the route from ``route()`` (or from a one-pair batch
-    on ``backend``), or the ``KeyError`` it raised.
-
-    GF's object-path boundary walk reads the positions of a stale
-    cycle's first nodes, and fails on those the graph no longer has.
-    """
-    found = []
-    for s, d in pairs:
-        try:
-            if backend is None:
-                found.append(router.route(s, d))
-            else:
-                [result] = router.route_batch([(s, d)], backend=backend)
-                found.append(result)
-        except KeyError as error:
-            found.append(("KeyError", error.args))
-    return found
+    return sequential
 
 
 class FixedBoundary:
@@ -235,13 +215,15 @@ class TestBatchEquivalence:
 
     def test_batch_over_failure_restricted_graph(self, random_net):
         """Sparse ids (failures leave holes) take the padded views; GF
-        also walks the boundaries of the graph before the failures."""
+        also walks the boundaries of the graph before the failures, and
+        every pair is routed, including where a cycle's first node is
+        gone."""
         graph, _, _ = random_net
         survivor = graph.without_nodes(range(0, 400, 5))
         model = InformationModel.build(survivor)
         pairs = sample_pairs(survivor, 30, seed=6)
         for router in all_routers(survivor, model, before=graph):
-            assert outcomes(router, pairs, "auto") == outcomes(router, pairs)
+            assert_batch_equivalent(router, pairs)
 
 
 class TestGfOnIndices:
@@ -250,7 +232,7 @@ class TestGfOnIndices:
     ):
         """Every GF config over the equivalence networks, with the
         object-path bridge closed: both recovery modes run on indices
-        and match route() bit for bit, errors included."""
+        and match route() bit for bit."""
         from repro.routing import batch
 
         def refuse(self, *args, **kwargs):
@@ -273,13 +255,10 @@ class TestGfOnIndices:
         for graph, before, pairs in cases:
             for counts, router in zip(reached, gf_routers(graph, before)):
                 tally.clear()
-                sequential = outcomes(router, pairs)
-                assert outcomes(router, pairs, "scalar") == sequential
+                sequential = assert_batch_equivalent(router, pairs, "scalar")
                 counts.update(tally)
                 counts["re-entered"] += sum(
-                    result.perimeter_entries > 1
-                    for result in sequential
-                    if isinstance(result, RouteResult)
+                    result.perimeter_entries > 1 for result in sequential
                 )
         # Not vacuous: each rung of the recovery is reached.
         face, rng, boundhole, tight, stale = reached
@@ -291,8 +270,8 @@ class TestGfOnIndices:
         assert stale["stale edge"] > 0 and stale["no boundary"] > 0
 
     def test_boundary_hop_to_d_one_past_ttl(self):
-        """The walk takes the hop to an adjacent destination without a
-        TTL check, so the route ends one hop past ``ttl``."""
+        """The walk checks the TTL before the hop to an adjacent
+        destination: a hop one past ``ttl`` is not taken."""
         positions = [
             Point(0.0, 0.0),  # the destination
             Point(10.0, 0.0),  # the source, stuck: 2 is farther
@@ -308,7 +287,8 @@ class TestGfOnIndices:
             hole_boundaries=FixedBoundary((1, 2, 3, 4, 3, 2)),
         )
         expected = router.route(1, 0)
-        assert expected.path == (1, 2, 3, 4, 0) and expected.delivered
+        assert expected.path == (1, 2, 3, 4) and not expected.delivered
+        assert expected.failure_reason == "ttl_exceeded"
         assert router.route_batch([(1, 0)]) == [expected]
 
     def test_boundary_exit_needs_a_clear_gain(self):

@@ -18,6 +18,12 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["--figures", "fig9"])
 
+    def test_removed_dist_worker_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["dist-worker", "--plan", "shard_0.json"])
+        assert exc.value.code == 2
+        assert "usage: repro-wasn" in capsys.readouterr().err
+
     def test_duplicate_models_collapse(self, capsys, monkeypatch):
         # Regression: repeated --models must not become a repeated
         # study axis value (panels are per model, duplicates collapse).
