@@ -25,6 +25,15 @@ supplies the y-extent.  For type 1 (scan starts at the east axis) the
 first chain is horizontal-hugging, which reproduces the paper's
 ``[x_u : x_u(1), y_u : y_u(2)]`` exactly; for types 2 and 4 the roles
 swap because the scan starts at a vertical edge.
+
+The scan reads the topology's rotation system
+(:class:`~repro.network.rotation.Rotation`, which BOUNDHOLE walks too):
+on a row its band contract leaves unflagged, ``Q_i(u)`` is one arc of
+``u``'s neighbours in angular order, already in the CCW scan order, so
+``v_1`` and ``v_2`` are the arc's first and last heads.  A flagged row
+(near-tied angles, a neighbour on a quadrant axis or at ``u``'s own
+position) filters the quadrant by sign tests and sorts it with
+:func:`~repro.geometry.angles.sort_ccw` instead.
 """
 
 from __future__ import annotations
@@ -42,6 +51,7 @@ from repro.geometry import Point, Rect
 from repro.geometry.angles import sort_ccw
 from repro.network.graph import WasnGraph
 from repro.network.node import NodeId
+from repro.network.rotation import rotation_of
 
 __all__ = ["ShapeInfo", "ShapeModel", "compute_shapes"]
 
@@ -141,8 +151,7 @@ class ShapeModel:
                 ):
                     continue
                 # All quadrant neighbours of an unsafe node are unsafe
-                # (Definition 1), so membership is guaranteed; assert
-                # stays as an internal consistency check.
+                # (Definition 1), so the region needs no safety test.
                 region.add(v)
                 frontier.append(v)
         return region
@@ -174,11 +183,16 @@ def compute_shapes(safety: SafetyModel, mode: str = "chain") -> ShapeModel:
             f"unknown shape mode {mode!r}; expected 'chain' or 'exact'"
         )
     graph = safety.graph
+    rotation = rotation_of(graph)
+    ids, head, band = rotation.ids, rotation.head, rotation.band
+    arcs, row_end = rotation.arcs, rotation.indptr
+    index_of = {u: i for i, u in enumerate(ids)}
     shapes: dict[ZoneType, dict[NodeId, ShapeInfo]] = {}
     for zone_type in ZONE_TYPES:
         per_node: dict[NodeId, ShapeInfo] = {}
         unsafe = safety.unsafe_nodes(zone_type)
         start_angle = quadrant_start_angle(zone_type)
+        arc = zone_type - 1
         ordered = sorted(
             unsafe,
             key=lambda u: (
@@ -188,18 +202,28 @@ def compute_shapes(safety: SafetyModel, mode: str = "chain") -> ShapeModel:
         )
         for u in ordered:
             pu = graph.position(u)
-            in_quadrant = [
-                v
-                for v in graph.neighbors(u)
-                if forwarding_zone_contains(pu, zone_type, graph.position(v))
-            ]
-            if not in_quadrant:
+            i = index_of[u]
+            if band[i] or mode == "exact":
+                in_quadrant = [
+                    v
+                    for v in graph.neighbors(u)
+                    if forwarding_zone_contains(
+                        pu, zone_type, graph.position(v)
+                    )
+                ]
+            if band[i]:
+                # A flagged row: the scan is the sorted quadrant filter.
+                scan = sort_ccw(pu, start_angle, in_quadrant, graph.position)
+                ends = (scan[0], scan[-1]) if scan else None
+            else:
+                # Q_i(u) is this arc of u's rotation, in scan order.
+                lo = arcs[4 * i + arc]
+                hi = arcs[4 * i + arc + 1] if arc < 3 else row_end[i + 1]
+                ends = (ids[head[lo]], ids[head[hi - 1]]) if lo < hi else None
+            if ends is None:
                 first_far = last_far = u
             else:
-                scan = sort_ccw(
-                    pu, start_angle, in_quadrant, graph.position
-                )
-                v1, v2 = scan[0], scan[-1]
+                v1, v2 = ends
                 # v's record exists unless v coincides with u (degenerate
                 # duplicate-position tie) — fall back to v itself then.
                 v1_info = per_node.get(v1)

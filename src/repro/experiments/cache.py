@@ -265,12 +265,14 @@ class ResultCache:
             return None
         path = self.path_for(key)
         try:
-            text = path.read_text(encoding="utf-8")
+            data = path.read_bytes()
         except OSError:
             self.misses += 1
             return None
         try:
-            point = decode_point(text)
+            # UnicodeDecodeError is a ValueError: bytes that are not
+            # UTF-8 are corrupt like truncated JSON is.
+            point = decode_point(data.decode("utf-8"))
         except ValueError as error:
             self.corrupt += 1
             self.misses += 1

@@ -58,6 +58,7 @@ __all__ = [
     "masked_adjacency",
     "planar_mask",
     "quadrant_tables",
+    "rotation_columns",
     "safety_labels",
     "unit_disk_pairs",
 ]
@@ -645,3 +646,127 @@ def safety_labels(np, axs, ays, aindptr, aindices, edge_flags: Sequence[bool]):
         flips = st & can_flip & (cnt == 0)
     columns = [st[qi * n : (qi + 1) * n].tolist() for qi in range(4)]
     return columns, rounds
+
+
+# -- the rotation system --------------------------------------------------
+
+# Absolute margin around the rotation's decisions.  np.arctan2 and
+# math.atan2 differ by an ulp on some offsets (~1e-15 on angles below
+# 2*pi), so verdicts this far from a decision are the scalar verdicts.
+_ROTATION_MARGIN = 1e-12
+
+
+def rotation_columns(
+    np,
+    axs,
+    ays,
+    aindptr,
+    aindices,
+    band: float,
+    tent_gap: float,
+    axes: Sequence[float],
+    scalar_row: Callable[[int], tuple],
+):
+    """The rotation's columns (see :class:`repro.network.rotation.Rotation`)
+    as array ops, bit-identical to the scalar build.
+
+    ``arctan2`` and the ``normalize_angle`` steps give every directed
+    edge its angle; one argsort on a fused (row, angle) key orders
+    each row; cyclic gaps, widest gaps and quadrant counts follow per
+    row with ``reduceat`` and ``bincount``.  Defect contract: a row
+    whose gaps, angles or widest-gap verdicts come within
+    :data:`_ROTATION_MARGIN` of a decision (the ``band`` on gaps and
+    quadrant axes, TENT's ``tent_gap``, a tie between its two widest
+    gaps), every row with tied keys, and so every flagged row, is
+    recomputed by ``scalar_row(i)``, which returns
+    :func:`repro.network.rotation.rotation_row`'s tuple.
+    """
+    n = aindptr.shape[0] - 1
+    m = aindices.shape[0]
+    deg = np.diff(aindptr)
+    src = np.repeat(np.arange(n, dtype=np.int32), deg)
+    tau = math.tau
+    # normalize_angle(math.atan2(dy, dx)), step for step, in place (the
+    # temporaries of this kernel set its memory peak).
+    theta = ays[aindices]
+    theta -= ays[src]
+    dx = axs[aindices]
+    dx -= axs[src]
+    np.arctan2(theta, dx, out=theta)
+    del dx
+    np.fmod(theta, tau, out=theta)
+    theta[theta < 0.0] += tau
+    theta[theta >= tau] -= tau
+    # One argsort on the fused key 8 * row + angle: each row's keys lie
+    # in [8 * row, 8 * row + 2*pi), apart from every other row's, and a
+    # NaN angle keys at 8 * row to stay in its row.  Rounding the sum
+    # is monotone in the angle, so a row whose keys strictly increase
+    # is in its exact (tie-free) order; a row with two equal keys is
+    # recomputed below.
+    key = np.where(theta == theta, theta, 0.0)
+    key += src * 8.0
+    order = np.argsort(key)
+    key = key[order]
+    head = aindices[order]
+    angle = theta[order]
+    del theta, order
+    lo = aindptr[:-1]
+    rows = np.nonzero(deg)[0]
+    starts = lo[rows]
+    # ccw_angle_distance to the cyclically next angle of the row.
+    following = np.arange(1, m + 1, dtype=np.int32)
+    following[aindptr[1:][rows] - 1] = starts
+    gap = angle[following]
+    gap -= angle
+    np.fmod(gap, tau, out=gap)
+    gap[gap < 0.0] += tau
+    gap[gap >= tau] -= tau
+
+    reach = band + _ROTATION_MARGIN
+    edge_redo = ~(gap > reach)  # NaN gaps included
+    edge_redo |= key[following] == key
+    del key, following
+    edge_redo |= angle <= reach
+    edge_redo |= tau - angle <= reach
+    quarter = np.zeros(m, dtype=np.int32)
+    for axis in axes:
+        edge_redo |= np.abs(angle - axis) <= reach
+        quarter += angle >= axis
+    del angle
+    redo = np.zeros(n, dtype=bool)
+    redo[src[edge_redo]] = True
+    del edge_redo
+
+    stuck = np.full(n, -1, dtype=np.int64)
+    if rows.shape[0]:
+        worst = np.maximum.reduceat(gap, starts)
+        is_stuck = worst > tent_gap
+        redo[rows] |= np.abs(worst - tent_gap) <= _ROTATION_MARGIN
+        per_edge = np.repeat(worst, deg[rows])
+        near = np.add.reduceat(
+            gap >= per_edge - _ROTATION_MARGIN, starts, dtype=np.int64
+        )
+        redo[rows] |= is_stuck & (near > 1)
+        # The first slot of each stuck row that holds its widest gap.
+        per_edge[np.repeat(~is_stuck, deg[rows])] = np.nan
+        slots = np.flatnonzero(gap == per_edge)
+        _, first = np.unique(src[slots], return_index=True)
+        stuck[rows[is_stuck]] = slots[first]
+
+    quarter += src * 4
+    counts = np.bincount(quarter, minlength=4 * n).reshape(n, 4)
+    arcs = np.empty((n, 4), dtype=np.int64)
+    arcs[:, 0] = lo
+    np.cumsum(counts[:, :3], axis=1, out=arcs[:, 1:])
+    arcs[:, 1:] += lo[:, None]
+
+    head_arr = array("q", head.tobytes())
+    flags = bytearray(n)
+    arcs_arr = array("q", arcs.tobytes())
+    stuck_arr = array("q", stuck.tobytes())
+    for i in np.nonzero(redo)[0].tolist():
+        row_head, flags[i], row_arcs, stuck_arr[i] = scalar_row(i)
+        start = row_arcs[0]
+        head_arr[start : start + len(row_head)] = array("q", row_head)
+        arcs_arr[4 * i : 4 * i + 4] = array("q", row_arcs)
+    return head_arr, bytes(flags), arcs_arr, stuck_arr

@@ -25,11 +25,12 @@ the common case of a freshly deployed network the ids *are*
 neighbour *indices*; the row view (:meth:`rows`) stores neighbour
 *ids* — because ids ascend with indices, both are sorted ascending.
 
-Everything derived (CSR arrays, lengths, masks, padded by-id views)
-is computed lazily and cached: a core built for one routing batch
-never pays for columns the batch does not touch, and cores that share
-structure (e.g. the same graph with different edge flags, see
-:meth:`with_edge_flags`) share their planarization caches.
+Everything derived (CSR arrays, lengths, masks, the rotation system,
+padded by-id views) is computed lazily and cached: a core built for
+one routing batch never pays for columns the batch does not touch, and
+cores that share structure (e.g. the same graph with different edge
+flags, see :meth:`with_edge_flags`) share their planarizations and
+rotation.
 """
 
 from __future__ import annotations
@@ -43,6 +44,14 @@ from repro._optional import require_numpy
 from repro.geometry import Point
 from repro.network import construct as _construct
 from repro.network.node import NodeId
+from repro.network.rotation import (
+    AXES,
+    TENT_GAP,
+    Rotation,
+    _ROTATION_BAND,
+    build_rotation,
+    rotation_row,
+)
 
 __all__ = ["CoreArrays", "TopologyCore", "build_core"]
 
@@ -92,7 +101,7 @@ class TopologyCore:
         "_indptr",
         "_indices",
         "_lengths",
-        "_planar",
+        "_shared",
         "_coords_by_id",
         "_rows_by_id",
         "_flags_by_id",
@@ -109,7 +118,7 @@ class TopologyCore:
         radius: float,
         edge_flags: tuple[bool, ...],
         rows: tuple[tuple[NodeId, ...], ...],
-        planar_cache: dict | None = None,
+        shared: dict | None = None,
         backend: str = "auto",
     ) -> None:
         if radius <= 0:
@@ -135,9 +144,11 @@ class TopologyCore:
         self._indptr: array | None = None
         self._indices: array | None = None
         self._lengths: array | None = None
-        # kind -> (mask bytearray, planar adjacency dict); shared with
-        # flag-variants of this core (planarization ignores edge flags).
-        self._planar: dict = planar_cache if planar_cache is not None else {}
+        # Structure-derived columns, shared with flag-variants of this
+        # core (neither planarization nor rotation reads edge flags):
+        # kind -> (mask bytearray, planar adjacency dict), and
+        # "rotation" -> Rotation.
+        self._shared: dict = shared if shared is not None else {}
         self._coords_by_id: tuple[list, list] | None = None
         self._rows_by_id: list | None = None
         self._flags_by_id: list | None = None
@@ -178,7 +189,7 @@ class TopologyCore:
     def with_edge_flags(self, edge_ids: Iterable[NodeId]) -> "TopologyCore":
         """A core sharing all structure, with edge flags replaced.
 
-        The planarization cache is shared too: Gabriel/RNG masks are
+        The planarizations and the rotation are shared too: they are
         pure functions of positions and adjacency, never of flags.
         """
         edge_set = set(edge_ids)
@@ -190,7 +201,7 @@ class TopologyCore:
             self._radius,
             flags,
             self._rows,
-            planar_cache=self._planar,
+            shared=self._shared,
             backend=self._backend,
         )
 
@@ -429,6 +440,45 @@ class TopologyCore:
             )
         return self._ndarrays
 
+    # -- rotation system ------------------------------------------------
+
+    def rotation(self) -> Rotation:
+        """Each row's neighbours in angular order, with the band flags,
+        quadrant arcs and TENT stuck slots of
+        :class:`~repro.network.rotation.Rotation`.
+
+        Computed once per core and shared with its flag variants; the
+        numpy build (:func:`repro.network.construct.rotation_columns`)
+        and the scalar one give the same columns bit for bit.
+        """
+        rotation = self._shared.get("rotation")
+        if rotation is not None:
+            return rotation
+        xs, ys = self._xs, self._ys
+        indptr, indices = self.indptr, self.indices
+        np = _construct.resolve_backend(
+            self._backend, "TopologyCore.rotation() (backend='numpy')"
+        )
+        if np is None:
+            rotation = build_rotation(self._ids, indptr, indices, xs, ys)
+        else:
+            columns = _construct.rotation_columns(
+                np,
+                np.frombuffer(xs, dtype=np.float64),
+                np.frombuffer(ys, dtype=np.float64),
+                np.frombuffer(indptr, dtype=np.int64),
+                np.frombuffer(indices, dtype=np.int64),
+                _ROTATION_BAND,
+                TENT_GAP,
+                AXES,
+                lambda i: rotation_row(
+                    i, indptr[i], indices[indptr[i] : indptr[i + 1]], xs, ys
+                ),
+            )
+            rotation = Rotation(self._ids, indptr, *columns)
+        self._shared["rotation"] = rotation
+        return rotation
+
     # -- planarization masks --------------------------------------------
 
     def planar_mask(self, kind: str) -> bytearray:
@@ -453,14 +503,14 @@ class TopologyCore:
         return adjacency
 
     def _planarization(self, kind: str):
-        cached = self._planar.get(kind)
-        if cached is not None:
-            return cached
         if kind not in _PLANAR_KINDS:
             raise ValueError(
                 f"unknown planarization {kind!r}; "
                 f"expected one of {sorted(_PLANAR_KINDS)}"
             )
+        cached = self._shared.get(kind)
+        if cached is not None:
+            return cached
         np = _construct.resolve_backend(
             self._backend, f"planar_mask({kind!r}) (backend='numpy')"
         )
@@ -486,7 +536,7 @@ class TopologyCore:
                 np, self._ids, aindptr, aindices, mask
             )
             result = (mask, kept)
-            self._planar[kind] = result
+            self._shared[kind] = result
             return result
         mask = self._gabriel_mask() if kind == "gabriel" else self._rng_mask()
         ids = self._ids
@@ -500,7 +550,7 @@ class TopologyCore:
                 row[j] for j in range(len(row)) if mask[base + j]
             )
         result = (mask, kept)
-        self._planar[kind] = result
+        self._shared[kind] = result
         return result
 
     def _gabriel_mask(self) -> bytearray:

@@ -230,6 +230,25 @@ class TestSweepCaching:
         cache.store(key, point)
         assert cache.load(key) == point
 
+    def test_non_utf8_entry_warned_discarded_recomputed(self, tmp_path, cell):
+        """Bytes that are not UTF-8 are a corrupt entry, not a crash."""
+        cache = ResultCache(tmp_path)
+        point, key = cell
+        path = cache.path_for(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(b"\xff\xfe{garbage")
+        with pytest.warns(CacheCorruptionWarning, match="discarding"):
+            assert cache.load(key) is None
+        assert cache.corrupt == 1
+        assert not path.exists()
+        # A run that meets such an entry recomputes the cell.
+        path.write_bytes(b"\xff\xfe{garbage")
+        with pytest.warns(CacheCorruptionWarning, match="discarding"):
+            recomputed = _sweep("IA", jobs=1, cache=cache)
+        uncached = _sweep("IA", jobs=1, cache=ResultCache.disabled())
+        assert recomputed.points == uncached.points
+        assert recomputed.points[0] == point
+
     def test_entry_writes_are_atomic(self, tmp_path, cell):
         """No partial entries: temp file + rename, temp never left behind."""
         cache = ResultCache(tmp_path)

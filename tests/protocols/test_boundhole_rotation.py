@@ -1,28 +1,35 @@
 """Differential suite: BOUNDHOLE on the rotation system vs the object walker.
 
 :mod:`repro.protocols.boundhole` runs TENT, the widest-gap choice and
-the rim walks on the graph's rotation system (each node's neighbours
-sorted by angle): a right-hand step is one lookup in the next node's
-angular order, and only rows the rotation flags as ambiguous re-run the
-scalar ``first_hit_cw`` sweep.
-The claim is *bit identity* with the object-path walker that re-swept
-every neighbour through ``first_hit_cw`` at every step.  That walker is
-kept below, verbatim, as the oracle.
+the rim walks on the topology's rotation system
+(:meth:`~repro.network.core.TopologyCore.rotation`: each node's
+neighbours sorted by angle): a right-hand step is one lookup in the
+next node's angular order, and only rows the rotation's band flags
+re-run the scalar ``first_hit_cw`` sweep.  The claim is *bit identity*
+with the object-path walker that re-swept every neighbour through
+``first_hit_cw`` at every step.  That walker is kept below, verbatim,
+as the oracle.
 
 Every case compares the stuck-node sets, the boundary tuples, and the
-node → boundary map with its items in insertion order.  Topologies:
-the paper's IA and FA models at three densities; a grid with a hole
-(exact angle ties between collinear neighbours); duplicate positions;
-neighbours nudged with ``math.nextafter`` to sit just inside and just
-outside the rotation's defect band and the sweep's exclusion epsilon;
-TENT gaps within one ulp of 120°; single-neighbour and isolated nodes;
-sparse ids; a hand-built graph with unsorted rows (no core); dynamic
-snapshots after failures and restores; and step budgets small enough
-that walks run out.  Two more tests pin the rotation's own contract:
-rows sorted by angle with the documented flags, and on every unflagged
-row the cyclic predecessor equals the scalar sweep.  Base seeds run in
-tier-1; the ``slow``-marked extra seeds run in the CI
-``dynamic-differential`` job.
+node → boundary map with its items in insertion order, once on a core
+whose rotation takes the scalar build and once on one that takes the
+numpy build (numpy's only where it imports), and pins every rotation
+column equal across the two builds.  Topologies: the paper's IA and FA
+models at three densities; a grid with a hole (exact angle ties
+between collinear neighbours); duplicate positions; neighbours nudged
+with ``math.nextafter`` to sit just inside and just outside the
+rotation's defect band and the sweep's exclusion epsilon; neighbours
+exactly on each quadrant axis and one ulp off it; TENT gaps within one
+ulp of 120°; single-neighbour and isolated nodes; NaN positions;
+sparse ids; a hand-built graph with unsorted rows (no core, so the
+scalar build over ``neighbors``); dynamic snapshots after failures and
+restores; and step budgets small enough that walks run out.  More
+tests pin the rotation's own contract: rows sorted by angle with the
+documented flags, arcs and stuck slots, and on every unflagged row the
+cyclic predecessor equals the scalar sweep and each quadrant's arc
+equals the sorted quadrant filter.  Base seeds run in tier-1; the
+``slow``-marked extra seeds run in the CI ``dynamic-differential``
+job, without numpy and with it.
 """
 
 from __future__ import annotations
@@ -32,17 +39,29 @@ import random
 
 import pytest
 
+from repro._optional import load_numpy
+from repro.core.zones import (
+    ZONE_TYPES,
+    forwarding_zone_contains,
+    quadrant_start_angle,
+)
 from repro.geometry import Point, Rect
-from repro.geometry.angles import angle_of, ccw_angle_distance, first_hit_cw
+from repro.geometry.angles import (
+    angle_of,
+    ccw_angle_distance,
+    first_hit_cw,
+    sort_ccw,
+)
 from repro.network import DynamicTopology, WasnGraph, build_unit_disk_graph
+from repro.network.core import TopologyCore
 from repro.network.deployment import (
     deploy_forbidden_area_model,
     deploy_uniform_model,
 )
 from repro.network.node import Node, NodeId
+from repro.network.rotation import rotation_of
 from repro.protocols.boundhole import (
     HoleBoundarySet,
-    _Rotation,
     build_hole_boundaries,
     tent_stuck_nodes,
 )
@@ -52,6 +71,8 @@ RADIUS = 20.0
 BASE_SEED = 2009
 #: Extra seeds, run by the CI ``dynamic-differential`` job (``-m slow``).
 EXTRA_SEEDS = (7, 23, 91)
+#: The rotation builds each case runs on: numpy's only where it imports.
+BUILDS = ("scalar", "numpy") if load_numpy() is not None else ("scalar",)
 
 
 # -- the oracle: the object-path walker, verbatim --------------------------
@@ -160,15 +181,61 @@ def oracle_build_hole_boundaries(
 # -- helpers ---------------------------------------------------------------
 
 
+def on_build(graph: WasnGraph, build: str) -> WasnGraph:
+    """``graph`` over a fresh core whose rotation takes ``build``; a
+    graph without a core (unsorted rows) as it is."""
+    try:
+        core = graph.core
+    except ValueError:
+        return graph
+    fresh = TopologyCore(
+        core.ids,
+        core.xs,
+        core.ys,
+        core.radius,
+        core.edge_flags,
+        core.rows(),
+        backend=build,
+    )
+    return WasnGraph.from_core(fresh)
+
+
+def rotation_columns(graph: WasnGraph) -> tuple:
+    """Every column of ``graph``'s rotation, in comparable form."""
+    rotation = rotation_of(graph)
+    return (
+        rotation.ids,
+        list(rotation.indptr),
+        list(rotation.head),
+        rotation.band,
+        list(rotation.arcs),
+        list(rotation.stuck),
+    )
+
+
+def assert_builds_agree(graph: WasnGraph) -> list[WasnGraph]:
+    """``graph`` on each build, whose rotation columns are all equal."""
+    graphs = [on_build(graph, build) for build in BUILDS]
+    columns = [rotation_columns(g) for g in graphs]
+    assert all(c == columns[0] for c in columns[1:])
+    assert rotation_columns(graph) == columns[0]
+    return graphs
+
+
 def assert_identical(
     graph: WasnGraph, max_steps_factor: float = 4.0
 ) -> HoleBoundarySet:
-    """Both implementations agree on ``graph``; returns the oracle's set."""
-    assert tent_stuck_nodes(graph) == oracle_tent_stuck_nodes(graph)
+    """Both implementations agree on ``graph``, on every rotation build;
+    returns the oracle's set."""
+    stuck = oracle_tent_stuck_nodes(graph)
     expected = oracle_build_hole_boundaries(graph, max_steps_factor)
-    actual = build_hole_boundaries(graph, max_steps_factor)
-    assert actual.boundaries == expected.boundaries
-    assert list(actual._by_node.items()) == list(expected._by_node.items())
+    for built in assert_builds_agree(graph):
+        assert tent_stuck_nodes(built) == stuck
+        actual = build_hole_boundaries(built, max_steps_factor)
+        assert actual.boundaries == expected.boundaries
+        assert list(actual._by_node.items()) == list(
+            expected._by_node.items()
+        )
     return expected
 
 
@@ -179,18 +246,112 @@ def paper_positions(model: str, n: int, seed: int) -> list[Point]:
     return list(deploy_uniform_model(n, AREA, rng).positions)
 
 
-def grid_positions(n=10, spacing=10.0, hole=range(3, 7)) -> list[Point]:
+def turned(x: float, y: float, angle: float) -> Point:
+    """``(x, y)`` turned counter-clockwise about the origin."""
+    c, s = math.cos(angle), math.sin(angle)
+    return Point(x * c - y * s, x * s + y * c)
+
+
+def grid_positions(
+    n=10, spacing=10.0, hole=range(3, 7), angle=0.0
+) -> list[Point]:
+    """A lattice with a square hole, turned by ``angle`` (at 0 every
+    neighbour of a lattice node lies on a quadrant axis or a
+    diagonal)."""
     return [
-        Point(i * spacing, j * spacing)
+        turned(i * spacing, j * spacing, angle)
         for j in range(n)
         for i in range(n)
         if not (i in hole and j in hole)
     ]
 
 
-def ambiguous_ids(graph: WasnGraph) -> set[NodeId]:
-    rotation = _Rotation(graph)
-    return {u for u, flag in zip(rotation.ids, rotation.ambiguous) if flag}
+def flagged_ids(graph: WasnGraph) -> set[NodeId]:
+    rotation = rotation_of(graph)
+    return {u for u, flag in zip(rotation.ids, rotation.band) if flag}
+
+
+_AXES = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
+_AXIS_STEPS = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
+
+
+def _axis_offset(c: Point, q: Point, k: int, side: float) -> float:
+    """How far the angle of ``c -> q`` lies from axis ``k``, on the
+    counter-clockwise (``side`` > 0) or clockwise side, computed as the
+    rotation's band test computes it."""
+    angle = angle_of(c, q)
+    if k == 0 and side < 0:
+        return math.tau - angle
+    return abs(angle - _AXES[k])
+
+
+def off_axis(c: Point, k: int, side: float, inside: bool) -> Point:
+    """A neighbour 10 from ``c`` beside quadrant axis ``k`` whose
+    offset from the axis is the last step within the rotation's 1e-9
+    band (inside) or the first step past it (outside)."""
+    ex, ey = _AXIS_STEPS[k]
+    px, py = -ey * side, ex * side
+
+    def at(t: float) -> Point:
+        return Point(c.x + 10.0 * ex + t * px, c.y + 10.0 * ey + t * py)
+
+    lo, hi = 0.0, 1e-6
+    while math.nextafter(lo, math.inf) < hi:
+        mid = (lo + hi) / 2.0
+        if _axis_offset(c, at(mid), k, side) <= 1e-9:
+            lo = mid
+        else:
+            hi = mid
+    return at(lo if inside else hi)
+
+
+#: Per quadrant axis, how each star's probe neighbour sits: exactly on
+#: the axis, one coordinate ulp off it either way, or just inside or
+#: just outside the band on either side.  Only the last leave the
+#: centre's row unflagged.
+AXIS_PROBES = ("on", "ulp-up", "ulp-down") + tuple(
+    f"{where}-{'ccw' if side > 0 else 'cw'}"
+    for side in (1.0, -1.0)
+    for where in ("inside", "outside")
+)
+
+
+def axis_star_positions() -> tuple[list[Point], dict[int, tuple[int, str]]]:
+    """Stars whose centres each hold one probe neighbour near a
+    quadrant axis (:data:`AXIS_PROBES`) plus four neighbours at generic
+    angles, one per quadrant; returns the positions and, per centre
+    index, its axis and probe."""
+    positions: list[Point] = []
+    centres: dict[int, tuple[int, str]] = {}
+    for k in range(4):
+        for j, probe in enumerate(AXIS_PROBES):
+            c = Point(60.0 * j, 60.0 * k)
+            centres[len(positions)] = (k, probe)
+            positions.append(c)
+            ex, ey = _AXIS_STEPS[k]
+            on = Point(c.x + 10.0 * ex, c.y + 10.0 * ey)
+            if probe == "on":
+                positions.append(on)
+            elif probe.startswith("ulp"):
+                toward = math.inf if probe == "ulp-up" else -math.inf
+                positions.append(
+                    Point(
+                        math.nextafter(on.x, toward) if ey else on.x,
+                        math.nextafter(on.y, toward) if ex else on.y,
+                    )
+                )
+            else:
+                where, hand = probe.split("-")
+                side = 1.0 if hand == "ccw" else -1.0
+                positions.append(off_axis(c, k, side, where == "inside"))
+            for theta in (0.7, 2.3, 3.9, 5.5):
+                positions.append(
+                    Point(
+                        c.x + 9.0 * math.cos(theta),
+                        c.y + 9.0 * math.sin(theta),
+                    )
+                )
+    return positions, centres
 
 
 def _paper_cases(seeds):
@@ -230,7 +391,7 @@ def test_grid_with_hole(radius):
     expected = assert_identical(graph)
     assert len(expected) > 0
     if radius > 20.0:
-        assert ambiguous_ids(graph)
+        assert flagged_ids(graph)
 
 
 @pytest.mark.parametrize("base", ["grid", "IA"])
@@ -253,7 +414,7 @@ def test_duplicate_positions(base):
         )
     }
     assert len(duplicated) >= 24
-    assert duplicated <= ambiguous_ids(graph)
+    assert duplicated <= flagged_ids(graph)
     assert_identical(graph)
 
 
@@ -276,23 +437,36 @@ def test_negative_zero_twin_on_a_ring(side):
     origin = graph.position(node)
     row = [angle_of(origin, graph.position(v)) for v in graph.neighbors(node)]
     assert math.pi in row and 0.0 not in row
-    assert node in ambiguous_ids(graph)
+    assert node in flagged_ids(graph)
     assert_identical(graph)
 
 
 def _nudged_neighbour(u: Point, v: Point, gap: float, inside: bool) -> Point:
-    """A point just north of ``v`` (due east of ``u``) whose angle from
-    ``u`` exceeds ``angle_of(u, v)`` = 0 by at most ``gap`` (inside) or
-    by the least float y above that (outside)."""
-    assert v.y == u.y and v.x > u.x
-    lo, hi = v.y, v.y + 100.0 * gap * (v.x - u.x)
+    """A point beside ``v``, counter-clockwise as seen from ``u``, whose
+    angle from ``u`` exceeds ``angle_of(u, v)`` by at most ``gap``
+    (inside) or by the least step past that (outside)."""
+    dx, dy = v.x - u.x, v.y - u.y
+    length = math.hypot(dx, dy)
+    px, py = -dy / length, dx / length
+    base = angle_of(u, v)
+
+    def at(t: float) -> Point:
+        return Point(v.x + t * px, v.y + t * py)
+
+    lo, hi = 0.0, 100.0 * gap * length
     while math.nextafter(lo, math.inf) < hi:
         mid = (lo + hi) / 2.0
-        if angle_of(u, Point(v.x, mid)) <= gap:
+        if ccw_angle_distance(base, angle_of(u, at(mid))) <= gap:
             lo = mid
         else:
             hi = mid
-    return Point(v.x, lo if inside else hi)
+    return at(lo if inside else hi)
+
+
+#: The grid below is turned by this angle, so that no lattice neighbour
+#: lies on a quadrant axis (those rows would be flagged whatever the
+#: nudge).
+_TURN = 0.3
 
 
 @pytest.mark.parametrize("inside", [True, False], ids=["inside", "outside"])
@@ -300,29 +474,44 @@ def _nudged_neighbour(u: Point, v: Point, gap: float, inside: bool) -> Point:
     "gap", [1e-9, 1e-12], ids=["rotation-band", "sweep-epsilon"]
 )
 def test_neighbours_nudged_across_the_band(gap, inside):
-    positions = grid_positions()
-    # Boundary nodes with their eastern neighbour on the same boundary:
-    # on the hole's south and north rims (walked eastward and westward)
-    # and on the hull.
+    positions = grid_positions(angle=_TURN)
+    # Boundary nodes with their (turned) eastern neighbour on the same
+    # boundary: on the hole's south and north rims (walked eastward and
+    # westward) and on the hull.
     pairs = [
-        ((30.0, 20.0), (40.0, 20.0)),
-        ((30.0, 70.0), (40.0, 70.0)),
-        ((10.0, 0.0), (20.0, 0.0)),
-    ]
-    for (ux, uy), (vx, vy) in pairs:
-        positions.append(
-            _nudged_neighbour(Point(ux, uy), Point(vx, vy), gap, inside)
+        (turned(ux, uy, _TURN), turned(vx, vy, _TURN))
+        for (ux, uy), (vx, vy) in (
+            ((30.0, 20.0), (40.0, 20.0)),
+            ((30.0, 70.0), (40.0, 70.0)),
+            ((10.0, 0.0), (20.0, 0.0)),
         )
+    ]
+    for u, v in pairs:
+        positions.append(_nudged_neighbour(u, v, gap, inside))
     graph = build_unit_disk_graph(positions, 15.0)
-    flagged = ambiguous_ids(graph)
+    flagged = flagged_ids(graph)
     expected = assert_identical(graph)
     on_boundaries = expected.nodes_on_boundaries()
-    for (ux, uy), _ in pairs:
-        u = positions.index(Point(ux, uy))
-        assert u in on_boundaries
+    for u, _ in pairs:
+        node = positions.index(u)
+        assert node in on_boundaries
         # Only a nudge outside the 1e-9 band leaves the row decided by
         # the rotation alone.
-        assert (u in flagged) == (inside or gap < 1e-9)
+        assert (node in flagged) == (inside or gap < 1e-9)
+
+
+def test_neighbours_on_and_off_the_quadrant_axes():
+    """A neighbour on a quadrant axis, one ulp off it, or inside the
+    band around it flags its row; one just outside the band does not."""
+    positions, centres = axis_star_positions()
+    graph = build_unit_disk_graph(positions, 11.0)
+    flagged = flagged_ids(graph)
+    for centre, (k, probe) in centres.items():
+        assert (centre in flagged) == (not probe.startswith("outside")), (
+            k,
+            probe,
+        )
+    assert_identical(graph)
 
 
 def test_tent_gap_within_one_ulp_of_120_degrees():
@@ -401,7 +590,7 @@ def test_nan_position(hidden):
     ]
     adjacency = {u: base.neighbors(u) for u in base.node_ids}
     graph = WasnGraph(nodes, adjacency, 15.0)
-    assert {lost, *graph.neighbors(lost)} <= ambiguous_ids(graph)
+    assert {lost, *graph.neighbors(lost)} <= flagged_ids(graph)
     if hidden[0] < 0.0 or hidden[0] > 100.0:
         assert graph.degree(lost) == 1
     assert_identical(graph)
@@ -428,26 +617,47 @@ def _contract_graph(model: str, sparse: bool) -> WasnGraph:
     return graph
 
 
+#: The quadrant axes as the band test sees them, 2*pi included.
+_BAND_AXES = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2, math.tau)
+
+
 @pytest.mark.parametrize("model,sparse", _contract_cases())
 def test_rotation_rows_sorted_by_angle_and_flags(model, sparse):
+    """Every column of ``core.rotation()``, row by row, on each build."""
     graph = _contract_graph(model, sparse)
-    rotation = _Rotation(graph)
-    ids = rotation.ids
-    assert list(ids) == graph.node_ids
-    for i, u in enumerate(ids):
-        pu = graph.position(u)
-        row = graph.neighbors(u)
-        ordered = sorted(row, key=lambda v: angle_of(pu, graph.position(v)))
-        span = range(rotation.indptr[i], rotation.indptr[i + 1])
-        assert [ids[rotation.head[j]] for j in span] == ordered
-        angles = [angle_of(pu, graph.position(v)) for v in ordered]
-        # A single neighbour's gap to itself is 0: always flagged.
-        tight = any(
-            not ccw_angle_distance(a, b) > 1e-9
-            for a, b in zip(angles, angles[1:] + angles[:1])
-        )
-        coincident = any(graph.position(v) == pu for v in row)
-        assert rotation.ambiguous[i] == (tight or coincident)
+    stuck = oracle_tent_stuck_nodes(graph)
+    for built in assert_builds_agree(graph):
+        rotation = built.core.rotation()
+        ids = rotation.ids
+        assert list(ids) == graph.node_ids
+        for i, u in enumerate(ids):
+            pu = graph.position(u)
+            row = graph.neighbors(u)
+            ordered = sorted(
+                row, key=lambda v: angle_of(pu, graph.position(v))
+            )
+            lo, hi = rotation.indptr[i], rotation.indptr[i + 1]
+            assert [ids[rotation.head[j]] for j in range(lo, hi)] == ordered
+            angles = [angle_of(pu, graph.position(v)) for v in ordered]
+            # A single neighbour's gap to itself is 0: always flagged.
+            tight = any(
+                not ccw_angle_distance(a, b) > 1e-9
+                for a, b in zip(angles, angles[1:] + angles[:1])
+            )
+            coincident = any(graph.position(v) == pu for v in row)
+            on_axis = any(
+                abs(a - axis) <= 1e-9 for a in angles for axis in _BAND_AXES
+            )
+            assert rotation.band[i] == (tight or coincident or on_axis)
+            assert list(rotation.arcs[4 * i : 4 * i + 4]) == [
+                lo + sum(a < quadrant_start_angle(k) for a in angles)
+                for k in ZONE_TYPES
+            ]
+            if u in stuck:
+                widest = _widest_gap_edges(graph, u)
+                assert ids[rotation.head[rotation.stuck[i]]] == widest[0]
+            else:
+                assert rotation.stuck[i] == -1
 
 
 @pytest.mark.parametrize("model,sparse", _contract_cases())
@@ -455,11 +665,11 @@ def test_unflagged_rows_decide_the_clockwise_sweep(model, sparse):
     """In an unflagged row, the first neighbour clockwise from any
     neighbour is its cyclic predecessor in the rotation."""
     graph = _contract_graph(model, sparse)
-    rotation = _Rotation(graph)
+    rotation = graph.core.rotation()
     ids = rotation.ids
     checked = 0
     for i, u in enumerate(ids):
-        if rotation.ambiguous[i]:
+        if rotation.band[i]:
             continue
         pu = graph.position(u)
         lo, hi = rotation.indptr[i], rotation.indptr[i + 1]
@@ -475,6 +685,46 @@ def test_unflagged_rows_decide_the_clockwise_sweep(model, sparse):
             assert swept == ring[slot - 1]
             checked += 1
     assert checked > 1000
+
+
+def _scan_cases():
+    return _contract_cases() + [
+        pytest.param("axis-stars", False, id="axis-stars"),
+        pytest.param("turned-grid", False, id="turned-grid"),
+    ]
+
+
+@pytest.mark.parametrize("model,sparse", _scan_cases())
+def test_unflagged_rows_decide_the_quadrant_scan(model, sparse):
+    """In an unflagged row, quadrant ``k``'s arc is the row's ``Q_k``
+    filter sorted counter-clockwise from the quadrant's start angle."""
+    if model == "axis-stars":
+        graph = build_unit_disk_graph(axis_star_positions()[0], 11.0)
+    elif model == "turned-grid":
+        graph = build_unit_disk_graph(grid_positions(angle=_TURN), 15.0)
+    else:
+        graph = _contract_graph(model, sparse)
+    rotation = graph.core.rotation()
+    ids = rotation.ids
+    checked = 0
+    for i, u in enumerate(ids):
+        if rotation.band[i]:
+            continue
+        pu = graph.position(u)
+        for k in ZONE_TYPES:
+            lo = rotation.arcs[4 * i + k - 1]
+            hi = rotation.arcs[4 * i + k] if k < 4 else rotation.indptr[i + 1]
+            members = [
+                v
+                for v in graph.neighbors(u)
+                if forwarding_zone_contains(pu, k, graph.position(v))
+            ]
+            scan = sort_ccw(
+                pu, quadrant_start_angle(k), members, graph.position
+            )
+            assert [ids[rotation.head[j]] for j in range(lo, hi)] == scan
+            checked += 1
+    assert checked > 50
 
 
 # -- graph shapes ----------------------------------------------------------
