@@ -1,7 +1,8 @@
 """ABL — ablations of SLGF2's design choices.
 
-DESIGN.md calls out the decisions layered on Algorithm 3; this bench
-measures each against the full configuration on a fixed FA workload:
+The docstring of :mod:`repro.routing.slgf2` calls out the decisions
+layered on Algorithm 3; this bench measures each against the full
+configuration on a fixed FA workload:
 
 * ABL-EH     — superseding rule (critical/forbidden filter) off;
 * ABL-BP     — backup-path phase off (straight to perimeter);
@@ -12,8 +13,8 @@ measures each against the full configuration on a fixed FA workload:
 * ABL-SCOPE  — candidate scope: quadrant (default) vs request-zone
                (Algorithm 1's letter).
 
-The persisted table is the evidence behind the implementation-choice
-notes in EXPERIMENTS.md.
+The persisted table is the evidence behind those implementation-choice
+notes.
 """
 
 from __future__ import annotations

@@ -1,11 +1,13 @@
 """SCALE — the Session facade must add no measurable overhead.
 
 The facade routes through exactly the same router objects as the
-legacy hand-wired loop; its extra work per packet is one dict lookup,
-one RouteSet append and (optionally) an energy fold.  This bench pins
-that: batch throughput of :meth:`Session.route_pairs` is compared
-against the legacy per-call loop over identical pairs on an identical
-network, and the facade must stay within a small factor of raw.
+legacy hand-wired loop of per-call ``route()``s, and both run the
+scheme's executor; the facade's extra work per packet is one dict
+lookup, one RouteSet append and (optionally) an energy fold.  This
+bench pins that: batch throughput of :meth:`Session.route_pairs` is
+compared against the legacy per-call loop over identical pairs on an
+identical network, and the facade must stay within a small factor of
+raw.
 
 Run:  PYTHONPATH=src python -m pytest benchmarks/bench_api.py -q
 """

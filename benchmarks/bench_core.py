@@ -1,20 +1,13 @@
 """CORE — the columnar substrate's performance contract.
 
-Two pinned speedups at the paper's densest setting (800 nodes,
-200 m x 200 m, r = 20 m), correctness asserted before speed in both:
+Two pinned speedups, correctness asserted before speed in both:
 
-* **Construction**: ``build_unit_disk_graph`` (bulk grid pass straight
-  into ``TopologyCore`` columns) vs. the historical dict pipeline —
-  ``SpatialGrid.all_pairs_within`` into per-node dict adjacency plus
-  the O(E) symmetry validation — replicated here verbatim as the
-  baseline.  Both must produce identical graphs.
-
-* **Batched routing**: ``router.route_batch(pairs)`` (the
-  index-based successor-selection fast path of
-  :mod:`repro.routing.batch`) vs. the pre-batch baseline of
-  sequential ``router.route(s, d)`` calls, summed over all four
-  schemes end to end.  Both must produce identical ``RouteResult``
-  lists — the speed is free, the numbers are the same.
+* **Construction** at the paper's densest setting (800 nodes,
+  200 m x 200 m, r = 20 m): ``build_unit_disk_graph`` (bulk grid pass
+  straight into ``TopologyCore`` columns) vs. the historical dict
+  pipeline — ``SpatialGrid.all_pairs_within`` into per-node dict
+  adjacency plus the O(E) symmetry validation — replicated here
+  verbatim as the baseline.  Both must produce identical graphs.
 
 * **Vectorized backend** (skipped when numpy is absent):
   ``route_batch(backend="numpy")`` vs. the scalar batch executor on a
@@ -25,14 +18,18 @@ Two pinned speedups at the paper's densest setting (800 nodes,
   timed back to back in alternating order and the median per-repeat
   ratio is pinned, so a slow spell on a loaded box lands inside one
   ratio rather than on one side of the comparison.  Identity is
-  asserted before timing, same as the others.
+  asserted before timing, as in the construction bench.
 
 Regression policy: each speedup is pinned at the threshold measured
 when the corresponding fast path landed, minus a 10% tolerance band
 (``_TOLERANCE``); dropping below ``threshold * 0.9`` fails the bench
 (and the CI bench-smoke job).  Timings land in
-``benchmarks/results/core.txt``; ``REPRO_FULL=1`` scales the route
-batch up for a longer measurement.
+``benchmarks/results/core.txt``; ``REPRO_FULL=1`` takes more repeats
+for a longer measurement.
+
+Batched routing's old ratio bench (``route_batch`` against sequential
+``route()``, pinned at 3x) is retired: both now run the same
+executor, and the differential suites pin their identity.
 """
 
 from __future__ import annotations
@@ -45,7 +42,6 @@ import time
 import pytest
 
 from repro._optional import load_numpy
-from repro.core import InformationModel
 from repro.geometry import Rect
 from repro.network import (
     EdgeDetector,
@@ -55,25 +51,23 @@ from repro.network import (
     WasnGraph,
     build_unit_disk_graph,
 )
-from repro.routing import GreedyRouter, LgfRouter, SlgfRouter, Slgf2Router
+from repro.routing import GreedyRouter
 
 AREA = Rect(0, 0, 200, 200)
 RADIUS = 20.0
 NODES = 800
 SEED = 2009
 
-# Pinned when the columnar core landed (measured 3.8x / 2.5x); a run
-# below threshold * _TOLERANCE is a regression.
-PINNED_ROUTING_SPEEDUP = 3.4
+# Pinned when the columnar core landed (measured 2.5x); a run below
+# threshold * _TOLERANCE is a regression.
 PINNED_CONSTRUCTION_SPEEDUP = 2.3
 # Pinned when the numpy kernel landed (measured 3.4-3.7x at 6000
 # cross-field routes over n=2000).
 PINNED_NUMPY_SPEEDUP = 3.0
 _TOLERANCE = 0.9
 
-# The ISSUE acceptance floors (>= 3x routing, >= 2x construction) sit
-# just below the tolerance band: tripping the band trips the floor.
-assert PINNED_ROUTING_SPEEDUP * _TOLERANCE >= 3.0
+# The construction floor (>= 2x) sits just below the tolerance band:
+# tripping the band trips the floor.
 assert PINNED_CONSTRUCTION_SPEEDUP * _TOLERANCE >= 2.0
 
 
@@ -161,66 +155,6 @@ def test_construction_speedup(results_dir):
         ]
     )
     (results_dir / "core.txt").write_text(report + "\n")
-    print()
-    print(report)
-    assert speedup >= floor, report
-
-
-def test_batched_routing_speedup(results_dir):
-    rng = random.Random(SEED)
-    positions = UniformDeployment(AREA).sample(NODES, rng)
-    graph = EdgeDetector(strategy="convex").apply(
-        build_unit_disk_graph(positions, RADIUS)
-    )
-    model = InformationModel.build(graph)
-    pool = sorted(graph.connected_components()[0])
-    pair_rng = random.Random(SEED + 1)
-    route_count = 600 if os.environ.get("REPRO_FULL", "") == "1" else 200
-    pairs = [tuple(pair_rng.sample(pool, 2)) for _ in range(route_count)]
-
-    routers = [
-        ("GF", GreedyRouter(graph)),
-        ("LGF", LgfRouter(graph)),
-        ("SLGF", SlgfRouter(model)),
-        ("SLGF2", Slgf2Router(model)),
-    ]
-
-    # Correctness first: the batch must be the sequential run, bit for
-    # bit, before its speed means anything.
-    for _, router in routers:
-        assert router.route_batch(pairs) == [
-            router.route(s, d) for s, d in pairs
-        ]
-
-    repeats = 5 if os.environ.get("REPRO_FULL", "") == "1" else 3
-    lines = [
-        f"end-to-end routing at n={NODES}, r={RADIUS}, "
-        f"{route_count} routes x 4 schemes"
-    ]
-    total_seq = total_batch = 0.0
-    for name, router in routers:
-        seq_s = _best_of(
-            lambda r=router: [r.route(s, d) for s, d in pairs], repeats
-        )
-        batch_s = _best_of(lambda r=router: r.route_batch(pairs), repeats)
-        total_seq += seq_s
-        total_batch += batch_s
-        lines.append(
-            f"{name:6s} sequential {1e3 * seq_s:8.2f} ms   "
-            f"batched {1e3 * batch_s:8.2f} ms   "
-            f"({seq_s / batch_s:5.2f}x)"
-        )
-    speedup = total_seq / total_batch if total_batch else float("inf")
-    floor = PINNED_ROUTING_SPEEDUP * _TOLERANCE
-    lines.append(
-        f"total  sequential {1e3 * total_seq:8.2f} ms   "
-        f"batched {1e3 * total_batch:8.2f} ms   "
-        f"({speedup:5.2f}x; pinned {PINNED_ROUTING_SPEEDUP}x, "
-        f"floor {floor:.2f}x)"
-    )
-    report = "\n".join(lines)
-    with (results_dir / "core.txt").open("a") as handle:
-        handle.write(report + "\n")
     print()
     print(report)
     assert speedup >= floor, report

@@ -2,8 +2,7 @@
 
 The paper reports "the average routing performance over all of these
 randomly sampled networks"; we additionally carry a 95% confidence
-interval so EXPERIMENTS.md can state how tight the reproduction's
-averages are.
+interval, which states how tight the reproduction's averages are.
 """
 
 from __future__ import annotations

@@ -16,7 +16,9 @@ tests) drives the system through three ideas:
   worker processes with scenario-fingerprint caching;
 * **instrumentation hooks**: :class:`TraceRecorder` /
   :class:`EnergyMeter` attach to any route call via ``on_hop`` /
-  ``on_phase_change`` — no subclassing.
+  ``on_phase_change`` — no subclassing.  For the built-in schemes the
+  observers run after the route is decided, in hop order, and a route
+  that raises emits no event.
 
 Quickstart::
 

@@ -9,7 +9,11 @@ subclassing:
   transition, and can replay the path growth as animation frames for
   :func:`repro.viz.network_map.path_animation`;
 * :class:`EnergyMeter` — accumulates first-order radio energy hop by
-  hop, live, using :class:`~repro.routing.metrics.RadioEnergyModel`.
+  hop, using :class:`~repro.routing.metrics.RadioEnergyModel`.
+
+For the built-in schemes, ``route()`` feeds observers after the route
+is decided, replaying it in hop order; a route that raises feeds them
+nothing.
 """
 
 from __future__ import annotations
@@ -64,12 +68,13 @@ class TraceRecorder:
 
 
 class EnergyMeter:
-    """Accumulates radio energy per hop, while the packet is in flight.
+    """Accumulates radio energy per hop, in hop order.
 
     Unlike :func:`~repro.routing.metrics.path_energy` (which walks a
-    finished result), the meter observes live — mid-route budgets,
+    finished result), the meter is an observer — running budgets,
     per-phase breakdowns and abort-on-budget experiments all become
-    one callback::
+    one callback (an abort ends the observation; a built-in scheme has
+    decided its route by then)::
 
         meter = EnergyMeter(bits=1_000)
         router.route(s, d, on_hop=meter.on_hop)

@@ -528,10 +528,9 @@ class Session:
         out = RouteSet()
         for name in selected:
             router = self.router(name)
-            # The whole batch runs through the scheme's columnar fast
-            # path (bit-identical to sequential route() calls — the
-            # equivalence suite pins it); schemes without one fall
-            # back to per-pair routing inside route_batch.
+            # The whole batch runs through the scheme's executor, the
+            # loop route() runs too; a router with its own _run routes
+            # pair by pair inside route_batch.
             for result in router.route_batch(pairs, backend=backend):
                 transmission = None
                 if state is not None:

@@ -140,8 +140,7 @@ def _quadrant_tables(graph: WasnGraph, np=None):
     closed quadrant ``Q_i(u)`` (neighbour order preserved);
     ``reverse[i-1][v]`` the nodes whose ``Q_i`` contains ``v``.  The
     sweep runs on the graph's columnar core — one coordinate-difference
-    per directed edge classifies all four quadrants at once — and
-    falls back to the object API for graphs without a core.  With
+    per directed edge classifies all four quadrants at once.  With
     ``np`` (the resolved numpy module) the classification runs as the
     vectorized kernel of :mod:`repro.network.construct` instead of the
     per-edge branch loop.  Every path yields identical tables (the
@@ -149,11 +148,8 @@ def _quadrant_tables(graph: WasnGraph, np=None):
     this scalar sweep).
     """
     node_ids = graph.node_ids
-    try:
-        core = graph.core
-    except ValueError:
-        core = None
-    if core is not None and np is not None:
+    core = graph.core
+    if np is not None:
         return _construct.quadrant_tables(
             np,
             core.ids,
@@ -166,61 +162,45 @@ def _quadrant_tables(graph: WasnGraph, np=None):
     reverse: list[dict[NodeId, list[NodeId]]] = [
         {u: [] for u in node_ids} for _ in ZONE_TYPES
     ]
-    if core is not None:
-        xs, ys = core.coords_by_id()
-        rows = core.rows_by_id()
-        for u in node_ids:
-            xu = xs[u]
-            yu = ys[u]
-            in1: list[NodeId] = []
-            in2: list[NodeId] = []
-            in3: list[NodeId] = []
-            in4: list[NodeId] = []
-            for v in rows[u]:
-                dx = xs[v] - xu
-                dy = ys[v] - yu
-                if dx > 0.0:
-                    if dy >= 0.0:
-                        in1.append(v)
-                        if dy <= 0.0:
-                            in4.append(v)
-                    else:
+    xs, ys = core.coords_by_id()
+    rows = core.rows_by_id()
+    for u in node_ids:
+        xu = xs[u]
+        yu = ys[u]
+        in1: list[NodeId] = []
+        in2: list[NodeId] = []
+        in3: list[NodeId] = []
+        in4: list[NodeId] = []
+        for v in rows[u]:
+            dx = xs[v] - xu
+            dy = ys[v] - yu
+            if dx > 0.0:
+                if dy >= 0.0:
+                    in1.append(v)
+                    if dy <= 0.0:
                         in4.append(v)
-                elif dx < 0.0:
-                    if dy >= 0.0:
-                        in2.append(v)
-                        if dy <= 0.0:
-                            in3.append(v)
-                    else:
+                else:
+                    in4.append(v)
+            elif dx < 0.0:
+                if dy >= 0.0:
+                    in2.append(v)
+                    if dy <= 0.0:
                         in3.append(v)
-                else:  # dx == 0: coincident or on the vertical boundary
-                    if dy > 0.0:
-                        in1.append(v)
-                        in2.append(v)
-                    elif dy < 0.0:
-                        in3.append(v)
-                        in4.append(v)
-                    # dy == 0: v sits exactly at u's position — a
-                    # member of no forwarding zone, like the object
-                    # path's ``p == u`` exclusion.
-            for index, inside in enumerate((in1, in2, in3, in4)):
-                forward[index][u] = tuple(inside)
-                rev = reverse[index]
-                for v in inside:
-                    rev[v].append(u)
-        return forward, reverse
-    positions = {u: graph.position(u) for u in node_ids}
-    for index, zone_type in enumerate(ZONE_TYPES):
-        fwd = forward[index]
-        rev = reverse[index]
-        for u in node_ids:
-            pu = positions[u]
-            inside = tuple(
-                v
-                for v in graph.neighbors(u)
-                if forwarding_zone_contains(pu, zone_type, positions[v])
-            )
-            fwd[u] = inside
+                else:
+                    in3.append(v)
+            else:  # dx == 0: coincident or on the vertical boundary
+                if dy > 0.0:
+                    in1.append(v)
+                    in2.append(v)
+                elif dy < 0.0:
+                    in3.append(v)
+                    in4.append(v)
+                # dy == 0: v sits exactly at u's position — a member
+                # of no forwarding zone, like forwarding_zone_contains'
+                # ``p == u`` exclusion.
+        for index, inside in enumerate((in1, in2, in3, in4)):
+            forward[index][u] = tuple(inside)
+            rev = reverse[index]
             for v in inside:
                 rev[v].append(u)
     return forward, reverse
@@ -246,8 +226,7 @@ def compute_safety(graph: WasnGraph, backend: str = "auto") -> SafetyModel:
     :class:`~repro._optional.MissingDependencyError` without numpy),
     ``"auto"`` (default) does so when numpy is importable and silently
     falls back otherwise, ``"scalar"`` forces the per-edge reference
-    sweep and the worklist below.  Graphs without a columnar core
-    always use the reference path.  Statuses and the round count are
+    sweep and the worklist below.  Statuses and the round count are
     identical across backends — the sign tests of the classification
     carry no rounding and the worklist's round-``k`` frontier *is* the
     synchronous round-``k`` flip set — and the cross-backend
@@ -258,27 +237,20 @@ def compute_safety(graph: WasnGraph, backend: str = "auto") -> SafetyModel:
     )
     node_ids = graph.node_ids
     if np is not None:
-        try:
-            core = graph.core
-        except ValueError:
-            core = None
-        if core is not None:
-            columns, rounds = _construct.safety_labels(
-                np,
-                np.frombuffer(core.xs, dtype=np.float64),
-                np.frombuffer(core.ys, dtype=np.float64),
-                np.frombuffer(core.indptr, dtype=np.int64),
-                np.frombuffer(core.indices, dtype=np.int64),
-                core.edge_flags,
-            )
-            c1, c2, c3, c4 = columns
-            statuses = {
-                u: (c1[i], c2[i], c3[i], c4[i])
-                for i, u in enumerate(node_ids)
-            }
-            return SafetyModel(
-                graph=graph, statuses=statuses, rounds=rounds
-            )
+        core = graph.core
+        columns, rounds = _construct.safety_labels(
+            np,
+            np.frombuffer(core.xs, dtype=np.float64),
+            np.frombuffer(core.ys, dtype=np.float64),
+            np.frombuffer(core.indptr, dtype=np.int64),
+            np.frombuffer(core.indices, dtype=np.int64),
+            core.edge_flags,
+        )
+        c1, c2, c3, c4 = columns
+        statuses = {
+            u: (c1[i], c2[i], c3[i], c4[i]) for i, u in enumerate(node_ids)
+        }
+        return SafetyModel(graph=graph, statuses=statuses, rounds=rounds)
     # status[i-1][u] — mutable working state per type.
     status: list[dict[NodeId, bool]] = [
         {u: True for u in node_ids} for _ in ZONE_TYPES

@@ -42,7 +42,8 @@ class ExperimentConfig:
     networks_per_point: int = 100
     routes_per_network: int = 20
     seed: int = 2009  # the paper's publication year, for flavour
-    # FA model obstacle field parameters (see DESIGN.md substitutions).
+    # FA model obstacle field parameters (the paper's generator is
+    # unpublished; repro.network.obstacles says what stands in for it).
     obstacle_count: int = 3
     min_obstacle_size: float = 20.0
     max_obstacle_size: float = 60.0

@@ -58,7 +58,8 @@ class FigureTable:
         """Router with the lowest metric at each node count.
 
         All three paper metrics are lower-is-better, so this is the
-        "who wins" series that EXPERIMENTS.md compares to the paper.
+        "who wins" series (the ``best per point`` row) that
+        docs/REPRODUCING.md compares to the paper.
         """
         winners = []
         for i in range(len(self.node_counts)):

@@ -3,7 +3,7 @@
 Three output forms per figure panel:
 
 * an aligned text table (what the benches print, and what
-  EXPERIMENTS.md quotes);
+  docs/REPRODUCING.md shows);
 * a CSV file (for anyone who wants to re-plot with real tooling);
 * an ASCII line chart (curve-shape comparison at a glance);
 * a JSON document (for downstream tooling and archival — the same

@@ -220,8 +220,9 @@ def deploy_forbidden_area_model(
     """The paper's FA model: uniform nodes avoiding random forbidden areas.
 
     The obstacle field is drawn first (from the same ``rng``), then the
-    nodes are placed around it; see DESIGN.md for why this parameterised
-    generator stands in for the paper's unpublished one.
+    nodes are placed around it; see :mod:`repro.network.obstacles` for
+    why this parameterised generator stands in for the paper's
+    unpublished one.
     """
     obstacles = tuple(
         random_obstacle_field(

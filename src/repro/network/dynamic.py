@@ -495,20 +495,17 @@ class DynamicTopology:
         The adjacency values are the *same* tuple objects the 3x3-cell
         local recompute maintains — rebuilt only where a delta touched
         them, shared otherwise — and they feed the snapshot's columnar
-        core directly when (and only when) something columnar asks:
-        ``_sorted_rows`` vouches for their ordering, so the lazy
-        dict → core assembly skips its O(E) ordering sweep and a
-        snapshot that is never batch-routed never assembles columns
-        at all.
+        core directly when (and only when) something columnar asks.
+        They are sorted by construction, so ``validate=False`` trusts
+        them as they are, and a snapshot nothing columnar reads never
+        assembles columns at all.
         """
-        graph = WasnGraph(
+        return WasnGraph(
             [self._node(u) for u in alive],
             adjacency,
             self._radius,
             validate=False,
         )
-        graph._sorted_rows = True  # rows sorted by construction
-        return graph
 
     # -- internals ------------------------------------------------------
 

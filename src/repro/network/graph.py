@@ -50,14 +50,18 @@ class WasnGraph:
 
         ``adjacency`` must be symmetric and must not contain self-loops;
         this is validated eagerly because every algorithm above relies
-        on it (the paper's graph is *simple* and *undirected*).
+        on it (the paper's graph is *simple* and *undirected*).  Rows
+        that are not ascending are then sorted (into a new dict; rows
+        already in order keep their tuple objects), so ``N(u)`` is in
+        id order and every graph has a columnar core.
 
-        ``validate=False`` skips that O(E) sweep.  It exists for one
-        producer: :class:`repro.network.dynamic.DynamicTopology`
-        snapshots, whose adjacency is symmetric by construction and
-        whose equivalence to a validated from-scratch build is pinned
-        by the differential suite — per-snapshot validation would cost
-        more than the incremental update it accompanies.
+        ``validate=False`` skips that O(E) sweep and trusts the rows to
+        be symmetric and sorted.  It exists for one producer whose rows
+        are both by construction:
+        :class:`repro.network.dynamic.DynamicTopology` snapshots, whose
+        equivalence to a validated from-scratch build is pinned by the
+        differential suite — per-snapshot validation would cost more
+        than the incremental update it accompanies.
         """
         if radius <= 0:
             raise ValueError("communication radius must be positive")
@@ -71,6 +75,7 @@ class WasnGraph:
         self._core: TopologyCore | None = None
         if validate:
             self._validate()
+            self._sort_rows()
 
     @classmethod
     def from_core(cls, core: TopologyCore) -> "WasnGraph":
@@ -115,37 +120,32 @@ class WasnGraph:
     def core(self) -> TopologyCore:
         """The columnar core behind this graph (built lazily).
 
-        Requires every adjacency row to be sorted ascending — true for
-        every graph this package constructs; hand-built graphs with
-        unordered rows cannot take the columnar fast paths (the
-        batched executor falls back to sequential routing for them).
+        Every graph has one: its adjacency rows are ascending, sorted
+        on construction or trusted to be (``validate=False``).
         """
         if self._core is None:
             ids = sorted(self._nodes)
-            # Producers whose rows are sorted by construction (dynamic
-            # snapshots) set _sorted_rows to skip the ordering sweep.
-            trusted = getattr(self, "_sorted_rows", False)
-            rows = []
-            for u in ids:
-                row = tuple(self._adjacency[u])
-                if not trusted and any(
-                    row[i] >= row[i + 1] for i in range(len(row) - 1)
-                ):
-                    raise ValueError(
-                        f"adjacency row of node {u} is not sorted "
-                        "ascending; no columnar core for this graph"
-                    )
-                rows.append(row)
             self._core = TopologyCore.from_rows(
                 ids,
                 {u: self._nodes[u].position for u in ids},
                 self._radius,
-                rows,
+                [tuple(self._adjacency[u]) for u in ids],
                 edge_ids=(
                     u for u in ids if self._nodes[u].is_edge
                 ),
             )
         return self._core
+
+    def _sort_rows(self) -> None:
+        """Sort the adjacency rows that are not ascending."""
+        adjacency = self._adjacency
+        unsorted = {
+            u: tuple(sorted(row))
+            for u, row in adjacency.items()
+            if any(row[i] > row[i + 1] for i in range(len(row) - 1))
+        }
+        if unsorted:
+            self._adjacency = {**adjacency, **unsorted}
 
     def _validate(self) -> None:
         for u, neighbors in self._adjacency.items():
@@ -327,19 +327,11 @@ class WasnGraph:
     def with_edge_nodes(self, edge_ids: Iterable[NodeId]) -> "WasnGraph":
         """A new graph with the edge-node flags replaced by ``edge_ids``.
 
-        Shares the underlying structure (and, when present, the core's
-        planarization caches): flags never change the edge set, so the
-        structural work is never repeated.
+        Shares the underlying core (and its planarization caches and
+        rotation): flags never change the edge set, so the structural
+        work is never repeated.
         """
-        edge_set = set(edge_ids)
-        if self._core is not None:
-            return WasnGraph.from_core(self._core.with_edge_flags(edge_set))
-        nodes = [
-            node.with_edge_flag(node.id in edge_set) for node in self.nodes()
-        ]
-        return WasnGraph(
-            nodes, dict(self._adjacency), self._radius, validate=False
-        )
+        return WasnGraph.from_core(self.core.with_edge_flags(set(edge_ids)))
 
     def to_networkx(self):
         """Export to a :mod:`networkx` graph (analysis / oracle layer).

@@ -13,8 +13,6 @@ provides a parameterised family that preserves the relevant behaviour
 * :class:`CompositeObstacle` — union of obstacles, used to build the
   irregular L/T/U shapes the paper alludes to;
 * :func:`random_obstacle_field` — a seeded random mixture of the above.
-
-The substitution is documented in DESIGN.md ("Substitutions").
 """
 
 from __future__ import annotations

@@ -5,8 +5,7 @@ counter-clockwise scan of a forwarding quadrant are sweeps of one
 structure: every node's neighbours in angular order.  :class:`Rotation`
 holds it as columns, computed once per topology core
 (:meth:`repro.network.core.TopologyCore.rotation`, cached and shared
-with the core's flag variants).  A graph without a core gets the same
-build from ``graph.neighbors`` (:func:`rotation_of`).
+with the core's flag variants); :func:`rotation_of` reads a graph's.
 
 :func:`build_rotation` is the scalar reference and the path without
 numpy; :func:`repro.network.construct.rotation_columns` is the numpy
@@ -168,23 +167,5 @@ def build_rotation(
 
 
 def rotation_of(graph) -> Rotation:
-    """The rotation of ``graph``: its core's cached one, or for a
-    hand-built graph without a core (unsorted rows) the same build
-    over ``graph.neighbors`` in row order."""
-    try:
-        core = graph.core
-    except ValueError:
-        pass
-    else:
-        return core.rotation()
-    ids = tuple(graph.node_ids)
-    index_of = {u: i for i, u in enumerate(ids)}
-    indptr = array("q", [0])
-    indices: list[int] = []
-    for u in ids:
-        indices.extend([index_of[v] for v in graph.neighbors(u)])
-        indptr.append(len(indices))
-    positions = [graph.position(u) for u in ids]
-    xs = [p.x for p in positions]
-    ys = [p.y for p in positions]
-    return build_rotation(ids, indptr, indices, xs, ys)
+    """The rotation of ``graph``: its core's cached one."""
+    return graph.core.rotation()

@@ -9,8 +9,10 @@
   paper's contribution).
 
 All share the :class:`~repro.routing.base.Router` interface: construct
-once per network, then ``route(source, destination)`` per packet,
-yielding a :class:`~repro.routing.base.RouteResult`.
+once per network, then ``route(source, destination)`` per packet (or
+``route_batch(pairs)``), yielding a
+:class:`~repro.routing.base.RouteResult`.  Each scheme's forwarding
+loop is its executor in :mod:`repro.routing.batch`.
 """
 
 from repro.routing.base import (
@@ -23,7 +25,6 @@ from repro.routing.base import (
     RoutingError,
 )
 from repro.routing.greedy import GreedyRouter, HoleBoundaries
-from repro.routing.handrule import hand_sweep
 from repro.routing.lgf import LgfRouter
 from repro.routing.metrics import (
     RadioEnergyModel,
@@ -52,7 +53,6 @@ __all__ = [
     "SlgfRouter",
     "Slgf2Router",
     "effective_path_length",
-    "hand_sweep",
     "interference_footprint",
     "nodes_involved",
     "path_energy",

@@ -3,21 +3,25 @@
 Every routing scheme in the paper is "presented via [its] forwarding
 node selection at an intermediate node" (Section 3): a packet moves hop
 by hop, each hop chosen from local state only.  This module owns the
-shared mechanics — TTL enforcement, path/phase recording, hop-level
+shared mechanics — argument checks, TTL derivation, hop-level
 instrumentation and the result record the experiment harness
-aggregates — so the four routers contain nothing but their
-successor-selection logic.
+aggregates — so the four routers hold nothing but their options and
+the topology-derived state their forwarding loops read.
+
+Each built-in scheme's forwarding loop runs once in the program: its
+index executor in :mod:`repro.routing.batch`, behind both
+:meth:`Router.route` and :meth:`Router.route_batch`.  A router class
+that overrides :meth:`Router._run` runs its own loop on a
+:class:`PacketTrace` instead.
 
 Instrumentation: :meth:`Router.route` accepts ``on_hop`` and
-``on_phase_change`` observers, invoked synchronously from inside the
-forwarding loop.  Tracing, energy accounting and path animation attach
-through these hooks instead of subclassing a router (see
-:mod:`repro.api` for ready-made observers).
+``on_phase_change`` observers.  Tracing, energy accounting and path
+animation attach through these hooks instead of subclassing a router
+(see :mod:`repro.api` for ready-made observers).
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
@@ -253,11 +257,16 @@ class PacketTrace:
             )
 
 
-class Router(ABC):
+class Router:
     """Base class for all routing schemes.
 
-    Subclasses implement :meth:`_run`, advancing the packet trace until
-    delivery or failure and returning an optional failure reason.
+    The four built-in schemes route through their index executors
+    (:mod:`repro.routing.batch`).  Another scheme implements
+    :meth:`_run`, advancing a :class:`PacketTrace` until delivery or
+    failure and returning an optional failure reason; so does any
+    subclass of a built-in scheme that replaces its forwarding loop.
+    A subclass that does not override :meth:`_run` runs the executor
+    of its nearest built-in base class.
 
     TTL rule: an explicit ``ttl`` must be a positive integer and is
     honoured *exactly* as given — including values below
@@ -272,7 +281,7 @@ class Router(ABC):
 
     def __init__(self, graph: WasnGraph, ttl: int | None = None):
         self._graph = graph
-        self._batch_executor = None  # built lazily by route_batch
+        self._executor = None  # built lazily; False = routes via _run
         self._numpy_kernel = None  # likewise; False = probed, absent
         if ttl is not None:
             # bool is an int subclass; ttl=True would silently mean 1.
@@ -318,7 +327,7 @@ class Router(ABC):
         them how local the change was.
         """
         self._graph = graph
-        self._batch_executor = None  # columns belong to the old graph
+        self._executor = None  # columns belong to the old graph
         self._numpy_kernel = None
         if self._explicit_ttl is None:
             self._ttl = max(
@@ -356,6 +365,19 @@ class Router(ABC):
         changed.
         """
 
+    def _scalar_executor(self):
+        """This router's scalar executor, or ``None`` when it routes
+        through its own :meth:`_run` (built once per topology)."""
+        executor = self._executor
+        if executor is None:
+            # Local import: repro.routing.batch imports the concrete
+            # router classes, which import this module.
+            from repro.routing.batch import executor_for
+
+            executor = executor_for(self)
+            self._executor = executor if executor else False
+        return executor or None
+
     def route(
         self,
         source: NodeId,
@@ -365,15 +387,25 @@ class Router(ABC):
     ) -> RouteResult:
         """Route one packet from ``source`` to ``destination``.
 
-        ``on_hop`` / ``on_phase_change`` observers, when given, are
-        called synchronously from inside the forwarding loop — they
-        see hops in order, as they happen, and must not mutate the
-        graph.
+        The built-in schemes run the same executor as
+        :meth:`route_batch`.  ``on_hop`` / ``on_phase_change``
+        observers, when given, run after the route is decided: they
+        see every hop in order, as ``PacketTrace.advance`` reports it
+        (a phase change before the first hop of each new phase, then
+        the hop), and a route that raises emits no event.  A router
+        with its own :meth:`_run` calls them from inside its loop.
+        Either way, observers must not mutate the graph.
         """
         if source not in self._graph or destination not in self._graph:
             raise RoutingError("source or destination not in graph")
         if source == destination:
             raise RoutingError("source equals destination")
+        executor = self._scalar_executor()
+        if executor is not None:
+            result = executor.route(source, destination)
+            if on_hop is not None or on_phase_change is not None:
+                _replay(self._graph, result, on_hop, on_phase_change)
+            return result
         trace = PacketTrace(
             self._graph,
             source,
@@ -404,15 +436,11 @@ class Router(ABC):
     ) -> list[RouteResult]:
         """Route a batch of (source, destination) pairs, in order.
 
-        Results are exactly those of sequential :meth:`route` calls —
-        the per-scheme equivalence suite pins this bit for bit — but
-        the four built-in schemes run their successor-selection inner
-        loops on the graph's columnar core
-        (:mod:`repro.routing.batch`), skipping the per-hop ``Point``
-        and dict churn of the object path.  Schemes without a fast
-        path (third-party routers, subclasses of the built-ins,
-        graphs without a columnar core) fall back to sequential
-        ``route`` calls transparently.
+        Results are exactly those of sequential :meth:`route` calls.
+        The four built-in schemes run their executors on the graph's
+        columnar core (:mod:`repro.routing.batch`), the same ones
+        :meth:`route` runs; a router with its own :meth:`_run` routes
+        the pairs one at a time through it.
 
         ``backend`` selects the batch implementation:
 
@@ -420,17 +448,17 @@ class Router(ABC):
           batches of at least ``_KERNEL_MIN_BATCH`` pairs (the
           measured crossover, see :mod:`repro.routing.batch`) when
           numpy is importable and the scheme has a kernel; otherwise
-          the scalar executor, otherwise sequential :meth:`route`.
+          the scalar executor, or ``_run`` one pair at a time.
           Smaller batches never probe for or build a kernel.
-          Selection is silent: all three produce bit-identical
+          Selection is silent: every path produces bit-identical
           results.
         * ``"scalar"`` — never touch numpy (the scalar executor, or
-          sequential ``route`` without a fast path).
+          ``_run`` one pair at a time).
         * ``"numpy"`` — the vectorized kernel, or an error:
           :class:`~repro._optional.MissingDependencyError` when numpy
-          is not importable, :class:`RoutingError` when the scheme has
-          no fast path on this graph.  SLGF2 has a fast path but no
-          kernel, so it runs on the scalar executor.
+          is not importable, :class:`RoutingError` when the router
+          routes through its own :meth:`_run`.  SLGF2 has an executor
+          but no kernel, so it runs on the scalar executor.
 
         Batches trade instrumentation for speed: there are no
         ``on_hop``/``on_phase_change`` observers here — use
@@ -441,17 +469,7 @@ class Router(ABC):
                 f"unknown backend {backend!r}; "
                 "expected 'auto', 'scalar' or 'numpy'"
             )
-        executor = self._batch_executor
-        if executor is None:
-            # Local import: repro.routing.batch imports the concrete
-            # router classes, which import this module.
-            from repro.routing.batch import executor_for
-
-            executor = executor_for(self)
-            # Cache the negative outcome too (as False): probing for
-            # a fast path costs an O(E) core check on coreless graphs
-            # and must not be repeated per batch.
-            self._batch_executor = executor if executor else False
+        executor = self._scalar_executor()
         if backend == "numpy":
             kernel = self._numpy_kernel
             if not kernel:
@@ -459,17 +477,18 @@ class Router(ABC):
                 from repro.routing.batch import numpy_kernel_for
 
                 require_numpy("route_batch(backend='numpy')")
-                if not executor:
+                if executor is None:
                     raise RoutingError(
                         "no vectorized fast path for "
-                        f"{type(self).__name__} on this graph; "
-                        "use backend='scalar' or backend='auto'"
+                        f"{type(self).__name__}: it routes through "
+                        "its own _run; use backend='scalar' or "
+                        "backend='auto'"
                     )
                 kernel = numpy_kernel_for(self, executor)
                 self._numpy_kernel = kernel if kernel else False
             if kernel:
                 return kernel.route_batch(pairs)
-        elif backend == "auto" and executor:
+        elif backend == "auto" and executor is not None:
             from repro.routing.batch import (
                 _KERNEL_MIN_BATCH,
                 numpy_kernel_for,
@@ -483,15 +502,52 @@ class Router(ABC):
                     self._numpy_kernel = kernel if kernel else False
                 if kernel:
                     return kernel.route_batch(pairs)
-        if not executor:
+        if executor is None:
             return [self.route(s, d) for s, d in pairs]
         route = executor.route
         return [route(s, d) for s, d in pairs]
 
-    @abstractmethod
     def _run(self, trace: PacketTrace, destination: NodeId) -> str | None:
         """Advance ``trace`` until delivery or failure.
 
         Returns ``None`` on delivery, otherwise a short failure-reason
-        string (e.g. ``"ttl_exceeded"``, ``"perimeter_loop"``).
+        string (e.g. ``"ttl_exceeded"``, ``"perimeter_loop"``).  The
+        extension point for schemes without an executor; the built-in
+        schemes do not define it.
         """
+        raise NotImplementedError(
+            f"{type(self).__name__} defines no forwarding loop: "
+            "override _run"
+        )
+
+
+def _replay(
+    graph: WasnGraph,
+    result: RouteResult,
+    on_hop: OnHop | None,
+    on_phase_change: OnPhaseChange | None,
+) -> None:
+    """Feed a finished route's hops to observers, in hop order.
+
+    The events and values :meth:`PacketTrace.advance` emits: a phase
+    change before hop ``i`` when its phase differs from hop ``i - 1``'s
+    (``None`` before hop 0), then the hop itself.
+    """
+    path = result.path
+    previous = None
+    for index, phase in enumerate(result.phases):
+        if on_phase_change is not None and phase != previous:
+            on_phase_change(index, previous, phase)
+        if on_hop is not None:
+            sender = path[index]
+            receiver = path[index + 1]
+            on_hop(
+                HopEvent(
+                    index=index,
+                    sender=sender,
+                    receiver=receiver,
+                    phase=phase,
+                    distance=graph.distance(sender, receiver),
+                )
+            )
+        previous = phase

@@ -1,51 +1,40 @@
-"""Batched routing executors — the index-based successor-selection fast path.
+"""The forwarding loops of the four schemes, on the topology core's indices.
 
-:meth:`Router.route_batch` routes whole (source, destination) batches
-over one :class:`~repro.network.core.TopologyCore`.  The per-scheme
-executors in this module run the forwarding loops — greedy/safe
-advance everywhere, GF's face and hole-boundary recovery, LGF/SLGF's
-tried-set perimeter sweep, and every rung of SLGF2's Algorithm 3 —
-directly on the core's flat columns:
+Each built-in scheme's forwarding loop exists once in the program: its
+executor here.  :meth:`Router.route` runs it for one packet (observers
+replay the finished route), :meth:`Router.route_batch` for a whole
+batch.  The executors run greedy/safe advance everywhere, GF's face
+and hole-boundary recovery, LGF/SLGF's tried-set perimeter sweep, and
+every rung of SLGF2's Algorithm 3 directly on the core's flat columns:
 neighbour-id tuples, plain-list coordinate reads, one ``math.hypot``
 per surviving candidate.  No ``Point`` objects, no per-hop dict
 lookups, no ``PacketTrace`` method dispatch.
 
-Exactness is non-negotiable: ``route_batch`` must return results
-bit-identical to sequential :meth:`Router.route` calls (the
-equivalence suite pins this per scheme).  Three mechanisms guarantee
-it:
+Exactness is non-negotiable: every route must be bit-identical to the
+object-path loops the executors replaced, which
+``tests/routing/_oracle.py`` keeps as the reference (the differential
+suites pin each scheme against it).  Two mechanisms guarantee it:
 
 * **Conservative squared-distance prefilter.**  Greedy selection
-  compares ``hypot`` distances exactly as the object path does; the
+  compares ``hypot`` distances exactly as the reference does; the
   fast loop merely *skips* candidates whose squared distance already
   proves ``hypot`` would lose.  The filter bound carries a relative
   margin of 1e-12 — four orders of magnitude wider than the ~1e-16
   relative error of squaring vs. ``hypot`` — so no candidate that
   could win (or tie) is ever skipped, and every surviving comparison
-  uses the same ``math.hypot`` values the legacy code computes.
+  uses the same ``math.hypot`` values the reference computes.
 
-* **Operation-for-operation replicas.**  Where a phase runs here —
-  the hand-rule sweeps of every perimeter and backup phase, the face
-  walk's crossing test, the hole-boundary walk's direction and exit
-  tests, the superseding rule's divider sides — the
-  replica performs the same floating-point operations in the same
-  order — ``atan2``/``fmod`` normalisation, tie-breaks, epsilon
-  conventions — only on flat columns instead of objects.
+* **Operation-for-operation replicas.**  Every phase — the hand-rule
+  sweeps of every perimeter and backup phase, the face walk's
+  crossing test, the hole-boundary walk's direction and exit tests,
+  the superseding rule's divider sides, the zone machinery at a node
+  coincident with its destination — performs the same floating-point
+  operations in the same order as the reference: ``atan2``/``fmod``
+  normalisation, tie-breaks, epsilon conventions, raised errors.
 
-* **Handover before divergence.**  One case is not replicated: an
-  LGF/SLGF packet at a node coincident with its destination, where
-  the zone machinery is degenerate.  Unit-disk graphs always link
-  coincident nodes, so only hand-built graphs reach it.  There the
-  executor materialises a :class:`~repro.routing.base.PacketTrace`
-  seeded with the hops routed so far and hands the packet to the
-  scheme's own ``_run``.  The scheme's per-packet state is still at
-  its initial value at that moment, so the original loop continues
-  exactly as if it had routed the prefix itself.  GF and SLGF2 never
-  hand over.
-
-Executors dispatch on the *exact* router type: subclasses that
-override selection behaviour fall back to sequential ``route`` calls
-rather than inheriting a fast path that no longer matches them.
+A router runs the executor of its nearest built-in base class
+(:func:`executor_for`), unless its class overrides ``_run``: then it
+routes through its own loop, one packet at a time.
 """
 
 from __future__ import annotations
@@ -55,13 +44,7 @@ import math
 from repro._optional import load_numpy
 from repro.core.regions import Hand
 from repro.network.node import NodeId
-from repro.routing.base import (
-    PacketTrace,
-    Phase,
-    RouteResult,
-    Router,
-    RoutingError,
-)
+from repro.routing.base import Phase, RouteResult, Router, RoutingError
 from repro.routing.greedy import GreedyRouter
 from repro.routing.lgf import LgfRouter
 from repro.routing.slgf import SlgfRouter
@@ -69,7 +52,7 @@ from repro.routing.slgf2 import Slgf2Router
 
 __all__ = ["executor_for", "numpy_kernel_for"]
 
-_EPS = 1e-9  # the routers' successor-selection tolerance (see greedy.py)
+_EPS = 1e-9  # the schemes' successor-selection and exit tolerance
 
 # Relative margin of the squared-distance prefilter.  Squaring and
 # ``hypot`` each err by ~1 ulp (~1.1e-16 relative); a candidate whose
@@ -124,14 +107,12 @@ def _norm(theta: float) -> float:
 
 
 class _Executor:
-    """Shared per-batch state and the exact slow-path bridges."""
+    """Shared per-topology state, argument checks and result records."""
 
     def __init__(self, router: Router, core) -> None:
         self.router = router
         self.xs, self.ys = core.coords_by_id()
         self.rows = core.rows_by_id()
-
-    # -- bridges to the object path -------------------------------------
 
     def _check(self, source: NodeId, destination: NodeId) -> None:
         graph = self.router.graph
@@ -139,43 +120,6 @@ class _Executor:
             raise RoutingError("source or destination not in graph")
         if source == destination:
             raise RoutingError("source equals destination")
-
-    def _handover(
-        self,
-        source: NodeId,
-        destination: NodeId,
-        path: list[NodeId],
-        phases: list[str],
-        length: float,
-    ) -> RouteResult:
-        """Finish the route through the scheme's own ``_run``.
-
-        The LGF/SLGF coincident-destination case only; the GF and
-        SLGF2 executors never call it.  The trace is seeded
-        with the fast-path prefix; ``_run`` re-examines the current
-        node afresh, so the hop the fast path declined to take is
-        decided by the original code.
-        """
-        router = self.router
-        trace = PacketTrace(router.graph, source, router.ttl)
-        trace.path = path
-        trace.phases = phases
-        trace.length = length
-        failure = router._run(trace, destination)
-        delivered = trace.current == destination and failure is None
-        return RouteResult(
-            router=router.name,
-            source=source,
-            destination=destination,
-            delivered=delivered,
-            path=tuple(trace.path),
-            phases=tuple(trace.phases),
-            length=trace.length,
-            perimeter_entries=trace.perimeter_entries,
-            backup_entries=trace.backup_entries,
-            bound_escapes=trace.bound_escapes,
-            failure_reason=failure,
-        )
 
     def _finish(
         self,
@@ -217,13 +161,12 @@ class _Executor:
         length: float,
         ttl: int,
     ) -> tuple[NodeId, float, str | None, bool]:
-        """Exact replica of ``LgfRouter._tried_set_perimeter``.
+        """Algorithm 1 step 4 (reference: ``lgf_tried_set_perimeter``).
 
         Right-hand-rule sweep over untried neighbours with
         backtracking; returns ``(current, length, failure, walking)``
         where ``walking=False`` means the phase ended (resume greedy,
-        arrived, or failed) exactly as the object implementation
-        would.  Appends to ``path``/``phases`` in place.
+        arrived, or failed).  Appends to ``path``/``phases`` in place.
         """
         xs = self.xs
         ys = self.ys
@@ -281,7 +224,7 @@ class _Executor:
             if saw_untried:
                 if best < 0:
                     # Every untried neighbour coincides with u: the
-                    # object path would advance(None) and raise.
+                    # sweep hits nothing, and the hop to None raises.
                     raise RoutingError(
                         f"illegal hop {u} -> None: not an edge"
                     )
@@ -316,7 +259,8 @@ class _Executor:
         ccw: bool,
         exclusive: bool,
     ) -> NodeId:
-        """Exact replica of ``hand_sweep``; -1 when nothing is hit.
+        """The hand-rule sweep (reference: ``hand_sweep``); -1 when
+        nothing is hit.
 
         The first candidate a ray from ``(xu, yu)`` at angle ``ref``
         hits, rotating counter-clockwise (``ccw``, the right hand) or
@@ -354,7 +298,7 @@ class _Executor:
         return best
 
     def _face_phase(self, u, destination, path, phases, length, ttl, ccw):
-        """Exact replica of ``perimeter.face_recovery`` on indices.
+        """GPSR's face walk (reference: ``face_recovery``).
 
         ``ccw`` is the hand: GF always walks with the right hand
         (``True``), SLGF2 with the one its either-hand rule chose.
@@ -449,12 +393,10 @@ class _Executor:
 class _GreedyExecutor(_Executor):
     """GF on indices: greedy advance and both recovery modes.
 
-    At a local minimum the packet recovers here, as ``GreedyRouter._run``
-    does: ``recovery="face"`` runs the right-hand face walk, and
-    ``recovery="boundhole"`` walks the stuck node's hole boundary
-    (:meth:`_boundary_walk`).  No packet hands over;
-    ``GreedyRouter._run`` and ``_boundhole_recovery`` stay as the
-    oracle.
+    At a local minimum the packet recovers here (reference:
+    ``gf_run``): ``recovery="face"`` runs the right-hand face walk,
+    and ``recovery="boundhole"`` walks the stuck node's hole boundary
+    (:meth:`_boundary_walk`).
     """
 
     def __init__(self, router: GreedyRouter, core) -> None:
@@ -539,15 +481,15 @@ class _GreedyExecutor(_Executor):
         )
 
     def _boundary_walk(self, u, destination, path, phases, length, ttl):
-        """Exact replica of ``GreedyRouter._boundhole_recovery``.
+        """BOUNDHOLE recovery (reference: ``gf_boundhole_recovery``).
 
         Walks the hole boundary through the stuck node ``u`` in the
         direction whose first node is no farther from ``d``, and exits
         on the first node closer to ``d`` than ``u``.  The face walk
-        takes over where the object path calls ``face_recovery``: no
-        boundary through ``u``, a first node the graph no longer has,
-        or a boundary edge the graph no longer has.  Returns
-        ``(current, length, failure)`` like :meth:`_face_phase`.
+        takes over when there is no boundary through ``u``, a first
+        node the graph no longer has, or a boundary edge the graph no
+        longer has.  Returns ``(current, length, failure)`` like
+        :meth:`_face_phase`.
         """
         cycle = self.router._hole_boundaries().boundary_of(u)
         if cycle is None or len(cycle) < 2:
@@ -607,7 +549,7 @@ class _GreedyExecutor(_Executor):
 
 
 class _LgfExecutor(_Executor):
-    """LGF fast path: request-zone greedy advance + ray-sweep perimeter."""
+    """LGF on indices: request-zone greedy advance + ray-sweep perimeter."""
 
     def __init__(self, router: LgfRouter, core) -> None:
         super().__init__(router, core)
@@ -643,12 +585,6 @@ class _LgfExecutor(_Executor):
                 u = destination
                 hops += 1
                 continue
-            if xu == xd and yu == yd:
-                # Coincident with the destination: zone machinery is
-                # degenerate here; let the original code decide.
-                return self._handover(
-                    source, destination, path, phases, length
-                )
             best = -1
             if zone_scope:
                 # Z_k(u, d): the closed rectangle with u and d at
@@ -674,7 +610,9 @@ class _LgfExecutor(_Executor):
                         best_dist = dv
                         cut = dv * dv * _GUARD
             else:
-                # Q_k(u) ∩ strictly-closer (quadrant scope).
+                # Q_k(u) ∩ strictly-closer (quadrant scope).  At a node
+                # coincident with d, zone_type_of raises; the request
+                # zone (above) degenerates to d's point instead.
                 ddx = xd - xu
                 ddy = yd - yu
                 if ddx > 0.0 and ddy >= 0.0:
@@ -683,6 +621,10 @@ class _LgfExecutor(_Executor):
                     k = 2
                 elif ddx < 0.0 and ddy <= 0.0:
                     k = 3
+                elif xu == xd and yu == yd:
+                    raise ValueError(
+                        "zone type undefined for coincident points"
+                    )
                 else:
                     k = 4
                 best_dist = du - _EPS
@@ -763,7 +705,7 @@ def _statuses_by_id(model, size: int) -> list:
 
 
 class _SlgfExecutor(_LgfExecutor):
-    """SLGF fast path: safe-preferred zone advance + ray-sweep perimeter."""
+    """SLGF on indices: safe-preferred zone advance + ray-sweep perimeter."""
 
     def __init__(self, router: SlgfRouter, core) -> None:
         super().__init__(router, core)
@@ -802,10 +744,6 @@ class _SlgfExecutor(_LgfExecutor):
                 u = destination
                 hops += 1
                 continue
-            if xu == xd and yu == yd:
-                return self._handover(
-                    source, destination, path, phases, length
-                )
             if zone_scope:
                 xlo, xhi = (xu, xd) if xu <= xd else (xd, xu)
                 ylo, yhi = (yu, yd) if yu <= yd else (yd, yu)
@@ -819,6 +757,10 @@ class _SlgfExecutor(_LgfExecutor):
                     k = 2
                 elif ddx < 0.0 and ddy <= 0.0:
                     k = 3
+                elif xu == xd and yu == yd:
+                    raise ValueError(
+                        "zone type undefined for coincident points"
+                    )
                 else:
                     k = 4
                 floor = du - _EPS
@@ -918,15 +860,15 @@ class _SlgfExecutor(_LgfExecutor):
 
 
 class _Slgf2Executor(_Executor):
-    """SLGF2 on indices: every rung of ``Slgf2Router._run``.
+    """SLGF2 on indices: every rung of Algorithm 3 (reference:
+    ``slgf2_run``).
 
     Safe forwarding under the superseding rule, unsafe greedy entry
     (with the safe-arrival gate and the size-aware entry test), backup
     episodes and the perimeter phase — face walk or (bounded) DFS —
-    run on the core's flat columns with ``_run``'s per-packet state:
-    the committed hand, the backup flag and budget, and the backup
-    visited set, which lives for the whole packet.  No packet hands
-    over.
+    run on the core's flat columns with the per-packet state: the
+    committed hand, the backup flag and budget, and the backup visited
+    set, which lives for the whole packet.
 
     Lazily memoised, never built up front (serve rebuilds the executor
     after every write; a paper cell routes 20 pairs through it): per
@@ -983,7 +925,7 @@ class _Slgf2Executor(_Executor):
 
     def _near_splits(self, u: NodeId) -> tuple:
         """The split records of ``u``, then of its neighbours ascending:
-        ``_region_splits_at``'s enumeration order."""
+        ``slgf2_region_splits_at``'s enumeration order."""
         records = self._near[u]
         if records is None:
             found = list(self._own_splits(u))
@@ -994,8 +936,9 @@ class _Slgf2Executor(_Executor):
 
     @staticmethod
     def _visible(records, xd: float, yd: float) -> list:
-        """``_region_splits_at``: the records whose forwarding zone holds
-        the destination off the divider, with the destination's side."""
+        """``slgf2_region_splits_at``: the records whose forwarding zone
+        holds the destination off the divider, with the destination's
+        side."""
         splits = []
         for sx, sy, ax, ay, cx, cy in records:
             dx = xd - ax
@@ -1024,7 +967,7 @@ class _Slgf2Executor(_Executor):
         return False
 
     def _prefer(self, candidates: list, splits) -> NodeId:
-        """``_prefer_non_forbidden`` then ``_greedy_pick``.
+        """``slgf2_prefer_non_forbidden`` then ``slgf2_greedy_pick``.
 
         ``candidates`` are ``(node, distance to d)`` in row order, so
         the first strict minimum is the smallest id among ties.  When
@@ -1056,14 +999,15 @@ class _Slgf2Executor(_Executor):
         return self._prefer(candidates, ())
 
     def _hand_at(self, u: NodeId, xd: float, yd: float) -> Hand:
-        """``_choose_hand``: the first visible split's side, else right."""
+        """``slgf2_choose_hand``: the first visible split's side, else right."""
         splits = self._visible(self._near_splits(u), xd, yd)
         return Hand.LEFT if splits and splits[0][6] < 0 else Hand.RIGHT
 
     # -- candidate sets --------------------------------------------------
 
     def _zone_scan(self, row, xu, yu, xd, yd, k, du) -> tuple[list, list]:
-        """``_plain_zone_candidates`` and ``_safe_zone_candidates``.
+        """``slgf2_plain_zone_candidates`` and
+        ``slgf2_safe_zone_candidates``.
 
         Both as ``(node, distance to d)`` lists in row order; ``k`` is
         the quadrant type, ignored under the rectangle scope.
@@ -1364,7 +1308,8 @@ class _Slgf2Executor(_Executor):
     # -- step 5's DFS perimeter phase -----------------------------------
 
     def _dfs_phase(self, u, destination, path, phases, length, ttl, ccw):
-        """Exact replica of ``Slgf2Router._bounded_perimeter_phase``.
+        """The (bounded) DFS perimeter phase (reference:
+        ``slgf2_bounded_perimeter_phase``).
 
         Returns ``(current, length, failure, bound_escapes)``.  Unlike
         the face walk, the edge to ``d`` is tested before the exit.
@@ -1446,22 +1391,30 @@ _BUILDERS = {
 }
 
 
-def executor_for(router: Router):
-    """A batch executor for ``router``, or ``None`` for no fast path.
+def _scheme_of(router: Router) -> type | None:
+    """The built-in scheme whose loop ``router`` runs: its nearest
+    built-in base class, or ``None`` when its class overrides ``_run``
+    (or descends from no built-in scheme)."""
+    cls = type(router)
+    if cls._run is not Router._run:
+        return None
+    for base in cls.__mro__:
+        if base in _BUILDERS:
+            return base
+    return None
 
-    ``None`` (sequential fallback) when the scheme has no registered
-    executor, when the router is a *subclass* of a known scheme (its
-    overridden behaviour must win), or when the graph cannot provide a
-    columnar core (hand-built, unsorted adjacency rows).
+
+def executor_for(router: Router):
+    """The scalar executor for ``router``, or ``None``.
+
+    ``None`` when the router routes through its own ``_run`` (see
+    :func:`_scheme_of`); otherwise its scheme's executor over the
+    graph's columnar core.
     """
-    builder = _BUILDERS.get(type(router))
-    if builder is None:
+    scheme = _scheme_of(router)
+    if scheme is None:
         return None
-    try:
-        core = router.graph.core
-    except ValueError:
-        return None
-    return builder(router, core)
+    return _BUILDERS[scheme](router, router.graph.core)
 
 
 # ---------------------------------------------------------------------------
@@ -1470,8 +1423,8 @@ def executor_for(router: Router):
 
 # A packet this close to the destination defects: the quadrant-scope
 # floor ``du - _EPS`` stops being meaningfully positive, and coincident
-# geometry (the executors' hand-over cases) hides below it.  Far larger
-# than the decision bands, far smaller than any real hop.
+# geometry (a node at the destination's position) hides below it.  Far
+# larger than the decision bands, far smaller than any real hop.
 _NEAR_DEST = 1e-6
 
 # The two sides of the squared-distance decision band.  A comparison
@@ -1965,13 +1918,13 @@ def numpy_kernel_for(router: Router, executor=None):
     ``None`` when the scheme has no kernel mode (SLGF2: its kernel
     defected nearly every packet to the scalar replica and was no faster
     than it, so SLGF2 runs on the scalar executor under every backend),
-    when numpy is unavailable, or when the router has no scalar fast
-    path (``executor_for`` rules: unknown scheme, subclass, no columnar
-    core) — the kernel defects packets to the scalar replica, so it
-    cannot exist without one.  ``executor`` reuses an already-built
-    scalar executor instead of building a fresh one.
+    when numpy is unavailable, or when the router routes through its
+    own ``_run`` — the kernel defects packets to the scalar executor,
+    so it cannot exist without one.  The scheme is picked by the rule
+    that picks the executor (:func:`_scheme_of`).  ``executor`` reuses
+    an already-built scalar executor instead of building a fresh one.
     """
-    mode = _KERNEL_MODES.get(type(router))
+    mode = _KERNEL_MODES.get(_scheme_of(router))
     if mode is None:
         return None
     np = load_numpy()
@@ -1979,8 +1932,6 @@ def numpy_kernel_for(router: Router, executor=None):
         return None
     if executor is None:
         executor = executor_for(router)
-    if executor is None:
-        return None
     return _NumpyBatchKernel(np, mode, router, router.graph.core, executor)
 
 

@@ -25,25 +25,20 @@ stuck node that started it.
 ``candidate_scope`` selects step-3's candidate set: ``"zone"`` (the
 request zone, Algorithm 1 as printed) or ``"quadrant"`` (the full
 forwarding zone ``Q_k(u)``, matching the prose definition of the local
-minimum and the safety model's semantics — see DESIGN.md note 1).
+minimum and the safety model's semantics: the labels of Definition 1
+are computed over ``Q_k``).  Quadrant scope also requires a candidate
+to be strictly closer to ``d`` than ``u``: the quadrant extends beyond
+``d``, and without that guard a packet could overshoot and oscillate.
+
+The forwarding loop is ``_LgfExecutor`` in :mod:`repro.routing.batch`.
 """
 
 from __future__ import annotations
 
-from repro.core.zones import (
-    forwarding_zone_contains,
-    request_zone,
-    zone_type_of,
-)
-from repro.geometry import Point
-from repro.geometry.angles import angle_of, first_hit_ccw
 from repro.network.graph import WasnGraph
-from repro.network.node import NodeId
-from repro.routing.base import PacketTrace, Phase, Router
+from repro.routing.base import Router
 
 __all__ = ["LgfRouter"]
-
-_EPS = 1e-9
 
 
 class LgfRouter(Router):
@@ -64,111 +59,3 @@ class LgfRouter(Router):
                 "expected 'zone' or 'quadrant'"
             )
         self._scope = candidate_scope
-
-    # -- candidate selection (steps 2-3) --------------------------------
-
-    def _zone_candidates(
-        self, u: NodeId, pu: Point, pd: Point
-    ) -> list[NodeId]:
-        """``Z_k(u, d) ∩ N(u)`` (or ``Q_k(u) ∩ N(u)`` in quadrant scope).
-
-        Quadrant scope additionally requires candidates to be strictly
-        closer to the destination: the quadrant extends beyond ``d``,
-        and without the improvement requirement a packet could
-        overshoot and oscillate (the request zone needs no such guard —
-        every point of it is strictly closer than ``u``).
-        """
-        graph = self.graph
-        if self._scope == "zone":
-            zone = request_zone(pu, pd)
-            return [
-                v
-                for v in graph.neighbors(u)
-                if zone.contains(graph.position(v))
-            ]
-        k = zone_type_of(pu, pd)
-        du = pu.distance_to(pd)
-        return [
-            v
-            for v in graph.neighbors(u)
-            if forwarding_zone_contains(pu, k, graph.position(v))
-            and graph.position(v).distance_to(pd) < du - _EPS
-        ]
-
-    def _select_forward(
-        self, u: NodeId, pu: Point, pd: Point
-    ) -> NodeId | None:
-        """Greedy pick among zone candidates, ``None`` at a local minimum."""
-        candidates = self._zone_candidates(u, pu, pd)
-        if not candidates:
-            return None
-        graph = self.graph
-        return min(
-            candidates,
-            key=lambda v: (graph.position(v).distance_to(pd), v),
-        )
-
-    # -- main loop -------------------------------------------------------
-
-    def _run(self, trace: PacketTrace, destination: NodeId) -> str | None:
-        graph = self.graph
-        pd = graph.position(destination)
-        while not trace.exhausted():
-            u = trace.current
-            if u == destination:
-                return None
-            if graph.has_edge(u, destination):
-                trace.advance(destination, Phase.GREEDY)
-                return None
-            pu = graph.position(u)
-            pick = self._select_forward(u, pu, pd)
-            if pick is not None:
-                trace.advance(pick, Phase.GREEDY)
-                continue
-            trace.perimeter_entries += 1
-            failure = self._tried_set_perimeter(trace, destination)
-            if failure is not None:
-                return failure
-            if trace.current == destination:
-                return None
-        return "ttl_exceeded"
-
-    # -- perimeter phase (step 4) ----------------------------------------
-
-    def _tried_set_perimeter(
-        self, trace: PacketTrace, destination: NodeId
-    ) -> str | None:
-        """Right-hand-rule sweep over untried neighbours, with backtracking.
-
-        Exits (returning ``None``) at the first node strictly closer to
-        the destination than the stuck node; reports ``"unreachable"``
-        after exhausting every reachable untried node.
-        """
-        graph = self.graph
-        pd = graph.position(destination)
-        stuck_dist = graph.position(trace.current).distance_to(pd)
-        tried: set[NodeId] = {trace.current}
-        stack: list[NodeId] = [trace.current]
-        while not trace.exhausted():
-            u = trace.current
-            pu = graph.position(u)
-            if pu.distance_to(pd) < stuck_dist - _EPS:
-                return None  # resume greedy phase
-            if graph.has_edge(u, destination):
-                trace.advance(destination, Phase.PERIMETER)
-                return None
-            untried = [v for v in graph.neighbors(u) if v not in tried]
-            if untried:
-                pick = first_hit_ccw(
-                    pu, angle_of(pu, pd), untried, graph.position
-                )
-                tried.add(pick)
-                stack.append(pick)
-                trace.advance(pick, Phase.PERIMETER)
-                continue
-            # Dead end: backtrack along the phase's own path.
-            stack.pop()
-            if not stack:
-                return "unreachable"
-            trace.advance(stack[-1], Phase.PERIMETER)
-        return "ttl_exceeded"

@@ -1,15 +1,12 @@
-"""Face-routing perimeter recovery (Bose-Morin-Stojmenovic / GPSR).
+"""The planar substrate of face-routing perimeter recovery.
 
 The paper's perimeter phases cite "the 'right-hand rule' policy [2]" —
 reference [2] being the face-routing paper (Routing with Guaranteed
-Delivery in Ad Hoc Wireless Networks).  This module implements that
-traversal once, parameterised by the rotation hand so that:
-
-* GF uses it with the right hand (classic GPSR perimeter mode);
-* SLGF2 uses it with the hand chosen by the either-hand rule and
-  sticks with it for the phase (Algorithm 3 step 5).
-
-Mechanics (mirrored exactly for the left hand):
+Delivery in Ad Hoc Wireless Networks).  GF runs that traversal with
+the right hand (classic GPSR perimeter mode); SLGF2 with the hand its
+either-hand rule chose, sticking with it for the phase (Algorithm 3
+step 5).  Both walk one face walk, ``_Executor._face_phase`` in
+:mod:`repro.routing.batch`:
 
 * the walk runs on a planarized subgraph (Gabriel/RNG adjacency);
 * the first edge is the first one swept from the ray toward the
@@ -22,30 +19,18 @@ Mechanics (mirrored exactly for the left hand):
   the destination is unreachable (the GPSR drop rule);
 * the phase exits at the first node strictly closer to the destination
   than the stuck node.
+
+This module holds the planarized adjacency those walks read.
 """
 
 from __future__ import annotations
 
-from repro.core.regions import Hand
-from repro.geometry.angles import angle_of
-from repro.geometry.segment import proper_intersection_point
 from repro.network.graph import WasnGraph
 from repro.network.node import NodeId
-from repro.network.planar import (
-    gabriel_graph,
-    relative_neighborhood_graph,
-)
-from repro.routing.base import PacketTrace, Phase
-from repro.routing.handrule import hand_sweep
 
-__all__ = ["PlanarizationCache", "face_recovery"]
+__all__ = ["PlanarizationCache"]
 
-_EPS = 1e-9
-
-_PLANARIZATIONS = {
-    "gabriel": gabriel_graph,
-    "rng": relative_neighborhood_graph,
-}
+_KINDS = ("gabriel", "rng")
 
 
 class PlanarizationCache:
@@ -55,9 +40,8 @@ class PlanarizationCache:
     of the network graph, but an O(E * k) one — too expensive to
     recompute per delta under churn, and wasted entirely on routes
     that never leave greedy mode.  This cache computes it on first
-    use, serves ``cache[u]`` lookups to :func:`face_recovery`
-    unchanged (it quacks like the plain adjacency dict), and
-    :meth:`rebind` drops it when the owning router learns of a
+    use, serves ``cache[u]`` lookups like the plain adjacency dict,
+    and :meth:`rebind` drops it when the owning router learns of a
     topology change — the next perimeter entry rebuilds against the
     current graph.
 
@@ -65,15 +49,13 @@ class PlanarizationCache:
     (:meth:`~repro.network.core.TopologyCore.planar_adjacency`), so
     every cache over the same core — GF's and SLGF2's, say — shares
     one CSR-mask construction instead of planarizing separately.
-    Graphs without a core (hand-built, unsorted adjacency rows) fall
-    back to the dict-based reference construction.
     """
 
     def __init__(self, graph: WasnGraph, kind: str = "gabriel"):
-        if kind not in _PLANARIZATIONS:
+        if kind not in _KINDS:
             raise ValueError(
                 f"unknown planarization {kind!r}; "
-                f"expected one of {sorted(_PLANARIZATIONS)}"
+                f"expected one of {sorted(_KINDS)}"
             )
         self._graph = graph
         self._kind = kind
@@ -88,13 +70,7 @@ class PlanarizationCache:
     def adjacency(self) -> dict[NodeId, tuple[NodeId, ...]]:
         """The planar adjacency, computed on first access."""
         if self._adjacency is None:
-            try:
-                self._adjacency = self._graph.core.planar_adjacency(
-                    self._kind
-                )
-            except ValueError:
-                # No columnar core for this graph: reference path.
-                self._adjacency = _PLANARIZATIONS[self._kind](self._graph)
+            self._adjacency = self._graph.core.planar_adjacency(self._kind)
         return self._adjacency
 
     def __getitem__(self, node: NodeId) -> tuple[NodeId, ...]:
@@ -104,82 +80,3 @@ class PlanarizationCache:
         """Point at an updated graph, discarding the cached adjacency."""
         self._graph = graph
         self._adjacency = None
-
-
-def face_recovery(
-    trace: PacketTrace,
-    graph: WasnGraph,
-    planar: "dict[NodeId, tuple[NodeId, ...]] | PlanarizationCache",
-    destination: NodeId,
-    hand: Hand = Hand.RIGHT,
-) -> str | None:
-    """Walk faces of the planar subgraph until closer than the stuck node.
-
-    Returns ``None`` when greedy forwarding may resume (or the packet
-    arrived); otherwise a failure reason (``"unreachable"``,
-    ``"ttl_exceeded"``, ``"isolated_in_planar_graph"``).
-    """
-    pd = graph.position(destination)
-    stuck = trace.current
-    stuck_pos = graph.position(stuck)
-    exit_dist = stuck_pos.distance_to(pd)
-
-    first_edge: tuple[NodeId, NodeId] | None = None
-    best_cross = exit_dist
-    while not trace.exhausted():
-        u = trace.current
-        pu = graph.position(u)
-        if u != stuck and pu.distance_to(pd) < exit_dist - _EPS:
-            return None  # resume forwarding
-        if graph.has_edge(u, destination):
-            trace.advance(destination, Phase.PERIMETER)
-            return None
-        candidates = planar[u]
-        if not candidates:
-            return "isolated_in_planar_graph"
-        prev = trace.previous
-        if first_edge is None or prev is None:
-            reference = angle_of(pu, pd)
-            exclusive = False
-        else:
-            reference = angle_of(pu, graph.position(prev))
-            exclusive = True
-        nxt = hand_sweep(
-            hand, pu, reference, candidates, graph.position, exclusive
-        )
-        if nxt is None:
-            return "isolated_in_planar_graph"
-        # Face-change test: rotate past edges crossing the
-        # stuck->destination segment closer to the destination.
-        changed_face = False
-        for _ in range(len(candidates)):
-            crossing = proper_intersection_point(
-                pu, graph.position(nxt), stuck_pos, pd
-            )
-            if crossing is None:
-                break
-            cross_dist = crossing.distance_to(pd)
-            if cross_dist >= best_cross - _EPS:
-                break
-            best_cross = cross_dist
-            changed_face = True
-            rotated = hand_sweep(
-                hand,
-                pu,
-                angle_of(pu, graph.position(nxt)),
-                candidates,
-                graph.position,
-                exclusive=True,
-            )
-            if rotated is None:
-                break
-            nxt = rotated
-        edge = (u, nxt)
-        if changed_face or first_edge is None:
-            first_edge = edge
-        elif edge == first_edge:
-            # Traversing the first edge of the face a second time: the
-            # destination is unreachable (GPSR drop rule).
-            return "unreachable"
-        trace.advance(nxt, Phase.PERIMETER)
-    return "ttl_exceeded"

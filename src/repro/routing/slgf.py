@@ -16,15 +16,17 @@ reconstruction follows the description in Sections 2-4 and is the
 behaviour the evaluation curves need: fewer perimeter entries than
 LGF/GF, but more detours than SLGF2 because it lacks shape information
 (no either-hand rule, no backup paths, no bounded perimeter).
+
+As a delta of LGF: a candidate's safety is read for *its own* request
+zone toward ``d`` ("k and k-bar are not necessarily the same",
+Section 4), a node at exactly the destination's position counts as
+safe, and the nearest safe candidate wins over the nearest plain one.
+The forwarding loop is ``_SlgfExecutor`` in :mod:`repro.routing.batch`.
 """
 
 from __future__ import annotations
 
 from repro.core.model import InformationModel
-from repro.core.zones import zone_type_of
-from repro.geometry import Point
-from repro.network.node import NodeId
-from repro.routing.base import PacketTrace, Phase
 from repro.routing.lgf import LgfRouter
 
 __all__ = ["SlgfRouter"]
@@ -64,64 +66,3 @@ class SlgfRouter(LgfRouter):
     def _on_topology_change(self, delta) -> None:
         """Safety labels go stale with the topology; rebuild on demand."""
         self._model_stale = True
-
-    def _safe_candidates(
-        self, candidates: list[NodeId], pd: Point
-    ) -> list[NodeId]:
-        """Candidates that are safe for *their own* request zone to d.
-
-        The zone type is re-evaluated at the candidate ("k and k-bar
-        are not necessarily the same", Section 4): what matters is
-        whether the forwarding *from v onward* stays safe.
-        """
-        graph = self.graph
-        model = self.model
-        out: list[NodeId] = []
-        for v in candidates:
-            pv = graph.position(v)
-            if pv == pd:
-                # Zone type undefined; can only happen for a node at
-                # exactly the destination's position — trivially "safe".
-                out.append(v)
-                continue
-            if model.is_safe(v, zone_type_of(pv, pd)):
-                out.append(v)
-        return out
-
-    def _run(self, trace: PacketTrace, destination: NodeId) -> str | None:
-        graph = self.graph
-        pd = graph.position(destination)
-        while not trace.exhausted():
-            u = trace.current
-            if u == destination:
-                return None
-            if graph.has_edge(u, destination):
-                trace.advance(destination, Phase.SAFE)
-                return None
-            pu = graph.position(u)
-            candidates = self._zone_candidates(u, pu, pd)
-            safe = self._safe_candidates(candidates, pd)
-            if safe:
-                pick = min(
-                    safe,
-                    key=lambda v: (graph.position(v).distance_to(pd), v),
-                )
-                trace.advance(pick, Phase.SAFE)
-                continue
-            if candidates:
-                # No safe successor: advance greedily anyway (this is
-                # what walks into the hole and triggers perimeter
-                # routing — exactly the weakness SLGF2 fixes).
-                pick = min(
-                    candidates,
-                    key=lambda v: (graph.position(v).distance_to(pd), v),
-                )
-                trace.advance(pick, Phase.GREEDY)
-                continue
-            trace.perimeter_entries += 1
-            failure = self._tried_set_perimeter(trace, destination)
-            if failure is not None:
-                return failure
-            if trace.current == destination:
-                return None
-        return "ttl_exceeded"

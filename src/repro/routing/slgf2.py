@@ -25,13 +25,14 @@ The phase ladder, "in the following order":
    * ``"dfs-bounded"`` — the DFS confined to the union of estimated
      unsafe rectangles (the literal reading of contribution (c)).
      Measured effect is *negative* under DFS mechanics — the bound
-     overrides the hand sweep's angular order (see the ablation bench
-     and EXPERIMENTS.md) — which is why it is not the default.
+     overrides the hand sweep's angular order (see
+     ``benchmarks/bench_ablation.py``) — which is why it is not the
+     default.
      ``bound_escapes`` counts fallbacks when the bound starves the
      sweep.
 
-Engineering decisions layered on the paper's text (all documented in
-DESIGN.md, all surfaced as constructor flags for the ablation benches):
+Engineering decisions layered on the paper's text (each stated below,
+each surfaced as a constructor flag for the ablation benches):
 
 * **Safe-arrival gate.**  "When the destination d is type-k' safe
   (k' = (k+2) Mod 4), a straightforward path is achieved" — and when
@@ -56,6 +57,14 @@ DESIGN.md, all surfaced as constructor flags for the ablation benches):
   be a false escape leading straight back into the same dead end; the
   backup visited-set persists for the packet's lifetime to force
   progress.
+
+As a delta of SLGF: candidates default to the quadrant scope, a
+superseding filter steers every greedy pick, and backup episodes and
+a hand-committed face or DFS perimeter replace SLGF's tried-set
+perimeter.  The forwarding loop is ``_Slgf2Executor`` in
+:mod:`repro.routing.batch`; the router keeps the three decisions that
+read the estimated rectangles (size-aware entry, episode cap, DFS
+bound), which the executor calls.
 """
 
 from __future__ import annotations
@@ -63,20 +72,11 @@ from __future__ import annotations
 import math
 
 from repro.core.model import InformationModel
-from repro.core.regions import Hand, RegionSplit
-from repro.core.zones import (
-    ZONE_TYPES,
-    forwarding_zone_contains,
-    opposite_zone_type,
-    request_zone,
-    zone_type_of,
-)
+from repro.core.zones import zone_type_of
 from repro.geometry import Point, Rect
-from repro.geometry.angles import angle_of
 from repro.network.node import NodeId
-from repro.routing.base import PacketTrace, Phase, Router
-from repro.routing.handrule import hand_sweep
-from repro.routing.perimeter import PlanarizationCache, face_recovery
+from repro.routing.base import Router
+from repro.routing.perimeter import PlanarizationCache
 
 __all__ = ["Slgf2Router"]
 
@@ -174,144 +174,7 @@ class Slgf2Router(Router):
             self._planar.rebind(self.graph)
 
     # ------------------------------------------------------------------
-    # Candidate machinery
-    # ------------------------------------------------------------------
-
-    def _plain_zone_candidates(
-        self, u: NodeId, pu: Point, pd: Point
-    ) -> list[NodeId]:
-        """All forwarding candidates at ``u``.
-
-        ``"zone"`` scope: ``Z_k(u, d) ∩ N(u)`` (Algorithm 1 as
-        printed); ``"quadrant"`` scope: strictly-closer neighbours in
-        ``Q_k(u)`` (the prose definition of blocking, and the scope
-        under which the safety labels are exact — see DESIGN.md).
-        """
-        graph = self.graph
-        if self._scope == "zone":
-            zone = request_zone(pu, pd)
-            return [
-                v
-                for v in graph.neighbors(u)
-                if zone.contains(graph.position(v))
-            ]
-        k = zone_type_of(pu, pd)
-        du = pu.distance_to(pd)
-        candidates = [
-            v
-            for v in graph.neighbors(u)
-            if forwarding_zone_contains(pu, k, graph.position(v))
-            and graph.position(v).distance_to(pd) < du - _EPS
-        ]
-        if not candidates and self._adaptive_greedy:
-            # Future-work extension ("increase the routing adaptivity
-            # so that fewer perimeter routing phases are needed"):
-            # when the forwarding zone is empty, accept *any* strictly
-            # closer neighbour before resorting to detour phases.
-            candidates = [
-                v
-                for v in graph.neighbors(u)
-                if graph.position(v).distance_to(pd) < du - _EPS
-            ]
-        return candidates
-
-    def _safe_zone_candidates(
-        self, candidates: list[NodeId], pd: Point
-    ) -> list[NodeId]:
-        """Step 2: candidates safe w.r.t. their own zone toward ``d``."""
-        graph = self.graph
-        out: list[NodeId] = []
-        for v in candidates:
-            pv = graph.position(v)
-            if pv == pd or self.model.is_safe(v, zone_type_of(pv, pd)):
-                out.append(v)
-        return out
-
-    def _region_splits_at(self, u: NodeId, pd: Point) -> list[RegionSplit]:
-        """Critical/forbidden splits visible from ``u``.
-
-        One split per (unsafe node, type) among ``u`` and its
-        neighbours, kept only when the destination lies inside the
-        split's forwarding zone (otherwise "the destination is in the
-        critical region" cannot hold) and off the divider.
-        """
-        graph = self.graph
-        splits: list[RegionSplit] = []
-        for w in (u, *graph.neighbors(u)):
-            pw = graph.position(w)
-            for zone_type in ZONE_TYPES:
-                if self.model.is_safe(w, zone_type):
-                    continue
-                if not forwarding_zone_contains(pw, zone_type, pd):
-                    continue
-                split = self.model.region_split(w, zone_type, pd)
-                if split is not None and split.destination_side != 0:
-                    splits.append(split)
-        return splits
-
-    def _prefer_non_forbidden(
-        self, candidates: list[NodeId], splits: list[RegionSplit]
-    ) -> list[NodeId]:
-        """Step 3, the superseding rule: drop forbidden-region candidates.
-
-        A *preference*, not a hard constraint: when every candidate is
-        forbidden the original list is returned (a detour beats a
-        stall).
-        """
-        if not self._use_superseding or not splits:
-            return candidates
-        graph = self.graph
-        filtered = [
-            v
-            for v in candidates
-            if not any(
-                split.in_forbidden_region(graph.position(v))
-                for split in splits
-            )
-        ]
-        return filtered or candidates
-
-    def _greedy_pick(
-        self, candidates: list[NodeId], pd: Point
-    ) -> NodeId:
-        """Deterministic greedy choice: closest to ``d``, ties by id."""
-        graph = self.graph
-        return min(
-            candidates,
-            key=lambda v: (graph.position(v).distance_to(pd), v),
-        )
-
-    def _is_backup_candidate(self, u: NodeId, pu: Point, v: NodeId) -> bool:
-        """Is hopping to ``v`` a safe type-``i`` forwarding for some ``i``?
-
-        True when ``v`` is safe for a quadrant type it occupies
-        relative to ``u`` (a node on a quadrant boundary occupies two
-        types; being safe in either qualifies).  "The routing from u
-        can use the type-i forwarding to approach the edge of that
-        type-k unsafe area and then leave away from such an area."
-        """
-        pv = self.graph.position(v)
-        return any(
-            forwarding_zone_contains(pu, zone_type, pv)
-            and self.model.is_safe(v, zone_type)
-            for zone_type in ZONE_TYPES
-        )
-
-    def _choose_hand(
-        self, splits: list[RegionSplit]
-    ) -> Hand:
-        """Pick the hand that walks around the unsafe area on d's side.
-
-        Uses the first visible split (deterministic: splits are
-        gathered in node-id order); defaults to the right hand when no
-        shape information is visible — the paper's base rule.
-        """
-        for split in splits:
-            return split.preferred_hand()
-        return Hand.RIGHT
-
-    # ------------------------------------------------------------------
-    # Size-aware entry decision
+    # Size-aware entry, backup episode cap and DFS bound
     # ------------------------------------------------------------------
 
     def _entering_is_cheap(self, v: NodeId, pd: Point) -> bool:
@@ -356,176 +219,6 @@ class Slgf2Router(Router):
         hops_around = bound.perimeter / self.graph.radius
         return max(8, math.ceil(self._backup_cap_factor * hops_around))
 
-    # ------------------------------------------------------------------
-    # Main loop
-    # ------------------------------------------------------------------
-
-    def _run(self, trace: PacketTrace, destination: NodeId) -> str | None:
-        graph = self.graph
-        pd = graph.position(destination)
-        hand: Hand | None = None  # committed hand while in backup mode
-        in_backup = False
-        backup_budget = 0
-        backup_visited: set[NodeId] = set()  # per-packet, see module doc
-
-        while not trace.exhausted():
-            u = trace.current
-            if u == destination:
-                return None
-            if graph.has_edge(u, destination):
-                trace.advance(
-                    destination, Phase.BACKUP if in_backup else Phase.SAFE
-                )
-                return None
-            pu = graph.position(u)
-            k = zone_type_of(pu, pd)
-            plain = self._plain_zone_candidates(u, pu, pd)
-            safe = self._safe_zone_candidates(plain, pd)
-
-            # Steps 2+3: safe forwarding under the superseding rule.
-            if safe:
-                if in_backup:
-                    # "until the forwarding from v to d is safe": leave
-                    # backup mode, release the hand commitment.
-                    in_backup = False
-                    hand = None
-                splits = self._region_splits_at(u, pd)
-                preferred = self._prefer_non_forbidden(safe, splits)
-                trace.advance(self._greedy_pick(preferred, pd), Phase.SAFE)
-                continue
-
-            # Safe-arrival gate (see module docstring): an unsafe
-            # destination voids the safe-forwarding guarantee, so run
-            # SLGF-style greedy + perimeter, superseding filter intact.
-            arrival_safe = self.model.is_safe(
-                destination, opposite_zone_type(k)
-            )
-
-            # Backup triggers on u's own status, as in Section 4:
-            # "When u is safe in one of four types but not in the type
-            # of its request zone (S_k(u) = 0 ∧ S_i(u) > 0, i ≠ k), the
-            # routing from u can use the type-i forwarding."  When
-            # S_k(u) = 1 the label promises a continuable forwarding
-            # ahead, so a plain greedy hop is the right move even
-            # though no *zone-safe* candidate showed up (quadrant-based
-            # labels vs zone-limited candidates).  The size heuristic
-            # (`_entering_is_cheap`) can additionally allow entering a
-            # provably tiny area; it is conservative and never fires on
-            # degenerate point-rectangles.
-            detour_justified = (
-                self._use_backup
-                and arrival_safe
-                and not self.model.is_safe(u, k)
-                and self.model.is_safe_any(u)
-                and not (
-                    plain
-                    and self._entering_is_cheap(
-                        self._greedy_pick(plain, pd), pd
-                    )
-                )
-            )
-            if plain and not detour_justified:
-                splits = self._region_splits_at(u, pd)
-                preferred = self._prefer_non_forbidden(plain, splits)
-                trace.advance(self._greedy_pick(preferred, pd), Phase.GREEDY)
-                continue
-
-            # Step 4: backup path forwarding around a large unsafe area.
-            backup: list[NodeId] = []
-            if self._use_backup and arrival_safe:
-                if in_backup and backup_budget <= 0:
-                    # Episode over budget: stop orbiting.  Enter the
-                    # area if possible, else fall to perimeter.
-                    if plain:
-                        splits = self._region_splits_at(u, pd)
-                        preferred = self._prefer_non_forbidden(plain, splits)
-                        trace.advance(
-                            self._greedy_pick(preferred, pd), Phase.GREEDY
-                        )
-                        in_backup = False
-                        hand = None
-                        continue
-                else:
-                    backup = [
-                        v
-                        for v in graph.neighbors(u)
-                        if v not in backup_visited
-                        and self._is_backup_candidate(u, pu, v)
-                    ]
-            if backup:
-                if not in_backup:
-                    in_backup = True
-                    trace.backup_entries += 1
-                    backup_budget = self._backup_cap(u)
-                    backup_visited.add(u)
-                    if hand is None:
-                        # In the detour phases the superseding rule *is*
-                        # the hand choice: route around the area on the
-                        # destination's side (Section 4's "either-hand
-                        # rule"), then stick with that hand.
-                        hand = self._choose_hand(
-                            self._region_splits_at(u, pd)
-                        )
-                # Sweep anchored on the ray ud (like Algorithm 1's
-                # perimeter rule): backup hops hug the destination
-                # direction — "approach the edge of the unsafe area" —
-                # while the visited-set prevents ping-pong.
-                pick = hand_sweep(
-                    hand,
-                    pu,
-                    angle_of(pu, pd),
-                    backup,
-                    graph.position,
-                    exclusive=False,
-                )
-                if pick is not None:
-                    backup_visited.add(pick)
-                    backup_budget -= 1
-                    trace.advance(pick, Phase.BACKUP)
-                    continue
-                # All sweep candidates degenerate (coincident points):
-                # fall through to the perimeter phase.
-
-            # Step 5: perimeter routing.  The hand: the paper prescribes
-            # the either-hand rule here too, but the E-rectangle
-            # estimates that drive the hand choice systematically
-            # underestimate *large* unsafe areas (the chains only see
-            # the near rim), and a mis-chosen hand walks a face the
-            # long way around — measured: either-hand costs ~50% extra
-            # hops under FA.  Default is therefore the plain right-hand
-            # rule; ``perimeter_hand="either"`` restores the paper's
-            # letter for the ablation bench.
-            in_backup = False
-            trace.perimeter_entries += 1
-            if self._perimeter_hand == "right":
-                peri_hand = Hand.RIGHT
-            elif hand is not None:
-                peri_hand = hand
-            else:
-                peri_hand = self._choose_hand(self._region_splits_at(u, pd))
-            failure = self._perimeter_phase(trace, destination, peri_hand)
-            if failure is not None:
-                return failure
-            hand = None
-            if trace.current == destination:
-                return None
-        return "ttl_exceeded"
-
-    def _perimeter_phase(
-        self, trace: PacketTrace, destination: NodeId, hand: Hand
-    ) -> str | None:
-        """Dispatch on the configured perimeter mechanics."""
-        if self._perimeter_mode == "face":
-            assert self._planar is not None
-            return face_recovery(
-                trace, self.graph, self._planar, destination, hand
-            )
-        return self._bounded_perimeter_phase(trace, destination, hand)
-
-    # ------------------------------------------------------------------
-    # Step 5: bounded perimeter phase
-    # ------------------------------------------------------------------
-
     def _perimeter_bound(self, u: NodeId) -> Rect | None:
         """The rectangle that "covers all four E areas" known at ``u``.
 
@@ -543,66 +236,3 @@ class Slgf2Router(Router):
         for rect in rects[1:]:
             bound = bound.union_bounds(rect)
         return bound.expanded(self._bound_margin)
-
-    def _bounded_perimeter_phase(
-        self, trace: PacketTrace, destination: NodeId, hand: Hand
-    ) -> str | None:
-        """Hand-rule sweep over untried neighbours with backtracking.
-
-        Candidates are confined to the estimated-unsafe-area bound when
-        one is known; the phase exits at the first node strictly closer
-        to the destination than the entry point (the same recovery exit
-        every other router uses, which keeps perimeter entries strictly
-        monotone in distance-to-destination and hence terminating).
-        """
-        graph = self.graph
-        pd = graph.position(destination)
-        entry = trace.current
-        entry_dist = graph.position(entry).distance_to(pd)
-        bound = self._perimeter_bound(entry)
-        tried: set[NodeId] = {entry}
-        stack: list[NodeId] = [entry]
-        while not trace.exhausted():
-            u = trace.current
-            pu = graph.position(u)
-            if graph.has_edge(u, destination):
-                trace.advance(destination, Phase.PERIMETER)
-                return None
-            if u != entry and pu.distance_to(pd) < entry_dist - _EPS:
-                return None  # recovery complete, resume the ladder
-            untried = [v for v in graph.neighbors(u) if v not in tried]
-            candidates = untried
-            if bound is not None and untried:
-                inside = [
-                    v for v in untried if bound.contains(graph.position(v))
-                ]
-                if inside:
-                    candidates = inside
-                else:
-                    trace.bound_escapes += 1
-            if candidates:
-                # ud-anchored sweep, as in Algorithm 1's perimeter rule;
-                # the tried-set provides the "untried" memory.  The
-                # superseding rule acts here through the committed hand
-                # only — per-candidate forbidden-region filtering would
-                # fight the hand discipline and measurably lengthens
-                # detours (see the ablation bench).
-                pick = hand_sweep(
-                    hand,
-                    pu,
-                    angle_of(pu, pd),
-                    candidates,
-                    graph.position,
-                    exclusive=False,
-                )
-                if pick is not None:
-                    tried.add(pick)
-                    stack.append(pick)
-                    trace.advance(pick, Phase.PERIMETER)
-                    continue
-            # Dead end inside the bound: backtrack.
-            stack.pop()
-            if not stack:
-                return "unreachable"
-            trace.advance(stack[-1], Phase.PERIMETER)
-        return "ttl_exceeded"

@@ -15,8 +15,8 @@ one that takes the numpy build (numpy's only where it imports).
 Topologies: the paper's IA and FA models; lattices, whose every
 neighbour lies on a quadrant axis or a diagonal, with collinear ties at
 the larger radius; duplicate positions; sparse ids; hand-built graphs
-with unsorted rows (no core); and dynamic snapshots after failures and
-restores.  The base seed runs in tier-1; the ``slow``-marked extra
+with unsorted rows (sorted on construction, so their shapes are their
+sorted twins'); and dynamic snapshots after failures and restores.  The base seed runs in tier-1; the ``slow``-marked extra
 seeds run in the CI ``dynamic-differential`` job, without numpy and
 with it.
 """
@@ -146,12 +146,8 @@ def oracle_compute_shapes(
 
 
 def on_build(graph: WasnGraph, build: str) -> WasnGraph:
-    """``graph`` over a fresh core whose rotation takes ``build``; a
-    graph without a core (unsorted rows) as it is."""
-    try:
-        core = graph.core
-    except ValueError:
-        return graph
+    """``graph`` over a fresh core whose rotation takes ``build``."""
+    core = graph.core
     fresh = TopologyCore(
         core.ids,
         core.xs,
@@ -289,7 +285,8 @@ def test_sparse_ids():
 
 @pytest.mark.parametrize("base", ["grid", "IA"])
 def test_hand_built_graph_with_unsorted_rows(base):
-    """No core: the rotation is built from ``neighbors`` in row order."""
+    """Unsorted input rows are sorted on construction, so the graph has
+    a core and its shapes are its sorted twin's."""
     if base == "grid":
         full = build_unit_disk_graph(grid_positions(), 25.0)
     else:
@@ -304,14 +301,20 @@ def test_hand_built_graph_with_unsorted_rows(base):
         Node(ids[u], full.position(u), u in edge_nodes)
         for u in full.node_ids
     ]
-    adjacency = {
-        ids[u]: tuple(ids[v] for v in reversed(full.neighbors(u)))
+    rows = {
+        ids[u]: tuple(ids[v] for v in full.neighbors(u))
         for u in full.node_ids
     }
-    graph = WasnGraph(nodes, adjacency, full.radius)
-    with pytest.raises(ValueError):
-        graph.core
+    graph = WasnGraph(
+        nodes, {u: row[::-1] for u, row in rows.items()}, full.radius
+    )
+    twin = WasnGraph(nodes, rows, full.radius)
+    assert all(graph.neighbors(u) == twin.neighbors(u) for u in rows)
     assert assert_identical(graph) > 100
+    for mode in MODES:
+        assert items(compute_shapes(compute_safety(graph), mode)) == items(
+            compute_shapes(compute_safety(twin), mode)
+        )
 
 
 def _dynamic_case(seed: int, events: int) -> None:

@@ -170,12 +170,23 @@ class TestBuildEquivalence:
         assert not survivor.core.dense
         assert_core_matches_view(survivor)
 
-    def test_unsorted_rows_have_no_core(self):
+    def test_unsorted_rows_are_sorted(self):
+        """Unsorted input rows are sorted on construction; rows already
+        in order keep their tuple objects, and the caller's dict is
+        left as it was."""
         nodes = [Node(0, Point(0, 0)), Node(1, Point(1, 0)), Node(2, Point(2, 0))]
         adjacency = {0: (2, 1), 1: (0, 2), 2: (1, 0)}
         graph = WasnGraph(nodes, adjacency, radius=5.0)
-        with pytest.raises(ValueError, match="not sorted"):
-            graph.core
+        assert [graph.neighbors(u) for u in (0, 1, 2)] == [
+            (1, 2),
+            (0, 2),
+            (0, 1),
+        ]
+        assert graph.neighbors(1) is adjacency[1]
+        assert adjacency == {0: (2, 1), 1: (0, 2), 2: (1, 0)}
+        twin = WasnGraph(nodes, {0: (1, 2), 1: (0, 2), 2: (0, 1)}, 5.0)
+        assert_graphs_identical(graph, twin)
+        assert_core_matches_view(graph)
 
 
 class TestPlanarMasks:

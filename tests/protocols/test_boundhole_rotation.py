@@ -21,9 +21,9 @@ with ``math.nextafter`` to sit just inside and just outside the
 rotation's defect band and the sweep's exclusion epsilon; neighbours
 exactly on each quadrant axis and one ulp off it; TENT gaps within one
 ulp of 120°; single-neighbour and isolated nodes; NaN positions;
-sparse ids; a hand-built graph with unsorted rows (no core, so the
-scalar build over ``neighbors``); dynamic snapshots after failures and
-restores; and step budgets small enough that walks run out.  More
+sparse ids; a hand-built graph with unsorted rows (sorted on
+construction, so it builds like its sorted twin); dynamic snapshots
+after failures and restores; and step budgets small enough that walks run out.  More
 tests pin the rotation's own contract: rows sorted by angle with the
 documented flags, arcs and stuck slots, and on every unflagged row the
 cyclic predecessor equals the scalar sweep and each quadrant's arc
@@ -182,12 +182,8 @@ def oracle_build_hole_boundaries(
 
 
 def on_build(graph: WasnGraph, build: str) -> WasnGraph:
-    """``graph`` over a fresh core whose rotation takes ``build``; a
-    graph without a core (unsorted rows) as it is."""
-    try:
-        core = graph.core
-    except ValueError:
-        return graph
+    """``graph`` over a fresh core whose rotation takes ``build``."""
+    core = graph.core
     fresh = TopologyCore(
         core.ids,
         core.xs,
@@ -742,19 +738,25 @@ def test_sparse_ids():
 
 @pytest.mark.parametrize("radius", [15.0, 25.0])
 def test_hand_built_graph_with_unsorted_rows(radius):
-    """No core: the rotation is computed from ``neighbors`` in row order,
-    which decides exact ties (r = 25) differently from sorted rows."""
+    """Unsorted input rows are sorted on construction, so the graph has
+    a core and builds its sorted twin's boundaries, exact angle ties
+    (r = 25) included."""
     base = build_unit_disk_graph(grid_positions(), radius)
     ids = {u: 3 * u + 5 for u in base.node_ids}
     nodes = [Node(ids[u], base.position(u)) for u in base.node_ids]
-    adjacency = {
-        ids[u]: tuple(ids[v] for v in reversed(base.neighbors(u)))
+    rows = {
+        ids[u]: tuple(ids[v] for v in base.neighbors(u))
         for u in base.node_ids
     }
-    graph = WasnGraph(nodes, adjacency, radius)
-    with pytest.raises(ValueError):
-        graph.core
-    assert_identical(graph)
+    graph = WasnGraph(
+        nodes, {u: row[::-1] for u, row in rows.items()}, radius
+    )
+    twin = WasnGraph(nodes, rows, radius)
+    assert all(graph.neighbors(u) == twin.neighbors(u) for u in rows)
+    expected = assert_identical(twin)
+    actual = assert_identical(graph)
+    assert actual.boundaries == expected.boundaries
+    assert list(actual._by_node.items()) == list(expected._by_node.items())
 
 
 def _dynamic_case(seed: int, events: int) -> None:

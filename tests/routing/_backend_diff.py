@@ -1,9 +1,10 @@
 """Shared cross-backend differential harness for ``route_batch``.
 
 One comparison discipline for every backend suite: route the same
-pairs through sequential :meth:`Router.route`, the scalar batch
-executor, and (when numpy is importable) the vectorized numpy kernel,
-then require the three result lists to be *identical* — every
+pairs through the reference loops (:func:`_oracle.oracle_route`),
+sequential :meth:`Router.route`, the scalar batch executor, and (when
+numpy is importable) the vectorized numpy kernel, then require the
+result lists to be *identical* — every
 :class:`~repro.routing.base.RouteResult` field, floats compared
 exactly, not approximately.  A divergence is reported field by field
 for the first differing pair, which is the diagnostic that actually
@@ -16,6 +17,7 @@ collecting it); the backend suites import it as a sibling module.
 import dataclasses
 import random
 
+from _oracle import oracle_route
 from repro._optional import load_numpy
 
 HAS_NUMPY = load_numpy() is not None
@@ -33,7 +35,7 @@ def sample_pairs(graph, count, seed):
 
 def _describe_divergence(backend, index, pair, expected, got):
     lines = [
-        f"backend {backend!r} diverged from sequential route() "
+        f"backend {backend!r} diverged from the reference loop "
         f"at pair #{index} {pair}:"
     ]
     for field in dataclasses.fields(expected):
@@ -45,12 +47,15 @@ def _describe_divergence(backend, index, pair, expected, got):
 
 
 def assert_backends_identical(router, pairs):
-    """Every backend's results == sequential ``route()``, bit for bit."""
-    sequential = [router.route(s, d) for s, d in pairs]
+    """``route()`` and every backend's results == the reference loop's,
+    bit for bit."""
+    expected = [oracle_route(router, s, d) for s, d in pairs]
+    runs = [("route()", [router.route(s, d) for s, d in pairs])]
     for backend in BACKENDS:
-        got = router.route_batch(pairs, backend=backend)
-        assert len(got) == len(sequential)
-        for index, (want, have) in enumerate(zip(sequential, got)):
+        runs.append((backend, router.route_batch(pairs, backend=backend)))
+    for backend, got in runs:
+        assert len(got) == len(expected)
+        for index, (want, have) in enumerate(zip(expected, got)):
             assert want == have, _describe_divergence(
                 backend, index, pairs[index], want, have
             )

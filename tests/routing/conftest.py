@@ -8,8 +8,10 @@ from repro.core import InformationModel
 from repro.geometry import Point, Rect
 from repro.network import (
     EdgeDetector,
+    Node,
     RectObstacle,
     UniformDeployment,
+    WasnGraph,
     build_unit_disk_graph,
 )
 
@@ -76,3 +78,19 @@ def obstacle_net():
         if g.is_connected():
             return g, positions, InformationModel.build(g)
     raise RuntimeError("no connected obstacle network found")
+
+
+@pytest.fixture
+def coincident_graph():
+    """Nodes 1 and 2 share a position but are not linked, so a packet
+    at 1 sits exactly at its destination 2's position.  Only a
+    hand-built graph has this: a unit-disk graph links them."""
+    nodes = [
+        Node(0, Point(0, 0)),
+        Node(1, Point(10, 0)),
+        Node(2, Point(10, 0)),
+        Node(3, Point(20, 0)),
+        Node(4, Point(10, 5)),
+    ]
+    adjacency = {0: (1,), 1: (0, 3, 4), 2: (3,), 3: (1, 2), 4: (1,)}
+    return WasnGraph(nodes, adjacency, radius=25.0)

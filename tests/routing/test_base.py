@@ -1,16 +1,25 @@
 """Tests for the router base machinery and result records."""
 
+from collections import Counter
+
 import pytest
 
+import _oracle
+from _backend_diff import sample_pairs
+from _oracle import oracle_route
 from repro.geometry import Point
 from repro.network import build_unit_disk_graph
 from repro.routing import (
     MIN_TTL,
     GreedyRouter,
     HopEvent,
+    LgfRouter,
     Phase,
     RouteResult,
+    Router,
     RoutingError,
+    SlgfRouter,
+    Slgf2Router,
 )
 
 
@@ -116,6 +125,198 @@ class TestInstrumentationHooks:
             0, 3, on_hop=lambda e: None, on_phase_change=lambda *a: None
         )
         assert observed == plain
+
+
+def observed_configs(session):
+    """Every scheme configuration whose observer stream is pinned."""
+    graph, model = session.graph, session.model
+    return [
+        GreedyRouter(graph),
+        GreedyRouter(
+            graph, recovery="boundhole", hole_boundaries=session.boundaries
+        ),
+        LgfRouter(graph),
+        LgfRouter(graph, candidate_scope="quadrant"),
+        SlgfRouter(model),
+        SlgfRouter(model, candidate_scope="quadrant"),
+        Slgf2Router(model),
+        Slgf2Router(model, perimeter_mode="dfs-bounded"),
+    ]
+
+
+def observe(route, source, destination):
+    """``route``'s result, hop events and phase changes for one pair."""
+    hops, changes = [], []
+    result = route(
+        source,
+        destination,
+        on_hop=hops.append,
+        on_phase_change=lambda *change: changes.append(change),
+    )
+    return result, hops, changes
+
+
+class TestObserverStreams:
+    """``route()`` replays a decided route to its observers; the events
+    must be the ones the reference loops emit from inside the loop."""
+
+    @pytest.mark.parametrize("deployment", ["IA", "FA"])
+    def test_streams_equal_the_reference_loops(self, deployment, monkeypatch):
+        from repro.api import Scenario, Session
+
+        session = Session(
+            Scenario(deployment_model=deployment, node_count=400, seed=2009)
+        )
+        # Count the hops the reference GF takes on hole boundaries
+        # (walks that did not fall back to the face walk).
+        walked = Counter()
+        boundary_walk = _oracle.gf_boundhole_recovery
+        face_walk = _oracle.face_recovery
+
+        def face(trace, *args, **kwargs):
+            walked["face entries"] += 1
+            return face_walk(trace, *args, **kwargs)
+
+        def walk(router, trace, destination):
+            hops, faces = trace.hops, walked["face entries"]
+            failure = boundary_walk(router, trace, destination)
+            if walked["face entries"] == faces:
+                walked["boundary hops"] += trace.hops - hops
+            return failure
+
+        monkeypatch.setattr(_oracle, "face_recovery", face)
+        monkeypatch.setattr(_oracle, "gf_boundhole_recovery", walk)
+        pairs = sample_pairs(session.graph, 60, seed=2009)
+        phases = Counter()
+        for router in observed_configs(session):
+            for source, destination in pairs:
+                got = observe(router.route, source, destination)
+                want = observe(
+                    lambda *args, **kwargs: oracle_route(
+                        router, *args, **kwargs
+                    ),
+                    source,
+                    destination,
+                )
+                assert got == want, (router.name, source, destination)
+                phases.update(event.phase for event in got[1])
+        # Not vacuous: the streams hold every kind of detour hop.
+        assert phases[Phase.PERIMETER] > 0 and phases[Phase.BACKUP] > 0
+        assert walked["boundary hops"] > 0
+
+    def test_each_observer_alone(self, random_net):
+        graph, _, model = random_net
+        router = Slgf2Router(model)
+        for source, destination in sample_pairs(graph, 20, seed=5):
+            _, hops, changes = observe(router.route, source, destination)
+            alone = []
+            router.route(source, destination, on_hop=alone.append)
+            assert alone == hops
+            alone = []
+            router.route(
+                source,
+                destination,
+                on_phase_change=lambda *change: alone.append(change),
+            )
+            assert alone == changes
+
+    def test_a_route_that_raises_emits_no_event(self, coincident_graph):
+        router = LgfRouter(coincident_graph, candidate_scope="quadrant")
+        events = []
+        with pytest.raises(ValueError, match="coincident"):
+            router.route(
+                0,
+                2,
+                on_hop=events.append,
+                on_phase_change=lambda *change: events.append(change),
+            )
+        assert events == []
+
+
+class HopCountRouter(Router):
+    """A third-party scheme with its own loop: fewest hops, by BFS."""
+
+    name = "HOPS"
+
+    def _run(self, trace, destination):
+        graph = trace.graph
+        parent = {trace.current: None}
+        frontier = [trace.current]
+        while frontier and destination not in parent:
+            ahead = []
+            for u in frontier:
+                for v in graph.neighbors(u):
+                    if v not in parent:
+                        parent[v] = u
+                        ahead.append(v)
+            frontier = ahead
+        if destination not in parent:
+            return "unreachable"
+        path = [destination]
+        while parent[path[-1]] != trace.current:
+            path.append(parent[path[-1]])
+        for node in reversed(path):
+            if trace.exhausted():
+                return "ttl_exceeded"
+            trace.advance(node, Phase.GREEDY)
+        return None
+
+
+def build_hop_count(instance, **kwargs):
+    return HopCountRouter(instance.graph, **kwargs)
+
+
+class TestOwnRunExtensionPoint:
+    def test_route_calls_observers_from_inside_the_loop(self, random_net):
+        graph, _, _ = random_net
+        router = HopCountRouter(graph)
+        for source, destination in sample_pairs(graph, 10, seed=3):
+            result, hops, changes = observe(router.route, source, destination)
+            assert result.delivered
+            assert result.hops == graph.hop_distance(source, destination)
+            assert [(e.sender, e.receiver) for e in hops] == list(
+                zip(result.path, result.path[1:])
+            )
+            assert changes == [(0, None, Phase.GREEDY)]
+
+    def test_route_batch_routes_one_pair_at_a_time(self, random_net):
+        from repro.routing.batch import executor_for
+
+        graph, _, _ = random_net
+        router = HopCountRouter(graph)
+        assert executor_for(router) is None
+        pairs = sample_pairs(graph, 10, seed=4)
+        sequential = [router.route(s, d) for s, d in pairs]
+        assert router.route_batch(pairs) == sequential
+        assert router.route_batch(pairs, backend="scalar") == sequential
+
+    def test_a_router_without_a_loop_raises(self, random_net):
+        graph, _, _ = random_net
+        with pytest.raises(NotImplementedError, match="override _run"):
+            Router(graph).route(*sample_pairs(graph, 1, seed=5)[0])
+
+    def test_registered_scheme_in_a_tiny_study(self):
+        from repro.api import RouterRegistry, Scenario, Study
+        from repro.experiments import ResultCache
+
+        registry = RouterRegistry()
+        registry.register("HOPS", build_hop_count, order=0)
+        study = Study(
+            Scenario(
+                node_count=250,
+                networks=1,
+                routes_per_network=5,
+                seed=2009,
+                routers=("HOPS",),
+            ),
+            nodes=(250, 300),
+            registry=registry,
+        )
+        result = study.run(cache=ResultCache.disabled())
+        cells = list(result)
+        assert len(cells) == 2
+        for cell in cells:
+            assert cell.metric("HOPS", "delivery_rate") > 0.0
 
 
 class TestRouteResult:

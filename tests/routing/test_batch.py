@@ -1,17 +1,18 @@
-"""route_batch ≡ sequential route, bit for bit, for every scheme.
+"""route_batch ≡ the reference loops, bit for bit, for every scheme.
 
-The batched executor (:mod:`repro.routing.batch`) is pure speed: its
-results must be *indistinguishable* from per-pair :meth:`Router.route`
-calls — same paths, same phase labels, same float lengths, same
-counters, same failure reasons.  These tests pin that across both
-deployment models, a pocketed grid (perimeter-heavy), every built-in
-scheme's option surface, sparse networks (frequent recovery), and the
-dynamic rebind lifecycle.  Grid fixtures matter here: their exact
-coordinate ties exercise the tie-breaking paths of the angle sweep
-and the greedy minimum.  GF's executor runs both recovery modes and
-SLGF2's every rung of Algorithm 3 itself, so no GF or SLGF2 packet
-may leave them for the object path; pairs across components pin the
-failure reasons.
+The executors (:mod:`repro.routing.batch`) are each scheme's one
+forwarding loop, behind ``route()`` and ``route_batch()`` alike.  Their
+results must be *indistinguishable* from the object-path loops kept
+in ``_oracle.py`` — same paths, same phase labels, same float lengths,
+same counters, same failure reasons, same raised errors.  These tests
+pin that across both deployment models, a pocketed grid
+(perimeter-heavy), every built-in scheme's option surface, sparse
+networks (frequent recovery), a hand-built graph with a node
+coincident with its destination, and the dynamic rebind lifecycle.
+Grid fixtures matter here: their exact coordinate ties exercise the
+tie-breaking paths of the angle sweep and the greedy minimum.  Each
+rung of GF's recovery and of SLGF2's Algorithm 3 is shown reached;
+pairs across components pin the failure reasons.
 """
 
 import random
@@ -19,13 +20,17 @@ from collections import Counter
 
 import pytest
 
-from _backend_diff import assert_backends_identical
+import _oracle
+from _backend_diff import BACKENDS, assert_backends_identical
+from _oracle import oracle_route
 from repro.core import InformationModel
 from repro.geometry import Point, Rect
 from repro.network import (
     DynamicTopology,
     EdgeDetector,
+    Node,
     UniformDeployment,
+    WasnGraph,
     build_unit_disk_graph,
 )
 from repro.protocols import build_hole_boundaries
@@ -131,10 +136,10 @@ def on_unit_disk_substrate(router, graph):
 
 
 def assert_batch_equivalent(router, pairs, backend="auto"):
-    sequential = [router.route(s, d) for s, d in pairs]
+    expected = [oracle_route(router, s, d) for s, d in pairs]
     batched = router.route_batch(pairs, backend=backend)
-    assert batched == sequential  # frozen dataclasses: exact floats
-    return sequential
+    assert batched == expected  # frozen dataclasses: exact floats
+    return expected
 
 
 class FixedBoundary:
@@ -148,28 +153,26 @@ class FixedBoundary:
 
 
 def spy_on_gf_recovery(monkeypatch):
-    """Tally the recovery rungs ``GreedyRouter._run`` reaches.
+    """Tally the recovery rungs the reference ``gf_run`` reaches.
 
     The oracle is watched, not the executor: with batches equal to
-    ``route()`` and no handover, every rung the object path reaches
-    is one the executor replicated.
+    the oracle, every rung the reference reaches is one the executor
+    replicated.
     """
-    from repro.routing import greedy
-
     tally = Counter()
-    face_walk = greedy.face_recovery
-    boundary_walk = GreedyRouter._boundhole_recovery
+    face_walk = _oracle.face_recovery
+    boundary_walk = _oracle.gf_boundhole_recovery
 
     def face(trace, *args, **kwargs):
         tally["face walk"] += 1
         return face_walk(trace, *args, **kwargs)
 
-    def walk(self, trace, destination):
+    def walk(router, trace, destination):
         stuck = trace.current
         faces = tally["face walk"]
-        failure = boundary_walk(self, trace, destination)
+        failure = boundary_walk(router, trace, destination)
         if tally["face walk"] > faces:
-            cycle = self._hole_boundaries().boundary_of(stuck)
+            cycle = router._hole_boundaries().boundary_of(stuck)
             short = cycle is None or len(cycle) < 2
             tally["no boundary" if short else "stale edge"] += 1
         elif failure is None:
@@ -178,8 +181,8 @@ def spy_on_gf_recovery(monkeypatch):
             tally[failure] += 1  # the whole cycle, or a TTL cut
         return failure
 
-    monkeypatch.setattr(greedy, "face_recovery", face)
-    monkeypatch.setattr(GreedyRouter, "_boundhole_recovery", walk)
+    monkeypatch.setattr(_oracle, "face_recovery", face)
+    monkeypatch.setattr(_oracle, "gf_boundhole_recovery", walk)
     return tally
 
 
@@ -230,15 +233,9 @@ class TestGfOnIndices:
     def test_no_packet_hands_over(
         self, monkeypatch, random_net, obstacle_net, pocket_grid
     ):
-        """Every GF config over the equivalence networks, with the
-        object-path bridge closed: both recovery modes run on indices
-        and match route() bit for bit."""
-        from repro.routing import batch
-
-        def refuse(self, *args, **kwargs):
-            raise AssertionError("GF handed a packet to _run")
-
-        monkeypatch.setattr(batch._Executor, "_handover", refuse)
+        """Every GF config over the equivalence networks: both recovery
+        modes run on indices, every rung of them is reached, and each
+        route matches the reference loop bit for bit."""
         tally = spy_on_gf_recovery(monkeypatch)
         graph = random_net[0]
         cases = [(graph, None, sample_pairs(graph, 40, s)) for s in (0, 1, 2)]
@@ -286,7 +283,7 @@ class TestGfOnIndices:
             recovery="boundhole",
             hole_boundaries=FixedBoundary((1, 2, 3, 4, 3, 2)),
         )
-        expected = router.route(1, 0)
+        expected = oracle_route(router, 1, 0)
         assert expected.path == (1, 2, 3, 4) and not expected.delivered
         assert expected.failure_reason == "ttl_exceeded"
         assert router.route_batch([(1, 0)]) == [expected]
@@ -309,7 +306,7 @@ class TestGfOnIndices:
             recovery="boundhole",
             hole_boundaries=FixedBoundary((1, 2, 3, 4, 3, 2)),
         )
-        expected = router.route(1, 0)
+        expected = oracle_route(router, 1, 0)
         assert expected.path == (1, 2, 3, 4, 5, 0)
         assert expected.phases[:3] == ("perimeter",) * 3
         assert router.route_batch([(1, 0)]) == [expected]
@@ -328,23 +325,15 @@ class TestGfOnIndices:
         pairs = sample_pairs(session.graph, 500, seed)
         for router in gf_routers(session.graph):
             assert router.route_batch(pairs, backend="scalar") == [
-                router.route(s, d) for s, d in pairs
+                oracle_route(router, s, d) for s, d in pairs
             ]
 
 
 class TestSlgf2OnIndices:
-    def test_no_packet_hands_over(
-        self, monkeypatch, random_net, obstacle_net, pocket_grid
-    ):
+    def test_no_packet_hands_over(self, random_net, obstacle_net, pocket_grid):
         """Every SLGF2 config over the equivalence networks and pairs
-        above, with the object-path bridge closed: each rung runs on
-        indices and still matches route() bit for bit."""
-        from repro.routing import batch
-
-        def refuse(self, *args, **kwargs):
-            raise AssertionError("SLGF2 handed a packet to _run")
-
-        monkeypatch.setattr(batch._Executor, "_handover", refuse)
+        above: each rung runs on indices, is reached, and matches the
+        reference loop bit for bit."""
         graph, _, model = random_net
         cases = [(graph, model, sample_pairs(graph, 40, s)) for s in (0, 1, 2)]
         graph, _, model = obstacle_net
@@ -362,7 +351,7 @@ class TestSlgf2OnIndices:
         reached = [Counter() for _ in slgf2_routers(cases[0][1])]
         for graph, model, pairs in cases:
             for tally, router in zip(reached, slgf2_routers(model)):
-                sequential = [router.route(s, d) for s, d in pairs]
+                sequential = [oracle_route(router, s, d) for s, d in pairs]
                 batched = router.route_batch(pairs, backend="scalar")
                 assert batched == sequential
                 for result in sequential:
@@ -429,7 +418,7 @@ class TestSlgf2OnIndices:
         router = on_unit_disk_substrate(
             Slgf2Router(model, use_superseding=False, use_backup=False), graph
         )
-        expected = router.route(0, 3)
+        expected = oracle_route(router, 0, 3)
         assert expected.path == (0, 1, 2, 0)
         assert expected.failure_reason == "unreachable"
         assert router.route_batch([(0, 3)]) == [expected]
@@ -461,7 +450,7 @@ class TestSlgf2OnIndices:
         pairs = sample_pairs(session.graph, 500, seed)
         for router in slgf2_routers(session.model):
             assert router.route_batch(pairs, backend="scalar") == [
-                router.route(s, d) for s, d in pairs
+                oracle_route(router, s, d) for s, d in pairs
             ]
 
 
@@ -470,8 +459,8 @@ class TestDisconnectedPairs:
         """Pairs in different components, isolated sources included:
         the drop rules' failure reasons ("unreachable" from the GPSR
         drop rule, DFS stack exhaustion and the tried set,
-        "isolated_in_planar_graph") must match route() on every
-        backend."""
+        "isolated_in_planar_graph") must match the reference loop on
+        every backend."""
         graph, _ = make_random_graph(n=70, seed=9)
         model = InformationModel.build(graph)
         components = [sorted(c) for c in graph.connected_components()]
@@ -508,22 +497,33 @@ class TestBatchContract:
             router.route_batch([(u, max(graph.node_ids) + 1)])
 
     def test_subclasses_fall_back_to_sequential(self, random_net):
-        """An overridden scheme must not inherit a fast path that no
-        longer matches its behaviour."""
+        """A subclass that replaces the forwarding loop must not inherit
+        an executor that no longer matches its behaviour; one that does
+        not runs its base's."""
         from repro.routing.batch import executor_for
 
-        graph, _, _ = random_net
+        graph, _, model = random_net
 
         class Reversed(GreedyRouter):
-            def _greedy_step(self, u, pu, pd):
-                return None  # always a local minimum
+            def _run(self, trace, destination):
+                return "refused"  # never forwards
 
         router = Reversed(graph)
         assert executor_for(router) is None
         pairs = sample_pairs(graph, 5, seed=7)
-        assert router.route_batch(pairs) == [
-            router.route(s, d) for s, d in pairs
-        ]
+        results = router.route_batch(pairs)
+        assert results == [router.route(s, d) for s, d in pairs]
+        assert all(r.path == (s,) for r, (s, _) in zip(results, pairs))
+        assert {r.failure_reason for r in results} == {"refused"}
+
+        class Renamed(SlgfRouter):
+            name = "SLGF-R"
+
+        router = Renamed(model)
+        assert type(executor_for(router)) is type(
+            executor_for(SlgfRouter(model))
+        )
+        assert_batch_equivalent(router, pairs)
 
     def test_executor_cached_then_invalidated_by_rebind(self):
         """rebind == fresh router holds for batches too: the cached
@@ -532,16 +532,16 @@ class TestBatchContract:
         router = Slgf2Router(InformationModel.build(graph))
         pairs = sample_pairs(graph, 10, seed=8)
         router.route_batch(pairs)
-        first = router._batch_executor
+        first = router._executor
         assert first is not None
-        assert router._batch_executor is first  # reused across batches
+        assert router._executor is first  # reused across batches
 
         topology = DynamicTopology.from_graph(
             graph, edge_detector=EdgeDetector(strategy="convex")
         )
         topology.fail(27)
         router.rebind(topology.graph)
-        assert router._batch_executor is None
+        assert router._executor is None
         fresh = Slgf2Router(InformationModel.build(topology.graph))
         rebound_pairs = [
             (s, d) for s, d in pairs if s != 27 and d != 27
@@ -550,19 +550,118 @@ class TestBatchContract:
             rebound_pairs
         )
 
-    def test_unsorted_adjacency_falls_back(self):
-        """Hand-built graphs without a columnar core still batch."""
-        from repro.geometry import Point
-        from repro.network import Node, WasnGraph
-        from repro.routing.batch import executor_for
-
+    def test_tried_set_sweep_takes_the_nearer_of_collinear_neighbours(self):
+        """Two untried neighbours on one ray from the stuck node 0: the
+        right-hand sweep takes the nearer one (offset, then distance)."""
         nodes = [
             Node(0, Point(0, 0)),
-            Node(1, Point(5, 0)),
-            Node(2, Point(10, 0)),
+            Node(1, Point(0, 10)),
+            Node(2, Point(0, 20)),  # on the ray 0 -> 1, farther
+            Node(3, Point(20, 20)),
+            Node(4, Point(40, 10)),
+            Node(5, Point(40, 0)),
         ]
-        adjacency = {0: (2, 1), 1: (2, 0), 2: (0, 1)}
-        graph = WasnGraph(nodes, adjacency, radius=12.0)
-        router = GreedyRouter(graph)
-        assert executor_for(router) is None
-        assert router.route_batch([(0, 2)]) == [router.route(0, 2)]
+        adjacency = {
+            0: (1, 2),
+            1: (0, 2, 3),
+            2: (0, 1, 3),
+            3: (1, 2, 4),
+            4: (3, 5),
+            5: (4,),
+        }
+        graph = WasnGraph(nodes, adjacency, radius=25.0)
+        model = InformationModel.build(graph)
+        for router in (
+            LgfRouter(graph),
+            LgfRouter(graph, candidate_scope="quadrant"),
+            SlgfRouter(model),
+            SlgfRouter(model, candidate_scope="quadrant"),
+        ):
+            expected = oracle_route(router, 0, 5)
+            assert expected.path == (0, 1, 3, 4, 5)
+            assert expected.perimeter_entries == 1
+            assert router.route_batch([(0, 5)]) == [expected]
+
+    def test_unsorted_rows_route_like_sorted_twin(self, pocket_grid):
+        """A hand-built graph's unsorted rows are sorted on construction,
+        so it has a core and routes exactly like its sorted twin."""
+        graph, _, _ = pocket_grid
+        nodes = list(graph.nodes())
+        shuffled = WasnGraph(
+            nodes,
+            {u: tuple(reversed(graph.neighbors(u))) for u in graph.node_ids},
+            graph.radius,
+        )
+        for u in graph.node_ids:
+            assert shuffled.neighbors(u) == graph.neighbors(u)
+        pairs = sample_pairs(graph, 30, seed=11)
+        twin = InformationModel.build(graph)
+        model = InformationModel.build(shuffled)
+        for router, sorted_router in zip(
+            all_routers(shuffled, model), all_routers(graph, twin)
+        ):
+            routed = router.route_batch(pairs)
+            assert routed == sorted_router.route_batch(pairs)
+            assert routed == [oracle_route(router, s, d) for s, d in pairs]
+
+
+def outcome(route):
+    """A route's result, or the error it raised, as one comparable value."""
+    try:
+        return route()
+    except ValueError as error:
+        return (type(error), str(error))
+
+
+class TestCoincidentDestination:
+    """The zone machinery at a node coincident with its destination:
+    the request zone degenerates to the destination's point, while the
+    quadrant scope's zone type is undefined and raises."""
+
+    def routers(self, graph):
+        model = InformationModel.build(graph)
+        return [
+            GreedyRouter(graph),
+            GreedyRouter(
+                graph,
+                recovery="boundhole",
+                hole_boundaries=build_hole_boundaries(graph),
+            ),
+            LgfRouter(graph),
+            LgfRouter(graph, candidate_scope="quadrant"),
+            SlgfRouter(model),
+            SlgfRouter(model, candidate_scope="quadrant"),
+            Slgf2Router(model),
+            Slgf2Router(model, candidate_scope="zone"),
+        ]
+
+    def test_outcomes(self, coincident_graph):
+        raised = (ValueError, "zone type undefined for coincident points")
+        around = (0, 1, 3, 2)
+        want = [
+            (around, ("greedy", "perimeter", "perimeter")),  # GF, face
+            # GF walks 1's hole boundary, 1 -> 4 -> 1 -> 3.
+            ((0, 1, 4, 1, 3, 2), ("greedy",) + ("perimeter",) * 4),
+            (around, ("greedy", "perimeter", "perimeter")),  # LGF, zone
+            raised,  # LGF, quadrant
+            (around, ("safe", "perimeter", "perimeter")),  # SLGF, zone
+            raised,  # SLGF, quadrant
+            raised,  # SLGF2, quadrant
+            raised,  # SLGF2, zone
+        ]
+        for router, expected in zip(self.routers(coincident_graph), want):
+            got = outcome(lambda: oracle_route(router, 0, 2))
+            if expected is raised:
+                assert got == raised
+            else:
+                assert got.delivered
+                assert (got.path, got.phases) == expected
+
+    def test_every_path_matches_the_reference(self, coincident_graph):
+        for router in self.routers(coincident_graph):
+            expected = outcome(lambda: oracle_route(router, 0, 2))
+            assert outcome(lambda: router.route(0, 2)) == expected
+            for backend in BACKENDS:
+                assert outcome(
+                    lambda: router.route_batch([(0, 2)], backend=backend)[0]
+                ) == expected

@@ -2,9 +2,9 @@
 
 Three contracts, one suite.  With numpy importable,
 ``route_batch(backend="numpy")`` must be indistinguishable — every
-``RouteResult`` field, floats exact — from both the scalar batch
-executor and sequential :meth:`Router.route` calls, across every
-scheme's kernel-relevant option surface, over random/grid/obstacle
+``RouteResult`` field, floats exact — from the scalar batch executor,
+sequential :meth:`Router.route` calls and the reference loops, across
+every scheme's kernel-relevant option surface, over random/grid/obstacle
 topologies, failure-restricted graphs, and the rebind lifecycle (the
 differential harness in :mod:`_backend_diff` does the comparing).
 ``backend="auto"`` hands a batch to the kernel only from the measured
@@ -30,6 +30,7 @@ from _backend_diff import (
     assert_backends_identical,
     sample_pairs,
 )
+from _oracle import oracle_route
 from repro._optional import MissingDependencyError, load_numpy
 from repro.core import InformationModel
 from repro.geometry import Point, Rect
@@ -212,12 +213,13 @@ class TestNumpyEquivalence:
             )
 
     def test_no_fast_path_raises(self, random_net):
-        """backend='numpy' on a subclass: loud, not silently wrong."""
+        """backend='numpy' on a subclass with its own loop: loud, not
+        silently wrong."""
         graph, _, _ = random_net
 
         class Reversed(GreedyRouter):
-            def _greedy_step(self, u, pu, pd):
-                return None
+            def _run(self, trace, destination):
+                return "refused"
 
         router = Reversed(graph)
         with pytest.raises(RoutingError, match="no vectorized fast path"):
@@ -243,7 +245,7 @@ class TestAutoCrossover:
             auto = router.route_batch(pairs, backend="auto")
             assert router._numpy_kernel is None, router.name  # no probe
             assert auto == router.route_batch(pairs, backend="scalar")
-            assert auto == [router.route(s, d) for s, d in pairs]
+            assert auto == [oracle_route(router, s, d) for s, d in pairs]
 
     @needs_numpy
     def test_at_crossover_builds_one_kernel(self, random_net):
@@ -282,7 +284,7 @@ class TestAutoCrossover:
         graph, _, model = random_net
         router = Slgf2Router(model)
         pairs = sample_pairs(graph, _KERNEL_MIN_BATCH, seed=13)
-        sequential = [router.route(s, d) for s, d in pairs]
+        sequential = [oracle_route(router, s, d) for s, d in pairs]
         assert router.route_batch(pairs, backend="auto") == sequential
         assert not router._numpy_kernel  # probed: no kernel mode
         assert router.route_batch(pairs, backend="numpy") == sequential
@@ -323,7 +325,7 @@ class TestWithoutNumpy:
         auto = router.route_batch(pairs, backend="auto")
         assert router._numpy_kernel is False  # probed once, degraded
         assert auto == router.route_batch(pairs, backend="scalar")
-        assert auto == [router.route(s, d) for s, d in pairs]
+        assert auto == [oracle_route(router, s, d) for s, d in pairs]
 
     def test_numpy_backend_raises_clearly(self, random_net, no_numpy):
         graph, _, _ = random_net

@@ -127,3 +127,38 @@ class TestDiff:
         (tmp_path / "BENCH_x.json").write_text("{}")
         assert tool.latest_earlier(tmp_path, 20).name == "BENCH_12.json"
         assert tool.latest_earlier(tmp_path, 3) is None
+
+
+class TestCompileStep:
+    def test_compiles_before_the_first_run(self, tool, monkeypatch, tmp_path):
+        """Bytecode is written once, up front, and the step is recorded."""
+        calls = []
+        metrics = dict(setup_s=0.2, answer_ms=1.0, delivery_ratio=1.0)
+        metrics["peak_rss_mb"] = 40.0
+
+        def fake_run(args, **kwargs):
+            calls.append(list(args))
+            if args[0] == "git" or "compileall" in args:
+                return subprocess.CompletedProcess(args, 0, "", "")
+            out = run_line(8, 0, **metrics)
+            return subprocess.CompletedProcess(args, 0, out, "")
+
+        monkeypatch.setattr(tool.subprocess, "run", fake_run)
+        out = tmp_path / "bench.json"
+        argv = ["--pr", "0", "--runs", "1", "--seconds", "1"]
+        assert tool.main([*argv, "--out", str(out)]) == 0
+        steps = [c for c in calls if c[0] != "git"]
+        assert steps[0][1:] == ["-m", "compileall", "-q", "src", "perfbench"]
+        assert all("--workload" in c for c in steps[1:]) and steps[1:]
+        document = json.loads(out.read_text())
+        assert document["compile_step"] == (
+            "python -m compileall -q src perfbench"
+        )
+
+    def test_a_failed_compile_stops_the_tool(self, tool, monkeypatch):
+        def fake_run(args, **kwargs):
+            return subprocess.CompletedProcess(args, 1, "", "SyntaxError")
+
+        monkeypatch.setattr(tool.subprocess, "run", fake_run)
+        with pytest.raises(SystemExit, match="SyntaxError"):
+            tool.compile_sources()

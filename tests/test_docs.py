@@ -52,6 +52,27 @@ class TestDocs:
         assert "long_description" in setup_py
         assert "README.md" in setup_py
 
+    def test_flags_a_missing_document_cited_in_code(
+        self, tmp_path, monkeypatch
+    ):
+        checker = _load_checker()
+        # Spelled in pieces: this file is scanned by the same check.
+        design = ".".join(("DESIGN", "md"))
+        guide = "docs/" + ".".join(("GUIDE", "md"))
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "API.md").write_text("")
+        (tmp_path / "README.md").write_text("")
+        (tmp_path / "src").mkdir()
+        (tmp_path / "src" / "mod.py").write_text(
+            f'"""See README.md, API.md, docs/API.md and {design};\n'
+            f'not {guide} or *.md."""\n'
+        )
+        monkeypatch.setattr(checker, "ROOT", tmp_path)
+        assert checker.check_code() == [
+            f"src/mod.py: document `{design}`",
+            f"src/mod.py: document `{guide}`",
+        ]
+
     def test_checker_cli_passes(self, capsys):
         checker = _load_checker()
         assert checker.main() == 0

@@ -4,8 +4,8 @@ Everything in the pipeline is seeded and deterministic, so the routing
 outcome on a fixed network is an exact regression signature.  If an
 intentional algorithm change breaks this test, recompute the goldens
 (the generating script is embedded in the fixtures below) and record
-the change in EXPERIMENTS.md; an *unintentional* failure means routing
-behaviour drifted.
+the change, with before/after numbers, in docs/REPRODUCING.md; an
+*unintentional* failure means routing behaviour drifted.
 """
 
 import random

@@ -2,15 +2,19 @@
 """Run every benchmark workload and write one ``BENCH_<pr>.json``.
 
 The committed ``BENCH_*.json`` files are the performance trajectory:
-one per change that claims or risks a performance effect.  For each
-workload in ``BENCHMARK.json`` this script runs ``perfbench/run.py``
-untraced on seeds ``1..runs`` and once traced (seed 1), then writes:
+one per change that claims or risks a performance effect.  The script
+first byte-compiles ``src`` and ``perfbench`` (``python -m compileall``,
+which writes bytecode even under ``PYTHONDONTWRITEBYTECODE=1``), so
+that no run's ``setup_s`` or ``peak_rss_mb`` includes compiling modules
+a checkout has no valid bytecode for.  Then, for each workload in
+``BENCHMARK.json``, it runs ``perfbench/run.py`` untraced on seeds
+``1..runs`` and once traced (seed 1), and writes:
 
 * per end-to-end metric: the runs, their median and quartiles;
 * the traced run's per-layer values;
 * ``attempted`` and ``failed`` per run;
 * the git SHA (and whether tracked files differed from it), the CPU
-  count, and the Python and numpy versions.
+  count, the Python and numpy versions, and the compile step.
 
 It then prints the diff against the newest ``BENCH_<n>.json`` in the
 repository root with ``n < pr``, marking each end-to-end metric whose
@@ -168,6 +172,23 @@ def environment() -> dict:
     }
 
 
+#: Run before the first workload, so every run sees valid bytecode.
+COMPILE_STEP = ("-m", "compileall", "-q", "src", "perfbench")
+
+
+def compile_sources() -> str:
+    """Byte-compile the benchmarked code once; returns the command run."""
+    args = [sys.executable, *COMPILE_STEP]
+    done = subprocess.run(args, cwd=ROOT, capture_output=True, text=True)
+    if done.returncode != 0:
+        output = (done.stdout + done.stderr)[-4000:]
+        raise SystemExit(
+            f"bench_trajectory: {' '.join(args)} exited with "
+            f"{done.returncode}:\n{output}"
+        )
+    return " ".join(("python", *COMPILE_STEP))
+
+
 def run_workload(command: list, workload: str, seed: int, seconds, trace):
     """One ``perfbench/run.py`` run, parsed; a failed run stops the tool."""
     args = [
@@ -204,6 +225,7 @@ def main(argv: list[str] | None = None) -> int:
     out = args.out or ROOT / f"BENCH_{args.pr}.json"
     # BENCHMARK.json's command, run by this interpreter.
     command = [sys.executable, *spec["command"][1:]]
+    compiled = compile_sources()
     runs, traced = {}, {}
     for workload in spec["workloads"]:
         name = workload["name"]
@@ -218,6 +240,7 @@ def main(argv: list[str] | None = None) -> int:
         **environment(),
         "run_seconds": seconds,
         "runs": args.runs,
+        "compile_step": compiled,
     }
     document = summarize(spec, runs, traced, meta)
     out.write_text(json.dumps(document, indent=1) + "\n", encoding="utf-8")

@@ -9,8 +9,11 @@ Scans ``README.md`` and ``docs/*.md`` for
 * backtick-quoted dotted module references (``repro.experiments.engine``,
   ``repro.cli:main``),
 
-and fails (exit 1) listing anything that does not resolve to a real
-file or directory.  Run from anywhere::
+and every ``*.md`` file name cited in a ``.py`` file under ``src/``,
+``benchmarks/``, ``tests/`` or ``tools/`` (a path from the repository
+root, or a bare name of a file at the root or in ``docs/``), and fails
+(exit 1) listing anything that does not resolve to a real file or
+directory.  Run from anywhere::
 
     python tools/check_docs.py
 
@@ -40,6 +43,10 @@ _CHECKED_PREFIXES = (
 _BACKTICK = re.compile(r"`([^`\s]+)`")
 _MODULE = re.compile(r"^repro(\.[A-Za-z_][A-Za-z0-9_]*)*(:[A-Za-z_]\w*)?$")
 
+# Code whose comments and docstrings may cite documents by file name.
+_CODE_DIRS = ("src", "benchmarks", "tests", "tools")
+_MD_NAME = re.compile(r"[\w./-]*\w\.md\b")
+
 
 def _doc_files() -> list[Path]:
     docs = [ROOT / "README.md"]
@@ -62,9 +69,30 @@ def _module_exists(dotted: str) -> bool:
     return base.with_suffix(".py").exists() or base.is_dir()
 
 
+def _document_exists(name: str) -> bool:
+    """A cited ``*.md`` resolves from the root; a bare name may also
+    name a file in ``docs/``."""
+    if (ROOT / name).exists():
+        return True
+    return "/" not in name and (ROOT / "docs" / name).exists()
+
+
+def check_code() -> list[str]:
+    """Documents cited in code that do not exist."""
+    broken = []
+    for folder in _CODE_DIRS:
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            text = path.read_text(encoding="utf-8")
+            for name in _MD_NAME.findall(text):
+                if not _document_exists(name):
+                    rel = path.relative_to(ROOT)
+                    broken.append(f"{rel}: document `{name}`")
+    return broken
+
+
 def check() -> list[str]:
     """All broken references, as ``file: reference`` strings."""
-    broken = []
+    broken = check_code()
     for doc in _doc_files():
         text = doc.read_text(encoding="utf-8")
         rel = doc.relative_to(ROOT)
@@ -83,11 +111,11 @@ def main() -> int:
     broken = check()
     docs = ", ".join(str(d.relative_to(ROOT)) for d in _doc_files())
     if broken:
-        print(f"Broken documentation references ({docs}):")
+        print(f"Broken documentation references ({docs}, code):")
         for item in broken:
             print(f"  {item}")
         return 1
-    print(f"docs link check OK ({docs})")
+    print(f"docs link check OK ({docs}; documents cited in code)")
     return 0
 
 
