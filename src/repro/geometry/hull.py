@@ -78,7 +78,6 @@ def hull_indices(points: Sequence[Point]) -> list[int]:
     if len(unique) <= 2:
         return [index for _, index in unique]
 
-    coords = [Point(x, y) for (x, y), _ in unique]
     indices = [index for _, index in unique]
 
     def half_hull(sequence: list[int]) -> list[int]:
@@ -101,9 +100,7 @@ def hull_indices(points: Sequence[Point]) -> list[int]:
     upper = half_hull(indices[::-1])
     # Drop the last point of each half because it repeats the first of
     # the other half.
-    result = lower[:-1] + upper[:-1]
-    del coords
-    return result
+    return lower[:-1] + upper[:-1]
 
 
 def convex_hull(points: Sequence[Point]) -> list[Point]:

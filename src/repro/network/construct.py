@@ -53,7 +53,9 @@ __all__ = [
     "BACKENDS",
     "resolve_backend",
     "build_columns",
+    "csr_from_pairs",
     "csr_from_rows",
+    "face_orbits",
     "lengths_from_csr",
     "masked_adjacency",
     "planar_mask",
@@ -202,7 +204,7 @@ def unit_disk_pairs(np, axs, ays, radius: float):
     return a[keep], b[keep]
 
 
-def _csr_from_pairs(np, n: int, a, b):
+def csr_from_pairs(np, n: int, a, b):
     """CSR (indptr, indices) int64 arrays from undirected index pairs.
 
     One argsort over the fused key ``src * n + dst`` (injective since
@@ -237,7 +239,7 @@ def build_columns(np, positions: Sequence, radius: float):
     axs = np.frombuffer(xs, dtype=np.float64)
     ays = np.frombuffer(ys, dtype=np.float64)
     a, b = unit_disk_pairs(np, axs, ays, radius)
-    indptr, indices = _csr_from_pairs(np, n, a, b)
+    indptr, indices = csr_from_pairs(np, n, a, b)
     ip = indptr.tolist()
     flat = indices.tolist()
     rows = tuple(tuple(flat[ip[i] : ip[i + 1]]) for i in range(n))
@@ -770,3 +772,99 @@ def rotation_columns(
         head_arr[start : start + len(row_head)] = array("q", row_head)
         arcs_arr[4 * i : 4 * i + 4] = array("q", row_arcs)
     return head_arr, bytes(flags), arcs_arr, stuck_arr
+
+
+# -- the faces of a rotation ----------------------------------------------
+
+
+def face_orbits(
+    np,
+    aindptr,
+    ahead,
+    band: bytes,
+    scalar_successor: Callable[[int, int], int],
+):
+    """The face permutation of a rotation and its orbits, as array ops.
+
+    Slot ``e = u -> v`` of the rotation (``aindptr``/``ahead``: its
+    ``indptr`` and ``head``) is followed by ``v -> w``, where ``w`` is
+    ``u``'s cyclic predecessor in ``v``'s row: one right-hand step.
+    One argsort on the fused key ``min(u, v) * n + max(u, v)`` puts the
+    two slots of every edge side by side, which gives each slot its
+    reverse ``v -> u``.  A slot into a row that ``band`` flags takes
+    ``scalar_successor(u, e)`` instead.
+
+    Returns ``(successor, orbits)`` as int64 arrays: ``successor`` is
+    that column; ``orbits`` is ``None`` when the column is not a
+    bijection, which only flagged rows can cause, and otherwise
+    ``(face, position, start, listing)``.  Faces are numbered in the
+    order of their lowest slots.  Face ``f``'s slots in walk order are
+    ``listing[start[f] : start[f + 1]]``, ending at its lowest slot,
+    and slot ``e`` sits at ``listing[start[face[e]] + position[e]]``.
+
+    The orbits come from pointer doubling on the packed key ``(lowest
+    slot seen, steps to it)``: round ``r`` folds in the key of the slot
+    ``2**r`` steps ahead, so after ``ceil(log2(m))`` rounds every slot
+    has seen its whole face, however long, and how far ahead its
+    lowest slot is.
+    """
+    n = aindptr.shape[0] - 1
+    m = ahead.shape[0]
+    # Temporaries are dropped as soon as they are spent, which keeps
+    # the kernel's memory peak near the stepped walk's.
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(aindptr))
+    key = np.minimum(src, ahead)
+    key *= n
+    key += np.maximum(src, ahead)
+    pairs = np.argsort(key)
+    del key
+    # Each slot's reverse first, then u's cyclic predecessor in v's row.
+    successor = np.empty(m, dtype=np.int64)
+    successor[pairs[0::2]] = pairs[1::2]
+    successor[pairs[1::2]] = pairs[0::2]
+    del pairs
+    wraps = successor == aindptr[ahead]
+    successor -= 1
+    successor[wraps] = aindptr[ahead[wraps] + 1] - 1
+    flagged = np.flatnonzero(np.frombuffer(band, dtype=np.uint8)[ahead])
+    for e in flagged.tolist():
+        successor[e] = scalar_successor(int(src[e]), e)
+    del src
+    if m and int(np.bincount(successor, minlength=m).max()) > 1:
+        return successor, None
+
+    key = np.arange(m, dtype=np.int64)
+    key <<= 32
+    ahead_of = successor
+    span = 1
+    while span < m:
+        seen = key[ahead_of]
+        seen += span
+        np.minimum(key, seen, out=key)
+        del seen
+        span <<= 1
+        if span < m:
+            ahead_of = ahead_of[ahead_of]
+    del ahead_of
+    lowest = key >> 32
+    key &= 0xFFFFFFFF  # steps to the lowest slot
+    first = np.zeros(m, dtype=bool)
+    first[lowest] = True
+    face = np.cumsum(first)
+    del first
+    face -= 1
+    face = face[lowest]
+    del lowest
+    end = np.cumsum(np.bincount(face))
+    start = np.zeros(end.shape[0] + 1, dtype=np.int64)
+    start[1:] = end
+    # Each slot's place in the listing, whose faces end at their lowest
+    # slots, then its place on its face.
+    position = end[face]
+    key += 1
+    position -= key
+    del key
+    listing = np.empty(m, dtype=np.int64)
+    listing[position] = np.arange(m, dtype=np.int64)
+    position -= start[face]
+    return successor, (face, position, start, listing)

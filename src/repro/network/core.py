@@ -239,6 +239,12 @@ class TopologyCore:
         """Whether ids are exactly ``0..n-1`` (index == id)."""
         return self._dense
 
+    @property
+    def backend(self) -> str:
+        """The construction backend preference (``"auto"``,
+        ``"scalar"`` or ``"numpy"``) the core's lazy columns resolve."""
+        return self._backend
+
     def index_of(self, node_id: NodeId) -> int:
         """Index of ``node_id`` (KeyError when unknown)."""
         if self._dense:

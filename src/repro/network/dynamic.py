@@ -197,15 +197,10 @@ class DynamicTopology:
                 (p.y for _, p in items), dtype=np.float64, count=len(items)
             )
             a, b = _construct.unit_disk_pairs(np, axs, ays, radius)
+            indptr, dst = _construct.csr_from_pairs(np, len(items), a, b)
             ids_arr = np.asarray(keys, dtype=np.int64)
-            src = np.concatenate((a, b))
-            dst = np.concatenate((b, a))
-            order = np.lexsort((dst, src))
-            flat_ids = ids_arr[dst[order]].tolist()
-            counts = np.bincount(src, minlength=len(items))
-            offs = np.zeros(len(items) + 1, dtype=np.int64)
-            np.cumsum(counts, out=offs[1:])
-            offs_l = offs.tolist()
+            flat_ids = ids_arr[dst].tolist()
+            offs_l = indptr.tolist()
             for i, key in enumerate(keys):
                 row = flat_ids[offs_l[i] : offs_l[i + 1]]
                 self._neighbors[key] = set(row)

@@ -17,11 +17,27 @@ detours on the fly.  This module builds that information:
    ``u -> v`` is followed by ``v``'s edge to the first neighbour
    clockwise from ``u``.  That successor is one lookup, ``u``'s cyclic
    predecessor in ``v``'s row of the rotation, so a walk is the orbit
-   of its first directed edge under the successor map.  The orbit is
-   cut at the first return to the start node (a closed boundary), at
-   a repeated directed edge, or when the step budget runs out (both
-   failures).  Connected stuck nodes end up on the same cycle; each
-   node is assigned the first boundary that contains it.
+   of its first directed edge under the successor map: a face of the
+   rotation.  The walk closes at its first return to the start node,
+   and fails when the step budget runs out first (or, where the map
+   is not a bijection, at a repeated directed edge).  Connected stuck
+   nodes end up on the same cycle; each node is assigned the first
+   boundary that contains it.
+
+   With numpy the walks are not stepped:
+   :func:`~repro.network.construct.face_orbits` builds every directed
+   edge's successor at once and splits the map into its faces, giving
+   each edge its position along its face.  The map sends the edges
+   into a node onto the edges out of it, so a walk from ``s``
+   returns to ``s`` one step before its face next reaches an edge out
+   of ``s``: the walk takes ``k`` steps, the least face distance from
+   its first edge to another out-edge of ``s`` (or a full turn back to
+   the first edge), minus one.  It closes iff ``k`` is at most the
+   budget minus one, and the boundary is ``s`` followed by the heads
+   of the face's next ``k`` edges.  A failed walk thus costs the
+   degree of ``s``, and a closed one the length of its boundary.  A
+   successor column that is not a bijection (flagged rows can make
+   one) is stepped by the walk instead, as it is without numpy.
 
 Both steps read the graph's rotation system, each node's neighbours in
 angular order, which the topology core builds once and caches
@@ -39,10 +55,14 @@ layer stays decoupled from the construction.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 from repro.geometry.angles import angle_of, first_hit_cw
+from repro.network.construct import face_orbits, resolve_backend
 from repro.network.graph import WasnGraph
 from repro.network.node import NodeId
 from repro.network.rotation import Rotation, rotation_of
@@ -88,12 +108,12 @@ def _trace(
     inside the gap).  Sweeping clockwise from the edge back to the
     previous node keeps the hole on a consistent side of the walk; a
     counter-clockwise sweep would fold the walk straight back away from
-    the hole into a degenerate triangle.  ``successors`` memoises the
-    successor of each directed edge (-1 until computed): walks from
-    different stuck nodes share stretches.  ``None`` when the walk
-    degenerates: a repeated directed edge (trapped in a sub-cycle
-    missing ``start``) or ``max_steps`` successors taken without
-    returning.
+    the hole into a degenerate triangle.  ``successors`` holds each
+    directed edge's successor, or -1 where no walk has computed it yet:
+    walks from different stuck nodes share stretches.  ``None`` when
+    the walk degenerates: a repeated directed edge (trapped in a
+    sub-cycle missing ``start``) or ``max_steps`` successors taken
+    without returning.
     """
     head = rotation.head
     u, e = start, first
@@ -114,6 +134,82 @@ def _trace(
         edges.append(f)
         u, e = v, f
     return None
+
+
+_Walk = Callable[[int, int], "tuple[NodeId, ...] | None"]
+
+
+def _orbit_walker(np, rotation: Rotation, orbits, max_steps: int) -> _Walk:
+    """Every stuck row's walk, answered on the faces of ``orbits``
+    (:func:`~repro.network.construct.face_orbits`): the walk from ``s``
+    along ``first`` takes the least ``(position[e] - position[first] -
+    1) mod size`` steps over the out-slots ``e`` of ``s`` on
+    ``first``'s face (``first`` itself gives ``size - 1``)."""
+    face, position, start, listing = orbits
+    indptr = np.frombuffer(rotation.indptr, dtype=np.int64)
+    stuck = np.frombuffer(rotation.stuck, dtype=np.int64)
+    rows = np.flatnonzero(stuck >= 0)
+    own = face[stuck[rows]]
+    at = position[stuck[rows]]
+    lo = start[own]
+    size = start[own + 1] - lo
+    # Every out-slot of the stuck rows, row after row.
+    degree = indptr[rows + 1] - indptr[rows]
+    offsets = np.cumsum(degree) - degree
+    slots = np.arange(int(degree.sum())) + np.repeat(
+        indptr[rows] - offsets, degree
+    )
+    home = (position[slots] - np.repeat(at + 1, degree)) % np.repeat(
+        size, degree
+    )
+    # An out-slot on another face never brings the walk home.
+    home[face[slots] != np.repeat(own, degree)] = face.shape[0]
+    steps = np.minimum.reduceat(home, offsets)
+    rims = dict(
+        zip(
+            rows.tolist(),
+            zip(steps.tolist(), lo.tolist(), size.tolist(), at.tolist()),
+        )
+    )
+    heads = np.frombuffer(rotation.head, dtype=np.int64)[listing]
+    ids = rotation.ids
+
+    def walk(start: int, first: int) -> tuple[NodeId, ...] | None:
+        k, face_lo, face_size, first_at = rims[start]
+        if k > max_steps - 1:
+            return None
+        begin = face_lo + first_at
+        rim = heads[begin : face_lo + min(first_at + k, face_size)].tolist()
+        if first_at + k > face_size:
+            # The walk passes the face's last slot: wrap to its first.
+            rim += heads[face_lo : begin + k - face_size].tolist()
+        return (ids[start], *map(ids.__getitem__, rim))
+
+    return walk
+
+
+def _walker(graph: WasnGraph, rotation: Rotation, max_steps: int) -> _Walk:
+    """The walk ``(start, first) -> boundary or None`` of each stuck
+    row: on the face orbits where the core's construction backend
+    resolves to numpy and the successor column is a bijection, else
+    stepped by :func:`_trace`."""
+    np = resolve_backend(
+        graph.core.backend, "build_hole_boundaries (backend='numpy')"
+    )
+    if np is None:
+        successors = [-1] * len(rotation.head)
+    else:
+        column, orbits = face_orbits(
+            np,
+            np.frombuffer(rotation.indptr, dtype=np.int64),
+            np.frombuffer(rotation.head, dtype=np.int64),
+            rotation.band,
+            lambda u, e: _successor(graph, rotation, u, e),
+        )
+        if orbits is not None:
+            return _orbit_walker(np, rotation, orbits, max_steps)
+        successors = array("q", column.tobytes())
+    return partial(_trace, graph, rotation, successors, max_steps=max_steps)
 
 
 def tent_stuck_nodes(graph: WasnGraph) -> set[NodeId]:
@@ -165,13 +261,13 @@ def build_hole_boundaries(
     rotation = rotation_of(graph)
     ids = rotation.ids
     max_steps = max(16, int(max_steps_factor * len(graph)))
-    successors = [-1] * len(rotation.head)
+    walk = _walker(graph, rotation, max_steps)
     boundaries: list[tuple[NodeId, ...]] = []
     by_node: dict[NodeId, int] = {}
     for start, first in enumerate(rotation.stuck):
         if first < 0 or ids[start] in by_node:
             continue
-        cycle = _trace(graph, rotation, successors, start, first, max_steps)
+        cycle = walk(start, first)
         if cycle is None:
             continue
         index = len(boundaries)

@@ -5,31 +5,37 @@ the rim walks on the topology's rotation system
 (:meth:`~repro.network.core.TopologyCore.rotation`: each node's
 neighbours sorted by angle): a right-hand step is one lookup in the
 next node's angular order, and only rows the rotation's band flags
-re-run the scalar ``first_hit_cw`` sweep.  The claim is *bit identity*
-with the object-path walker that re-swept every neighbour through
-``first_hit_cw`` at every step.  That walker is kept below, verbatim,
-as the oracle.
+re-run the scalar ``first_hit_cw`` sweep.  With numpy the walks are
+not stepped but answered on the faces of that successor map
+(:func:`repro.network.construct.face_orbits`), unless the map is not a
+bijection.  The claim is *bit identity* with the object-path walker
+that re-swept every neighbour through ``first_hit_cw`` at every step.
+That walker is kept below, verbatim, as the oracle.
 
 Every case compares the stuck-node sets, the boundary tuples, and the
 node → boundary map with its items in insertion order, once on a core
-whose rotation takes the scalar build and once on one that takes the
-numpy build (numpy's only where it imports), and pins every rotation
-column equal across the two builds.  Topologies: the paper's IA and FA
-models at three densities; a grid with a hole (exact angle ties
-between collinear neighbours); duplicate positions; neighbours nudged
-with ``math.nextafter`` to sit just inside and just outside the
-rotation's defect band and the sweep's exclusion epsilon; neighbours
-exactly on each quadrant axis and one ulp off it; TENT gaps within one
-ulp of 120°; single-neighbour and isolated nodes; NaN positions;
-sparse ids; a hand-built graph with unsorted rows (sorted on
-construction, so it builds like its sorted twin); dynamic snapshots
-after failures and restores; and step budgets small enough that walks run out.  More
-tests pin the rotation's own contract: rows sorted by angle with the
-documented flags, arcs and stuck slots, and on every unflagged row the
-cyclic predecessor equals the scalar sweep and each quadrant's arc
-equals the sorted quadrant filter.  Base seeds run in tier-1; the
-``slow``-marked extra seeds run in the CI ``dynamic-differential``
-job, without numpy and with it.
+whose construction backend is scalar (the rotation's scalar build and
+the stepped walks) and once on one whose backend is numpy (the numpy
+rotation build and the face orbits; numpy's only where it imports),
+and pins every rotation column equal across the two builds.
+Topologies: the paper's IA and FA models at three densities; a grid
+with a hole (exact angle ties between collinear neighbours); duplicate
+positions; neighbours nudged with ``math.nextafter`` to sit just
+inside and just outside the rotation's defect band and the sweep's
+exclusion epsilon; neighbours exactly on each quadrant axis and one
+ulp off it; TENT gaps within one ulp of 120°; single-neighbour and
+isolated nodes; NaN positions; sparse ids; a hand-built graph with
+unsorted rows (sorted on construction, so it builds like its sorted
+twin); dynamic snapshots after failures and restores; step budgets
+small enough that walks run out, and one step either side of a ring's
+walk; and a walk that closes at its first return to a node its
+boundary passes twice.  More tests pin the rotation's own contract:
+rows sorted by angle with the documented flags, arcs and stuck slots,
+and on every unflagged row the cyclic predecessor equals the scalar
+sweep and each quadrant's arc equals the sorted quadrant filter; and
+a spy shows the numpy build reaching both the orbit path and its
+fallback.  Base seeds run in tier-1; the ``slow``-marked extra seeds
+run in the CI ``dynamic-differential`` job, without numpy and with it.
 """
 
 from __future__ import annotations
@@ -60,6 +66,7 @@ from repro.network.deployment import (
 )
 from repro.network.node import Node, NodeId
 from repro.network.rotation import rotation_of
+from repro.protocols import boundhole
 from repro.protocols.boundhole import (
     HoleBoundarySet,
     build_hole_boundaries,
@@ -390,8 +397,8 @@ def test_grid_with_hole(radius):
         assert flagged_ids(graph)
 
 
-@pytest.mark.parametrize("base", ["grid", "IA"])
-def test_duplicate_positions(base):
+def duplicate_positions_graph(base: str) -> WasnGraph:
+    """A grid with a hole or an IA network, with 12 nodes doubled."""
     if base == "grid":
         # Hull nodes whose twin is the only neighbour at angle 0 (east
         # edge) or, through a negative zero, at angle pi (west edge).
@@ -402,7 +409,12 @@ def test_duplicate_positions(base):
         radius = RADIUS
     rng = random.Random(BASE_SEED)
     positions += rng.sample(positions, 12)
-    graph = build_unit_disk_graph(positions, radius)
+    return build_unit_disk_graph(positions, radius)
+
+
+@pytest.mark.parametrize("base", ["grid", "IA"])
+def test_duplicate_positions(base):
+    graph = duplicate_positions_graph(base)
     duplicated = {
         u for u in graph.node_ids
         if any(
@@ -810,3 +822,96 @@ def test_small_step_budgets(model):
 @pytest.mark.parametrize("model", ["IA", "FA"])
 def test_small_step_budgets_extra_seeds(model, seed):
     _budget_case(model, seed)
+
+
+# -- the orbit path --------------------------------------------------------
+
+
+def ring_graph(size: int = 20) -> WasnGraph:
+    """``size`` nodes on a circle, each linked only to its two
+    neighbours."""
+    turn = math.tau / size
+    nodes = [
+        Node(
+            k,
+            Point(
+                100.0 + 50.0 * math.cos(k * turn),
+                100.0 + 50.0 * math.sin(k * turn),
+            ),
+        )
+        for k in range(size)
+    ]
+    adjacency = {k: ((k - 1) % size, (k + 1) % size) for k in range(size)}
+    return WasnGraph(nodes, adjacency, 20.0)
+
+
+@pytest.mark.parametrize(
+    "factor,closes", [(1.0, True), (0.95, False)], ids=["20-steps", "19-steps"]
+)
+def test_budget_edge_on_a_ring(factor, closes):
+    """Every walk on a 20-node ring returns to its start after 19
+    steps: a budget of 20 (factor 1.0) closes the first, and one of 19
+    (factor 0.95) cuts all 20."""
+    expected = assert_identical(ring_graph(), max_steps_factor=factor)
+    if closes:
+        assert expected.boundaries == ((0, *range(19, 0, -1)),)
+    else:
+        assert expected.boundaries == ()
+
+
+def test_walk_closes_at_its_first_return():
+    """Two triangles sharing node 0: the walk from node 0 closes the
+    first time it comes back, and the walk from node 1 passes node 0
+    twice."""
+    positions = [
+        Point(100.0, 100.0),
+        Point(90.0, 95.0),
+        Point(90.0, 105.0),
+        Point(110.0, 95.0),
+        Point(110.0, 105.0),
+    ]
+    expected = assert_identical(build_unit_disk_graph(positions, 11.5))
+    assert expected.boundaries == ((0, 4, 3), (1, 2, 0, 4, 3, 0))
+    assert list(expected._by_node.items()) == [
+        (0, 0),
+        (4, 0),
+        (3, 0),
+        (1, 1),
+        (2, 1),
+    ]
+
+
+@pytest.mark.skipif(len(BUILDS) < 2, reason="the orbit path needs numpy")
+def test_orbit_path_and_fallback_both_run(monkeypatch):
+    """The numpy build answers a paper network on its face orbits and
+    steps the walk where duplicate positions make the successor column
+    no bijection; the scalar build steps the walk without the kernel."""
+    calls: list[str] = []
+    kernel = boundhole.face_orbits
+    stepper = boundhole._trace
+
+    def spy_kernel(*args):
+        column, orbits = kernel(*args)
+        calls.append("orbits" if orbits is not None else "fallback")
+        return column, orbits
+
+    def spy_stepper(*args, **kwargs):
+        calls.append("walk")
+        return stepper(*args, **kwargs)
+
+    monkeypatch.setattr(boundhole, "face_orbits", spy_kernel)
+    monkeypatch.setattr(boundhole, "_trace", spy_stepper)
+
+    def paths(graph: WasnGraph, build: str) -> set[str]:
+        calls.clear()
+        build_hole_boundaries(on_build(graph, build))
+        return set(calls)
+
+    paper = build_unit_disk_graph(
+        paper_positions("IA", 300, BASE_SEED), RADIUS
+    )
+    twins = duplicate_positions_graph("grid")
+    assert paths(paper, "numpy") == {"orbits"}
+    assert paths(twins, "numpy") == {"fallback", "walk"}
+    assert paths(paper, "scalar") == {"walk"}
+    assert paths(twins, "scalar") == {"walk"}
