@@ -186,6 +186,9 @@ def compute_shapes(safety: SafetyModel, mode: str = "chain") -> ShapeModel:
     rotation = rotation_of(graph)
     ids, head, band = rotation.ids, rotation.head, rotation.band
     arcs, row_end = rotation.arcs, rotation.indptr
+    # Positions come from the core's columns: a Point is built for
+    # each unsafe node only.
+    xs, ys = graph.core.xs, graph.core.ys
     index_of = {u: i for i, u in enumerate(ids)}
     shapes: dict[ZoneType, dict[NodeId, ShapeInfo]] = {}
     for zone_type in ZONE_TYPES:
@@ -193,15 +196,13 @@ def compute_shapes(safety: SafetyModel, mode: str = "chain") -> ShapeModel:
         unsafe = safety.unsafe_nodes(zone_type)
         start_angle = quadrant_start_angle(zone_type)
         arc = zone_type - 1
+        at = {u: Point(xs[index_of[u]], ys[index_of[u]]) for u in unsafe}
         ordered = sorted(
             unsafe,
-            key=lambda u: (
-                -_chain_sort_key(zone_type, graph.position(u)),
-                u,
-            ),
+            key=lambda u: (-_chain_sort_key(zone_type, at[u]), u),
         )
         for u in ordered:
-            pu = graph.position(u)
+            pu = at[u]
             i = index_of[u]
             if band[i] or mode == "exact":
                 in_quadrant = [
@@ -248,12 +249,12 @@ def compute_shapes(safety: SafetyModel, mode: str = "chain") -> ShapeModel:
                         )
             elif _FIRST_CHAIN_IS_HORIZONTAL[zone_type]:
                 corner = Point(
-                    graph.position(first_far).x, graph.position(last_far).y
+                    xs[index_of[first_far]], ys[index_of[last_far]]
                 )
                 rect = Rect.from_corners(pu, corner)
             else:
                 corner = Point(
-                    graph.position(last_far).x, graph.position(first_far).y
+                    xs[index_of[last_far]], ys[index_of[first_far]]
                 )
                 rect = Rect.from_corners(pu, corner)
             per_node[u] = ShapeInfo(

@@ -56,6 +56,7 @@ __all__ = [
     "csr_from_pairs",
     "csr_from_rows",
     "face_orbits",
+    "hull_candidates",
     "lengths_from_csr",
     "masked_adjacency",
     "planar_mask",
@@ -71,6 +72,16 @@ BACKENDS = ("auto", "scalar", "numpy")
 # threshold — matches the defect band of the vectorized routing kernel
 # (see ``_BAND_LO``/``_BAND_HI`` in repro.routing.batch).
 _BAND = 1e-12
+
+# The hull prefilter's margin (:func:`hull_candidates`), relative to
+# the squared coordinate span S**2: a node is dropped only when its
+# cross product against every edge of the extreme-point polygon
+# exceeds _HULL_MARGIN * S**2, i.e. when it lies more than
+# ~_HULL_MARGIN * S inside every edge.  A float64 cross product over
+# coordinates within S of each other errs by ~1e-15 * S**2, so a
+# dropped node is strictly inside in exact arithmetic, and the
+# monotone chain's own near-zero turn tests never involve it.
+_HULL_MARGIN = 1e-9
 
 
 def resolve_backend(backend: str, feature: str):
@@ -248,6 +259,60 @@ def build_columns(np, positions: Sequence, radius: float):
     indices_arr = array("q")
     indices_arr.frombytes(indices.tobytes())
     return xs, ys, rows, indptr_arr, indices_arr
+
+
+# -- the convex hull prefilter -------------------------------------------
+
+
+def hull_candidates(np, axs, ays):
+    """Ascending indices of the nodes that may lie on the convex hull.
+
+    The extreme nodes — the minima and maxima of ``x``, ``y``,
+    ``x + y`` and ``x - y`` — span a polygon inside the hull.  A node
+    inside every edge of that polygon by the :data:`_HULL_MARGIN`
+    margin is interior to the hull and is dropped; every other node is
+    kept, in index order, so the monotone chain
+    (:func:`repro.geometry.hull.hull_indices`) over the kept nodes
+    returns the full chain's hull: the same nodes, in the same order,
+    with the same first occurrence of a duplicated position.  A node on
+    the polygon's edge is kept, and a degenerate polygon (fewer than
+    three distinct extremes, or all of them collinear, where no cross
+    product clears the margin) drops nothing.
+    """
+    n = axs.shape[0]
+    kept = np.arange(n, dtype=np.int64)
+    if not n:
+        return kept
+    sums = axs + ays
+    diffs = axs - ays
+    # Counter-clockwise from the bottom: the supporting nodes of the
+    # directions -y, (x - y), x, (x + y), y, -(x - y), -x, -(x + y).
+    corners = [
+        int(np.argmin(ays)),
+        int(np.argmax(diffs)),
+        int(np.argmax(axs)),
+        int(np.argmax(sums)),
+        int(np.argmax(ays)),
+        int(np.argmin(diffs)),
+        int(np.argmin(axs)),
+        int(np.argmin(sums)),
+    ]
+    polygon: list[tuple[float, float]] = []
+    for corner in zip(axs[corners].tolist(), ays[corners].tolist()):
+        if not polygon or polygon[-1] != corner:
+            polygon.append(corner)
+    while len(polygon) > 1 and polygon[0] == polygon[-1]:
+        polygon.pop()
+    if len(polygon) < 3:
+        return kept
+    span = max(
+        float(axs.max() - axs.min()), float(ays.max() - ays.min())
+    )
+    margin = _HULL_MARGIN * span * span
+    inside = np.ones(n, dtype=bool)
+    for (x0, y0), (x1, y1) in zip(polygon, polygon[1:] + polygon[:1]):
+        inside &= (x1 - x0) * (ays - y0) - (y1 - y0) * (axs - x0) > margin
+    return kept[~inside]
 
 
 # -- CSR assembly from adopted rows -------------------------------------

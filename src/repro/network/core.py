@@ -189,12 +189,13 @@ class TopologyCore:
     def with_edge_flags(self, edge_ids: Iterable[NodeId]) -> "TopologyCore":
         """A core sharing all structure, with edge flags replaced.
 
-        The planarizations and the rotation are shared too: they are
-        pure functions of positions and adjacency, never of flags.
+        The CSR, lengths, planarizations and rotation are shared too:
+        they are pure functions of positions and adjacency, never of
+        flags.
         """
         edge_set = set(edge_ids)
         flags = tuple(u in edge_set for u in self._ids)
-        return TopologyCore(
+        core = TopologyCore(
             self._ids,
             self._xs,
             self._ys,
@@ -204,6 +205,11 @@ class TopologyCore:
             shared=self._shared,
             backend=self._backend,
         )
+        core._index_of = self._index_of
+        core._indptr = self._indptr
+        core._indices = self._indices
+        core._lengths = self._lengths
+        return core
 
     # -- scalar facts ---------------------------------------------------
 
@@ -727,15 +733,17 @@ def _rng_edge_keep(
 
 
 def build_core(
-    positions: Sequence[Point],
+    positions: Sequence[Point] | Mapping[NodeId, Point],
     radius: float,
     edge_ids: Iterable[NodeId] = (),
     backend: str = "auto",
 ) -> TopologyCore:
     """Bulk unit-disk construction straight into columnar form.
 
-    Node ``i`` takes id ``i``; two nodes are adjacent iff their
-    distance is at most ``radius`` (closed ball) — the same edge set
+    Node ``i`` of a sequence takes id ``i``; a mapping brings its own
+    ids, sparse ones included, laid out in ascending id order.  Two
+    nodes are adjacent iff their distance is at most ``radius``
+    (closed ball) — the same edge set
     the historical :class:`~repro.network.spatial.SpatialGrid`
     pipeline produced, pair for pair, but enumerated with a single
     half-neighbourhood sweep over the grid cells and no intermediate
@@ -753,17 +761,17 @@ def build_core(
     """
     if radius <= 0:
         raise ValueError("communication radius must be positive")
+    if isinstance(positions, Mapping):
+        ids = tuple(sorted(positions))
+        positions = [positions[u] for u in ids]
+    else:
+        ids = tuple(range(len(positions)))
     np = _construct.resolve_backend(backend, "build_core(backend='numpy')")
     if np is not None:
-        n = len(positions)
         xs, ys, rows, indptr, indices = _construct.build_columns(
             np, positions, radius
         )
-        edge_set = set(edge_ids)
-        flags = tuple(i in edge_set for i in range(n))
-        core = TopologyCore(
-            tuple(range(n)), xs, ys, radius, flags, rows, backend=backend
-        )
+        core = _core_over(ids, xs, ys, radius, edge_ids, rows, backend)
         # The CSR fell out of the vectorized build; install it rather
         # than re-deriving it lazily from the rows.
         core._indptr = indptr
@@ -826,9 +834,14 @@ def build_core(
     for row in neighbor_lists:
         row.sort()
         rows.append(tuple(row))
+    return _core_over(ids, xs, ys, radius, edge_ids, tuple(rows), backend)
 
+
+def _core_over(ids, xs, ys, radius, edge_ids, rows, backend) -> TopologyCore:
+    """A core from a bulk build's index rows, relabelled to ``ids``."""
+    if ids != tuple(range(len(ids))):
+        # Sparse ids: rows hold neighbour ids, not indices.
+        rows = tuple(tuple([ids[j] for j in row]) for row in rows)
     edge_set = set(edge_ids)
-    flags = tuple(i in edge_set for i in range(n))
-    return TopologyCore(
-        tuple(range(n)), xs, ys, radius, flags, tuple(rows), backend=backend
-    )
+    flags = tuple(u in edge_set for u in ids)
+    return TopologyCore(ids, xs, ys, radius, flags, rows, backend=backend)

@@ -10,28 +10,39 @@ dynamic sweeps — a failure schedule, a mobility stream, an interactive
 session poking at a deployment — that makes event cost proportional to
 network size instead of event size.
 
-:class:`DynamicTopology` keeps the graph *live*.  It owns a
-:class:`~repro.network.spatial.SpatialGrid` over the alive nodes and,
-on every move/failure/restoration, recomputes only the edges incident
-to the affected nodes — a 3x3 cell neighbourhood query per touched
-node, since the grid's cell size equals the communication radius.
-Each mutation produces a structured :class:`TopologyDelta` (edges
-added/removed, nodes up/down, nodes moved) that is pushed to
-subscribers, so consumers — routers caching planarizations, sessions
-caching information models — invalidate precisely what changed instead
-of rebuilding on spec.
+:class:`DynamicTopology` starts *frozen*: construction is one bulk
+columnar build (:func:`~repro.network.core.build_core`, numpy or
+scalar per the backend), and the first snapshot is the core-backed
+view over it, edge flags detected on the core before the graph is
+wrapped.  A network that never changes — every Study cell without a
+failure schedule — therefore never builds a per-node object.
+
+The first mutation *thaws* the topology: a
+:class:`~repro.network.spatial.SpatialGrid` over the alive nodes, the
+per-node neighbour sets and the sorted-row cache are built once from
+the core's rows.  From then on every move/failure/restoration
+recomputes only the edges incident to the affected nodes — a 3x3 cell
+neighbourhood query per touched node, since the grid's cell size
+equals the communication radius.  Each mutation produces a structured
+:class:`TopologyDelta` (edges added/removed, nodes up/down, nodes
+moved) that is pushed to subscribers, so consumers — routers caching
+planarizations, sessions caching information models — invalidate
+precisely what changed instead of rebuilding on spec.  The inspectors
+(``len``, ``alive_ids``, ``position``, ``neighbors``, ``has_edge``)
+answer from the core while frozen, with the same values.
 
 Snapshots (:attr:`DynamicTopology.graph`) are ordinary immutable
 ``WasnGraph`` values, bit-identical to a from-scratch
 ``build_unit_disk_graph`` over the same alive positions (the
 differential suite ``tests/network/test_dynamic_differential.py`` pins
 this edge for edge, edge-node flags and planarizations included), so
-everything above the network layer works unchanged.  Snapshot
-construction skips the O(E) symmetry validation — the invariant holds
-by construction and is exactly what the differential tests retire —
-and reuses cached per-node adjacency tuples and ``Node`` records, so a
-snapshot after a small perturbation is O(n), not O(n * k)
-(``benchmarks/bench_dynamic.py`` pins the resulting >= 5x speedup).
+everything above the network layer works unchanged.  Post-mutation
+snapshot construction skips the O(E) symmetry validation — the
+invariant holds by construction and is exactly what the differential
+tests retire — and reuses cached per-node adjacency tuples and
+``Node`` records, so a snapshot after a small perturbation is O(n),
+not O(n * k) (``benchmarks/bench_dynamic.py`` pins the resulting >= 5x
+speedup).
 """
 
 from __future__ import annotations
@@ -40,7 +51,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.geometry import Point, Rect
-from repro.network import construct as _construct
+from repro.network.core import TopologyCore, build_core
 from repro.network.edges import EdgeDetector
 from repro.network.graph import WasnGraph
 from repro.network.node import Node, NodeId
@@ -141,16 +152,18 @@ class DynamicTopology:
     """A unit-disk graph maintained incrementally under churn.
 
     Node ids are fixed at construction (index order for a position
-    sequence); nodes never leave the universe, they only go *down*
-    (failure) and come back *up* (restoration), which is how the
-    surviving graphs of :mod:`repro.network.failures` keep their
-    original ids.  ``edge_detector`` (plus ``area`` for the ``margin``
-    strategy) re-runs edge-node detection on each snapshot, matching a
-    pipeline that applies :class:`~repro.network.edges.EdgeDetector`
-    after every rebuild.
+    sequence, the keys of a mapping); nodes never leave the universe,
+    they only go *down* (failure) and come back *up* (restoration),
+    which is how the surviving graphs of :mod:`repro.network.failures`
+    keep their original ids.  ``edge_detector`` (plus ``area`` for the
+    ``margin`` strategy) re-runs edge-node detection on each snapshot,
+    matching a pipeline that applies
+    :class:`~repro.network.edges.EdgeDetector` after every rebuild.
 
-    All mutators return the :class:`TopologyDelta` they caused and
-    push it to every subscriber before returning.
+    The topology starts from the bulk core and thaws into its
+    incremental state on the first mutation (see the module
+    docstring).  All mutators return the :class:`TopologyDelta` they
+    caused and push it to every subscriber before returning.
     """
 
     def __init__(
@@ -161,55 +174,21 @@ class DynamicTopology:
         area: Rect | None = None,
         backend: str = "auto",
     ):
-        if radius <= 0:
-            raise ValueError("communication radius must be positive")
-        if isinstance(positions, Mapping):
-            items = sorted(positions.items())
-        else:
-            items = list(enumerate(positions))
         self._radius = radius
         self._detector = edge_detector
         self._area = area
-        self._positions: dict[NodeId, Point] = dict(items)
-        if len(self._positions) != len(items):
-            raise ValueError("duplicate node ids in positions")
+        # The frozen state: the bulk core, until the first mutation
+        # thaws it (_thaw) into the incremental state below.
+        self._frozen: TopologyCore | None = build_core(
+            positions, radius, backend=backend
+        )
+        self._positions: dict[NodeId, Point] = {}
+        self._neighbors: dict[NodeId, set[NodeId]] = {}
+        self._grid: SpatialGrid | None = None
         self._down: set[NodeId] = set()
-        self._grid = SpatialGrid(cell_size=radius)
-        self._grid.bulk_insert(items)
         # Per-node caches reused across snapshots; entries drop the
         # moment the node's adjacency / position / edge flag changes.
         self._sorted: dict[NodeId, tuple[NodeId, ...]] = {}
-        np = _construct.resolve_backend(
-            backend, "DynamicTopology(backend='numpy')"
-        )
-        if np is not None and len(items) > 1:
-            # The initial bulk neighbour pass as array ops — the same
-            # closed-ball edge set the grid sweep below produces (the
-            # kernel re-decides threshold-adjacent pairs with the
-            # scalar test, so the sets are identical).  Rows arrive
-            # sorted, which also seeds the snapshot tuple cache.
-            self._neighbors = {}
-            keys = [key for key, _ in items]
-            axs = np.fromiter(
-                (p.x for _, p in items), dtype=np.float64, count=len(items)
-            )
-            ays = np.fromiter(
-                (p.y for _, p in items), dtype=np.float64, count=len(items)
-            )
-            a, b = _construct.unit_disk_pairs(np, axs, ays, radius)
-            indptr, dst = _construct.csr_from_pairs(np, len(items), a, b)
-            ids_arr = np.asarray(keys, dtype=np.int64)
-            flat_ids = ids_arr[dst].tolist()
-            offs_l = indptr.tolist()
-            for i, key in enumerate(keys):
-                row = flat_ids[offs_l[i] : offs_l[i + 1]]
-                self._neighbors[key] = set(row)
-                self._sorted[key] = tuple(row)
-        else:
-            self._neighbors = {key: set() for key, _ in items}
-            for a, b in self._grid.all_pairs_within(radius):
-                self._neighbors[a].add(b)
-                self._neighbors[b].add(a)
         self._node_cache: dict[NodeId, Node] = {}
         self._edge_ids: set[NodeId] = set()
         self._snapshot: WasnGraph | None = None
@@ -253,16 +232,19 @@ class DynamicTopology:
 
     def __len__(self) -> int:
         """Number of *alive* nodes."""
-        return len(self._neighbors)
+        core = self._frozen
+        return len(self._neighbors) if core is None else len(core)
 
     def __contains__(self, key: NodeId) -> bool:
         """Whether the id exists in the universe (alive or down)."""
-        return key in self._positions
+        core = self._frozen
+        return key in self._positions if core is None else key in core
 
     @property
     def alive_ids(self) -> tuple[NodeId, ...]:
         """Ids of alive nodes, ascending (deterministic iteration)."""
-        return tuple(sorted(self._neighbors))
+        core = self._frozen
+        return tuple(sorted(self._neighbors)) if core is None else core.ids
 
     @property
     def down_ids(self) -> tuple[NodeId, ...]:
@@ -275,16 +257,26 @@ class DynamicTopology:
 
     def position(self, key: NodeId) -> Point:
         """Current (or last known, for down nodes) position of ``key``."""
-        return self._positions[key]
+        core = self._frozen
+        if core is None:
+            return self._positions[key]
+        i = core.index_of(key)
+        return Point(core.xs[i], core.ys[i])
 
     def neighbors(self, key: NodeId) -> tuple[NodeId, ...]:
         """Alive neighbours of an alive node, ascending."""
+        core = self._frozen
+        if core is not None:
+            self._require_known(key)
+            return core.rows()[core.index_of(key)]
         if key not in self._neighbors:
             self._require_known(key)
             raise KeyError(f"node {key} is down")
         return self._sorted_neighbors(key)
 
     def has_edge(self, u: NodeId, v: NodeId) -> bool:
+        if self._frozen is not None:
+            return u in self and v in self.neighbors(u)
         return v in self._neighbors.get(u, ())
 
     # -- subscription ---------------------------------------------------
@@ -327,6 +319,7 @@ class DynamicTopology:
         # delivered (tracked routers would silently go stale).
         for key, _ in moves:
             self._require_known(key)
+        self._thaw()
         rec = _DeltaRecorder()
         self._snapshot = None
         for key, position in moves:
@@ -380,6 +373,7 @@ class DynamicTopology:
             if key in self._down or key in going_down:
                 raise KeyError(f"node {key} is already down")
             going_down.add(key)
+        self._thaw()
         rec = _DeltaRecorder()
         self._snapshot = None
         for key in keys:
@@ -423,6 +417,7 @@ class DynamicTopology:
             if key not in self._down or key in coming_up:
                 raise KeyError(f"node {key} is not down")
             coming_up.add(key)
+        self._thaw()
         rec = _DeltaRecorder()
         self._snapshot = None
         for key in keys:
@@ -454,15 +449,24 @@ class DynamicTopology:
     def graph(self) -> WasnGraph:
         """The current topology as an immutable ``WasnGraph``.
 
-        Cached until the next mutation; successive snapshots share the
-        unchanged per-node adjacency tuples and ``Node`` records, so a
-        snapshot after a local perturbation costs O(n), not O(n * k).
+        Cached until the next mutation.  Before the first one it is
+        the core-backed view over the bulk core; after it, successive
+        snapshots share the unchanged per-node adjacency tuples and
+        ``Node`` records, so a snapshot after a local perturbation
+        costs O(n), not O(n * k).
         """
         if self._snapshot is None:
             self._snapshot = self._build_snapshot()
         return self._snapshot
 
     def _build_snapshot(self) -> WasnGraph:
+        core = self._frozen
+        if core is not None:
+            # Detect on the core, then wrap it once.  Without a
+            # detector the flags are the ones from_graph carried.
+            if self._detector is not None:
+                self._edge_ids = self._detector.detect(core, self._area)
+            return WasnGraph.from_core(core.with_edge_flags(self._edge_ids))
         alive = sorted(self._neighbors)
         adjacency = {u: self._sorted_neighbors(u) for u in alive}
         graph = self._snapshot_graph(alive, adjacency)
@@ -505,8 +509,22 @@ class DynamicTopology:
     # -- internals ------------------------------------------------------
 
     def _require_known(self, key: NodeId) -> None:
-        if key not in self._positions:
+        if key not in self:
             raise KeyError(f"unknown node {key}")
+
+    def _thaw(self) -> None:
+        """Build the incremental state from the frozen core's rows."""
+        core = self._frozen
+        if core is None:
+            return
+        self._frozen = None
+        ids, xs, ys = core.ids, core.xs, core.ys
+        rows = core.rows()
+        self._positions = {u: Point(xs[i], ys[i]) for i, u in enumerate(ids)}
+        self._neighbors = {u: set(row) for u, row in zip(ids, rows)}
+        self._sorted = dict(zip(ids, rows))
+        self._grid = SpatialGrid(cell_size=self._radius)
+        self._grid.bulk_insert(self._positions.items())
 
     def _sorted_neighbors(self, key: NodeId) -> tuple[NodeId, ...]:
         cached = self._sorted.get(key)
@@ -533,6 +551,6 @@ class DynamicTopology:
 
     def __repr__(self) -> str:
         return (
-            f"DynamicTopology(alive={len(self._neighbors)}, "
+            f"DynamicTopology(alive={len(self)}, "
             f"down={len(self._down)}, radius={self._radius})"
         )

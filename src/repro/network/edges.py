@@ -30,8 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.geometry import Rect, alpha_shape_boundary
+from repro.geometry import Point, Rect, alpha_shape_boundary
 from repro.geometry.hull import hull_indices
+from repro.network import construct as _construct
+from repro.network.core import TopologyCore
 from repro.network.graph import WasnGraph
 from repro.network.node import NodeId
 
@@ -65,23 +67,43 @@ class EdgeDetector:
         if self.margin < 0:
             raise ValueError("margin must be non-negative")
 
-    def detect(self, graph: WasnGraph, area: Rect | None = None) -> set[NodeId]:
-        """Ids of the edge nodes of ``graph``.
+    def detect(
+        self, graph: WasnGraph | TopologyCore, area: Rect | None = None
+    ) -> set[NodeId]:
+        """Ids of the edge nodes of ``graph`` (a graph or its core).
 
         ``area`` (the deployment rectangle) is only consulted by the
         ``margin`` strategy; the hull strategies derive the outline from
         the node positions alone, as the paper's hull algorithm does.
+        All strategies read the core's position columns.  With numpy,
+        the convex strategy runs the monotone chain only on the nodes
+        :func:`~repro.network.construct.hull_candidates` keeps — the
+        same hull; the scalar backend runs it on every node.
         """
-        ids = graph.node_ids
-        positions = [graph.position(i) for i in ids]
+        core = graph.core if isinstance(graph, WasnGraph) else graph
+        ids = core.ids
+        xs, ys = core.xs, core.ys
         if not ids:
             return set()
 
         if self.strategy == "convex":
-            return {ids[i] for i in hull_indices(positions)}
+            np = _construct.resolve_backend(
+                core.backend, "EdgeDetector('convex') (backend='numpy')"
+            )
+            if np is None:
+                kept = range(len(ids))
+            else:
+                kept = _construct.hull_candidates(
+                    np,
+                    np.frombuffer(xs, dtype=np.float64),
+                    np.frombuffer(ys, dtype=np.float64),
+                ).tolist()
+            hull = hull_indices([Point(xs[i], ys[i]) for i in kept])
+            return {ids[kept[k]] for k in hull}
 
+        positions = [Point(x, y) for x, y in zip(xs, ys)]
         if self.strategy == "alpha":
-            alpha = self.alpha_scale * graph.radius
+            alpha = self.alpha_scale * core.radius
             return {
                 ids[i] for i in alpha_shape_boundary(positions, alpha)
             }
@@ -89,7 +111,7 @@ class EdgeDetector:
         # margin strategy
         if area is None:
             raise ValueError("margin strategy requires the deployment area")
-        band = self.margin * graph.radius
+        band = self.margin * core.radius
         inner = area.expanded(-band)
         return {
             node_id

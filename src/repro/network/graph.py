@@ -13,16 +13,25 @@ deliberately immutable after construction — failure injection and
 mobility produce *new* graphs (see :mod:`repro.network.failures`), so a
 routing run can never observe a half-updated topology.
 
-Since the columnar refactor the graph is a thin id ↔ index *view*
-over a :class:`~repro.network.core.TopologyCore`: the core owns the
-flat position columns, CSR adjacency and planarization masks; the
-view serves the object-shaped API (``Node``, ``Point``, per-node
-neighbour tuples) the algorithm layers read.  Either side is built
-lazily from the other — a graph constructed from explicit dicts only
-pays for the columns when something columnar (the batched routing
-executor, a planarization) first asks, and a graph built by
-:func:`build_unit_disk_graph` only materialises ``Node`` objects when
-the object API is first touched.
+The graph is a thin id ↔ index *view* over a
+:class:`~repro.network.core.TopologyCore`: the core owns the flat
+position columns, CSR adjacency and planarization masks.  A graph
+comes from one side or the other:
+
+* *Core-backed* (:meth:`WasnGraph.from_core`, so every
+  :func:`build_unit_disk_graph` product and every first
+  :class:`~repro.network.dynamic.DynamicTopology` snapshot):
+  ``position``, ``neighbors``, ``degree``, ``has_edge`` and
+  ``is_edge_node`` answer from the columns.  ``position`` returns a
+  new ``Point`` per call, equal to ``node(u).position`` but not the
+  same object, and ``neighbors`` returns the core's row tuple.  The
+  per-node ``Node`` table is built only when ``node()`` or ``nodes()``
+  first asks for it.
+* *Dict-built* (explicit ``Node`` records and adjacency, so
+  ``without_nodes`` products and post-mutation dynamic snapshots):
+  the object API reads the dicts, and the core is assembled from them
+  when something columnar (the batched routing executor, a
+  planarization, connectivity) first asks.
 """
 
 from __future__ import annotations
@@ -73,6 +82,7 @@ class WasnGraph:
         self._radius = radius
         self._adjacency = adjacency
         self._core: TopologyCore | None = None
+        self._columnar = False
         if validate:
             self._validate()
             self._sort_rows()
@@ -82,14 +92,16 @@ class WasnGraph:
         """The id-view over an already-built columnar core.
 
         No validation: a core's CSR is symmetric and self-loop-free by
-        construction.  ``Node``/adjacency dicts materialise lazily on
-        first touch of the object API.
+        construction.  The per-node reads answer from the columns; the
+        ``Node``/adjacency dicts materialise lazily, when ``node()`` or
+        ``nodes()`` first asks.
         """
         graph = cls.__new__(cls)
         graph._radius = core.radius
         graph._core = core
+        graph._columnar = True
         # _nodes / _adjacency intentionally absent: __getattr__ builds
-        # them from the core when the object API is first used.
+        # them from the core when the Node table is first asked for.
         return graph
 
     def __getattr__(self, name: str):
@@ -203,26 +215,38 @@ class WasnGraph:
 
     def position(self, node_id: NodeId) -> Point:
         """``L(u)`` — the location of node ``u``."""
+        if self._columnar:
+            core = self._core
+            i = core.index_of(node_id)
+            return Point(core.xs[i], core.ys[i])
         return self._nodes[node_id].position
 
     def is_edge_node(self, node_id: NodeId) -> bool:
         """True when ``u`` lies on the edge of the network (the hull)."""
+        if self._columnar:
+            core = self._core
+            return core.edge_flags[core.index_of(node_id)]
         return self._nodes[node_id].is_edge
 
     def neighbors(self, node_id: NodeId) -> tuple[NodeId, ...]:
         """``N(u)`` — ids of nodes within communication range of ``u``."""
+        if self._columnar:
+            core = self._core
+            return core.rows()[core.index_of(node_id)]
         return self._adjacency[node_id]
 
     def degree(self, node_id: NodeId) -> int:
-        return len(self._adjacency[node_id])
+        return len(self.neighbors(node_id))
 
     def has_edge(self, u: NodeId, v: NodeId) -> bool:
+        if self._columnar:
+            return u in self._core and v in self.neighbors(u)
         return v in self._adjacency.get(u, ())
 
     def edges(self) -> Iterator[tuple[NodeId, NodeId]]:
         """Each undirected edge once, as (smaller id, larger id)."""
         for u in self.node_ids:
-            for v in self._adjacency[u]:
+            for v in self.neighbors(u):
                 if u < v:
                     yield (u, v)
 
@@ -246,23 +270,35 @@ class WasnGraph:
     # ------------------------------------------------------------------
 
     def connected_components(self) -> list[set[NodeId]]:
-        """Connected components, largest first (ties by smallest member)."""
-        unseen = set(self.node_ids)
+        """Connected components, largest first (ties by smallest member).
+
+        A breadth-first walk over the core's rows, by index: dense ids
+        are their own indices, sparse ones walk the CSR.
+        """
+        core = self.core
+        ids = core.ids
+        if core.dense:
+            rows = core.rows()
+        else:
+            indptr, indices = core.indptr, core.indices
+            rows = [
+                indices[indptr[i] : indptr[i + 1]] for i in range(len(ids))
+            ]
+        seen = bytearray(len(ids))
         components: list[set[NodeId]] = []
-        while unseen:
-            start = min(unseen)
-            component = {start}
-            frontier = [start]
-            unseen.discard(start)
-            while frontier:
-                u = frontier.pop()
-                for v in self._adjacency[u]:
-                    if v in unseen:
-                        unseen.discard(v)
-                        component.add(v)
-                        frontier.append(v)
-            components.append(component)
-        components.sort(key=lambda c: (-len(c), min(c)))
+        for start in range(len(ids)):
+            if seen[start]:
+                continue
+            seen[start] = 1
+            members = [start]
+            for i in members:
+                for j in rows[i]:
+                    if not seen[j]:
+                        seen[j] = 1
+                        members.append(j)
+            components.append({ids[i] for i in members})
+        # Stable: equal sizes keep their ascending smallest members.
+        components.sort(key=len, reverse=True)
         return components
 
     def is_connected(self) -> bool:
@@ -276,7 +312,7 @@ class WasnGraph:
         frontier = [u]
         while frontier:
             w = frontier.pop()
-            for x in self._adjacency[w]:
+            for x in self.neighbors(w):
                 if x == v:
                     return True
                 if x not in seen:
@@ -293,7 +329,7 @@ class WasnGraph:
         while frontier:
             next_frontier: list[NodeId] = []
             for w in frontier:
-                for x in self._adjacency[w]:
+                for x in self.neighbors(w):
                     if x in dist:
                         continue
                     dist[x] = dist[w] + 1
@@ -318,7 +354,7 @@ class WasnGraph:
         nodes = [n for n in self.nodes() if n.id not in removed_set]
         adjacency = {
             n.id: tuple(
-                v for v in self._adjacency[n.id] if v not in removed_set
+                v for v in self.neighbors(n.id) if v not in removed_set
             )
             for n in nodes
         }

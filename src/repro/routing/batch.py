@@ -40,6 +40,7 @@ routes through its own loop, one packet at a time.
 from __future__ import annotations
 
 import math
+import weakref
 
 from repro._optional import load_numpy
 from repro.core.regions import Hand
@@ -110,7 +111,10 @@ class _Executor:
     """Shared per-topology state, argument checks and result records."""
 
     def __init__(self, router: Router, core) -> None:
-        self.router = router
+        # Weak: the router caches its executor, so a strong reference
+        # back would make every dropped network a reference cycle,
+        # freed only when the cyclic collector next runs.
+        self.router = weakref.proxy(router)
         self.xs, self.ys = core.coords_by_id()
         self.rows = core.rows_by_id()
 
@@ -1482,7 +1486,7 @@ class _NumpyBatchKernel:
     def __init__(self, np, mode: str, router: Router, core, scalar) -> None:
         self.np = np
         self.mode = mode
-        self.router = router
+        self.router = weakref.proxy(router)  # weak, as in _Executor
         self.scalar = scalar
         self.ids = core.ids  # python-int tuple: index -> node id
         views = core.ndarray_views()

@@ -1,7 +1,11 @@
 """Scenario/Session facade: materialisation, routing, schedules."""
 
+import gc
+import weakref
+
 import pytest
 
+from repro._optional import load_numpy
 from repro.api import (
     MobilitySchedule,
     NodesFailure,
@@ -321,3 +325,37 @@ class TestClone:
             )
         )
         assert clone.route_pairs() == direct.route_pairs()
+
+
+class TestNetworkRelease:
+    """A dropped Session frees its network at once, without the cyclic
+    collector: routers cache their executors (and numpy kernels), which
+    hold their routers weakly, so no reference cycle keeps the graph,
+    its core and its information bases alive."""
+
+    @pytest.fixture
+    def no_collector(self):
+        gc.collect()
+        gc.disable()
+        yield
+        gc.enable()
+
+    def test_graph_freed_after_route_pairs(self, no_collector):
+        session = Session(Scenario(deployment_model="FA", node_count=400))
+        session.route_pairs(20)
+        graph = weakref.ref(session.graph)
+        del session
+        assert graph() is None
+
+    @pytest.mark.skipif(load_numpy() is None, reason="numpy required")
+    def test_graph_freed_after_a_kernel_batch(self, no_collector):
+        session = Session(Scenario(deployment_model="FA", node_count=400))
+        pairs = (session.sample_pairs(20) * 26)[:512]
+        for name in ("GF", "LGF", "SLGF"):
+            router = session.router(name)
+            router.route_batch(pairs)
+            assert router._numpy_kernel  # the batch built the kernel
+        del router
+        graph = weakref.ref(session.graph)
+        del session
+        assert graph() is None

@@ -457,3 +457,60 @@ class TestProgressEvent:
         note = ProgressEvent.note("serial fallback", 2, 9, 1.0)
         assert note.kind == "note"
         assert str(note) == "serial fallback"
+
+
+class TestColumnarPath:
+    """A Study pass builds no per-node objects: each network stays in
+    the columns of its bulk core from the unit-disk build to the last
+    route.  A failure schedule thaws the topology exactly once."""
+
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        from repro.network.dynamic import DynamicTopology
+        from repro.network.graph import WasnGraph
+        from repro.network.spatial import SpatialGrid
+
+        counts = {}
+        for cls, name in (
+            (DynamicTopology, "_node"),
+            (SpatialGrid, "bulk_insert"),
+            (WasnGraph, "_materialise_view"),
+        ):
+            counts[name] = 0
+
+            def spy(*args, _real=getattr(cls, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, spy)
+        return counts
+
+    @pytest.fixture(params=["numpy", "no-numpy"])
+    def numpy_state(self, request):
+        if request.param == "numpy":
+            pytest.importorskip("numpy")
+        else:
+            request.getfixturevalue("no_numpy")
+
+    def _run(self, **overrides):
+        study = Study(
+            _tiny_base(node_count=400, routes_per_network=20, **overrides),
+            vary={"deployment_model": ("IA", "FA")},
+        )
+        return study.run(jobs=1, cache=ResultCache.disabled())
+
+    def test_no_per_node_objects(self, spies, numpy_state):
+        result = self._run()
+        assert len(result.cells) == 2
+        assert spies == {
+            "_node": 0,
+            "bulk_insert": 0,
+            "_materialise_view": 0,
+        }
+
+    def test_failure_schedule_thaws_once(self, spies):
+        self._run(
+            failures=(RandomFailure(10), RegionFailure(100.0, 100.0, 15.0))
+        )
+        # One thaw per network: two networks, one per cell.
+        assert spies["bulk_insert"] == 2

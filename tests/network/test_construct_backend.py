@@ -213,6 +213,29 @@ def test_sparse_id_cores_identical():
 
 
 @needs_numpy
+def test_mapping_input_keeps_its_ids():
+    """build_core over a mapping: its (sparse) ids, ascending, with the
+    same columns on both backends as the adopted-rows core."""
+    positions = uniform_positions(37, n=150, area=80.0)
+    ids = sorted(random.Random(38).sample(range(1000), 150))
+    mapping = {u: p for u, p in zip(reversed(ids), reversed(positions))}
+    dense = build_core(positions, 12.0, backend="scalar")
+    reference = TopologyCore.from_rows(
+        ids,
+        dict(zip(ids, positions)),
+        12.0,
+        [tuple(ids[j] for j in row) for row in dense.rows()],
+        edge_ids=ids[::7],
+        backend="scalar",
+    )
+    for backend in BACKENDS:
+        core = build_core(mapping, 12.0, ids[::7], backend=backend)
+        assert not core.dense
+        assert core.edge_flags == reference.edge_flags
+        assert_cores_identical(reference, core)
+
+
+@needs_numpy
 def test_dynamic_topology_identical():
     """The bulk initial neighbour pass of DynamicTopology, negative
     coordinates included (grid keys go negative before rebasing)."""

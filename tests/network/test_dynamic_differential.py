@@ -8,19 +8,28 @@ the edge-node flags an :class:`EdgeDetector` would assign and the
 planarized (Gabriel / RNG) neighbour sets the perimeter phases walk.
 This suite drives seeded random event sequences and checks that
 equivalence at every step, plus the truthfulness of each emitted
-:class:`TopologyDelta` (old edge set + delta == new edge set).
+:class:`TopologyDelta` (old edge set + delta == new edge set).  The
+topology starts from the bulk core and thaws on its first mutation:
+the first snapshot is pinned column for column to the bulk build
+(degenerate fixtures, sparse mapping ids, n = 0-2, both construction
+backends), and every inspector to a brute-force reference before and
+after the thaw.
 
 The base seed runs in tier-1 (planarizations spot-checked every few
 steps to keep it quick); the ``slow``-marked run re-checks everything
 at every step under three extra seeds and is executed by the CI
-``dynamic-differential`` job.
+``dynamic-differential`` job twice: without numpy (a scalar-built
+core thaws) and with it (a numpy-built core thaws).
 """
 
+import math
 import random
 
 import pytest
 
+from repro._optional import MissingDependencyError, load_numpy
 from repro.geometry import Point, Rect
+from repro.geometry.hull import hull_indices
 from repro.network import (
     DynamicTopology,
     EdgeDetector,
@@ -34,6 +43,7 @@ from repro.network import (
     restore_nodes,
 )
 from repro.network.planar import gabriel_graph, relative_neighborhood_graph
+from repro.network.spatial import SpatialGrid
 
 # Deployment coordinates deliberately straddle zero: negative cell
 # indices and border-exact points must behave like any others.
@@ -326,3 +336,241 @@ class TestFailureHelpers:
             fail_region_dynamic(topology, (Point(0, 0), 0.0))
         with pytest.raises(KeyError):
             restore_nodes(topology, (0,))  # alive
+
+
+# -- the columnar start and the thaw ---------------------------------------
+
+START_BACKENDS = [
+    "scalar",
+    pytest.param(
+        "numpy",
+        marks=pytest.mark.skipif(
+            load_numpy() is None, reason="numpy required"
+        ),
+    ),
+]
+
+
+def _degenerate_positions():
+    """Coincident nodes, collinear triples, a node on a hull edge."""
+    return [
+        Point(0.0, 0.0),
+        Point(0.0, 0.0),  # coincident with node 0
+        Point(1.0, 0.0),
+        Point(2.0, 0.0),  # collinear hull edge 0-1-2-3
+        Point(3.0, 0.0),
+        Point(0.5, 0.5),
+        Point(0.5, math.nextafter(0.5, 1.0)),
+        Point(3.0, 3.0),
+        Point(-0.0, 3.0),
+        Point(1.5, 3.0),  # on the top hull edge
+        Point(3.0, 3.0),  # coincident with a hull corner
+    ]
+
+
+def _random_positions(seed, count):
+    rng = random.Random(seed)
+    return [_random_point(rng) for _ in range(count)]
+
+
+def _lattice_positions():
+    """Ties at exactly the radius, and collinear hull edges."""
+    return [Point(i * 10.0, j * 10.0) for j in range(6) for i in range(7)]
+
+
+START_CASES = {
+    "degenerate": (_degenerate_positions, 1.5),
+    "lattice": (_lattice_positions, 10.0),
+    "random": (lambda: _random_positions(3, 60), RADIUS),
+    "empty": (lambda: [], RADIUS),
+    "single": (lambda: [Point(1.0, 2.0)], RADIUS),
+    "pair": (lambda: [Point(1.0, 2.0), Point(4.0, 6.0)], RADIUS),
+}
+
+
+def _assert_columns_equal(graph, ids, reference) -> None:
+    """``graph``'s core against ``reference``'s, ids relabelled."""
+    core, ref = graph.core, reference.core
+    assert core.ids == tuple(ids)
+    assert core.xs.tobytes() == ref.xs.tobytes()
+    assert core.ys.tobytes() == ref.ys.tobytes()
+    assert core.rows() == tuple(
+        tuple(ids[j] for j in row) for row in ref.rows()
+    )
+    assert core.indptr.tobytes() == ref.indptr.tobytes()
+    assert core.indices.tobytes() == ref.indices.tobytes()
+    assert core.edge_flags == ref.edge_flags
+
+
+class TestColumnarStart:
+    """The first snapshot is the bulk build, edge flags and all."""
+
+    @pytest.mark.parametrize("backend", START_BACKENDS)
+    @pytest.mark.parametrize("case", sorted(START_CASES))
+    def test_first_snapshot_equals_bulk_build(self, case, backend):
+        recipe, radius = START_CASES[case]
+        positions = recipe()
+        topology = DynamicTopology(
+            positions,
+            radius,
+            edge_detector=EdgeDetector("convex"),
+            backend=backend,
+        )
+        reference = build_unit_disk_graph(
+            positions, radius, hull_indices(positions), backend=backend
+        )
+        _assert_columns_equal(topology.graph, range(len(positions)), reference)
+
+    @pytest.mark.parametrize("backend", START_BACKENDS)
+    def test_sparse_mapping_ids(self, backend):
+        rng = random.Random(41)
+        ids = sorted(rng.sample(range(500), 70))
+        mapping = {u: _random_point(rng) for u in reversed(ids)}
+        topology = DynamicTopology(
+            mapping,
+            RADIUS,
+            edge_detector=EdgeDetector("convex"),
+            backend=backend,
+        )
+        ordered = [mapping[u] for u in ids]
+        reference = build_unit_disk_graph(
+            ordered, RADIUS, hull_indices(ordered), backend=backend
+        )
+        assert not topology.graph.core.dense
+        _assert_columns_equal(topology.graph, ids, reference)
+
+    def test_from_graph_flags_become_the_first_snapshots(self):
+        rng = random.Random(43)
+        graph = build_unit_disk_graph(
+            [_random_point(rng) for _ in range(30)],
+            RADIUS,
+            edge_ids=(2, 5, 17),  # not the hull: carried, not detected
+        ).without_nodes((4,))
+        snapshot = DynamicTopology.from_graph(graph).graph
+        assert [u for u in snapshot.node_ids if snapshot.is_edge_node(u)] == [
+            2,
+            5,
+            17,
+        ]
+
+    def test_numpy_backend_without_numpy_raises(self, no_numpy):
+        with pytest.raises(MissingDependencyError):
+            DynamicTopology([Point(0.0, 0.0)], RADIUS, backend="numpy")
+
+
+def _brute_neighbors(positions, alive, u, radius):
+    pu = positions[u]
+    r2 = radius * radius
+    return tuple(
+        v
+        for v in sorted(alive)
+        if v != u
+        and (pu.x - positions[v].x) ** 2 + (pu.y - positions[v].y) ** 2
+        <= r2
+    )
+
+
+def _assert_inspectors(topology, positions, down, radius) -> None:
+    """Every inspector against a brute-force reference."""
+    alive = set(positions) - set(down)
+    assert len(topology) == len(alive)
+    assert topology.alive_ids == tuple(sorted(alive))
+    assert topology.down_ids == tuple(sorted(down))
+    assert repr(topology) == (
+        f"DynamicTopology(alive={len(alive)}, down={len(down)}, "
+        f"radius={radius})"
+    )
+    for u in positions:
+        assert u in topology
+        assert topology.position(u) == positions[u]
+        assert topology.is_down(u) == (u in down)
+        if u in alive:
+            row = _brute_neighbors(positions, alive, u, radius)
+            assert topology.neighbors(u) == row
+            for v in positions:
+                assert topology.has_edge(u, v) == (v in row)
+        else:
+            with pytest.raises(KeyError):
+                topology.neighbors(u)
+            assert not any(topology.has_edge(u, v) for v in positions)
+    assert -1 not in topology
+    with pytest.raises(KeyError):
+        topology.position(-1)
+    with pytest.raises(KeyError):
+        topology.neighbors(-1)
+    assert not topology.has_edge(-1, 0)
+
+
+@pytest.fixture
+def bulk_inserts(monkeypatch):
+    calls = []
+    real = SpatialGrid.bulk_insert
+
+    def spy(self, items):
+        calls.append(self)
+        return real(self, items)
+
+    monkeypatch.setattr(SpatialGrid, "bulk_insert", spy)
+    return calls
+
+
+class TestThaw:
+    """Inspectors answer the same before and after the first mutation,
+    and the topology thaws exactly once."""
+
+    @pytest.mark.parametrize("backend", START_BACKENDS)
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_inspectors_match_brute_force(self, backend, sparse, bulk_inserts):
+        rng = random.Random(47)
+        ids = sorted(rng.sample(range(200), 50)) if sparse else range(50)
+        positions = {u: _random_point(rng) for u in ids}
+        topology = DynamicTopology(
+            positions if sparse else list(positions.values()),
+            RADIUS,
+            backend=backend,
+        )
+        seen = []
+        topology.subscribe(seen.append)
+        _assert_inspectors(topology, positions, (), RADIUS)
+        topology.graph  # the first snapshot does not thaw
+        assert bulk_inserts == []
+        victims = [u for u in ids][3:6]
+        topology.fail_many(victims)
+        assert len(bulk_inserts) == 1
+        _assert_inspectors(topology, positions, victims, RADIUS)
+        target = _random_point(rng)
+        topology.move(ids[10], target)
+        positions[ids[10]] = target
+        topology.restore(victims[0])
+        _assert_inspectors(topology, positions, victims[1:], RADIUS)
+        assert len(bulk_inserts) == 1
+        assert len(seen) == 3
+
+    def test_rejected_batch_stays_frozen(self, bulk_inserts):
+        topology = DynamicTopology(
+            [_random_point(random.Random(53)) for _ in range(10)], RADIUS
+        )
+        with pytest.raises(KeyError):
+            topology.fail_many([1, 99])
+        with pytest.raises(KeyError):
+            topology.restore(1)
+        assert bulk_inserts == []
+        assert topology.fail(1).nodes_down == (1,)
+        assert len(bulk_inserts) == 1
+
+    @pytest.mark.parametrize("backend", START_BACKENDS)
+    def test_thawed_snapshot_equals_rebuild(self, backend):
+        rng = random.Random(59)
+        positions = [_random_point(rng) for _ in range(COUNT)]
+        topology = DynamicTopology(
+            positions,
+            RADIUS,
+            edge_detector=EdgeDetector(strategy="convex"),
+            backend=backend,
+        )
+        before = topology.graph
+        topology.move(0, _random_point(rng))
+        topology.fail(7)
+        after = topology.graph
+        assert after is not before
+        _assert_identical(after, _rebuild(topology), planar=True)

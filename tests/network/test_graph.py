@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.geometry import Point
 from repro.network import Node, WasnGraph, build_unit_disk_graph
+from repro.network.core import build_core
 
 coords = st.floats(min_value=0, max_value=200, allow_nan=False)
 position_lists = st.lists(
@@ -161,6 +162,98 @@ class TestConnectivity:
             assert not (all_nodes & comp)
             all_nodes |= comp
         assert all_nodes == set(g.node_ids)
+
+
+    @given(position_lists, st.sets(st.integers(0, 49), max_size=10))
+    @settings(max_examples=30)
+    def test_components_match_a_reference_bfs(self, positions, removed):
+        # Core-backed (dense ids) and dict-built (sparse ids) graphs.
+        full = build_unit_disk_graph(positions, radius=25)
+        for g in (full, full.without_nodes(removed)):
+            unseen = set(g.node_ids)
+            expected = []
+            while unseen:
+                frontier = [min(unseen)]
+                component = set(frontier)
+                while frontier:
+                    u = frontier.pop()
+                    for v in g.neighbors(u):
+                        if v not in component:
+                            component.add(v)
+                            frontier.append(v)
+                unseen -= component
+                expected.append(component)
+            expected.sort(key=lambda c: (-len(c), min(c)))
+            assert g.connected_components() == expected
+
+
+class TestCoreBackedView:
+    """A core-backed graph answers its per-node reads from the columns;
+    the Node table is built only for node()/nodes()."""
+
+    @pytest.fixture
+    def materialised(self, monkeypatch):
+        calls = []
+        real = WasnGraph._materialise_view
+
+        def spy(self):
+            calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(WasnGraph, "_materialise_view", spy)
+        return calls
+
+    def _graphs(self):
+        rng = random.Random(5)
+        positions = [
+            Point(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(80)
+        ]
+        dense = build_unit_disk_graph(positions, 20.0, edge_ids=(3, 9))
+        sparse = build_core(
+            {2 * i + 1: p for i, p in enumerate(positions)},
+            20.0,
+            edge_ids=(7, 19),
+        )
+        return dense, WasnGraph.from_core(sparse)
+
+    def test_reads_answer_from_the_columns(self, materialised):
+        for g in self._graphs():
+            core = g.core
+            for i, u in enumerate(core.ids):
+                p = g.position(u)
+                assert (p.x, p.y) == (core.xs[i], core.ys[i])
+                assert g.neighbors(u) is core.rows()[i]
+                assert g.degree(u) == len(core.rows()[i])
+                assert g.is_edge_node(u) == core.edge_flags[i]
+                for v in core.ids:
+                    assert g.has_edge(u, v) == (v in core.rows()[i])
+            assert not g.has_edge(-1, core.ids[0])
+            with pytest.raises(KeyError):
+                g.position(-1)
+            g.connected_components()
+            list(g.edges())
+        assert materialised == []
+
+    def test_node_table_is_built_on_demand(self, materialised):
+        for g in self._graphs():
+            positions = [g.position(u) for u in g.node_ids]
+            assert materialised == []
+            nodes = list(g.nodes())
+            assert len(materialised) == 1
+            for node, p in zip(nodes, positions):
+                assert g.node(node.id) is node
+                assert node.position == p
+                assert node.position is not p
+                assert g.position(node.id) is not g.position(node.id)
+            materialised.clear()
+
+    def test_dict_built_graphs_keep_their_objects(self):
+        nodes = [Node(0, Point(0.0, 0.0)), Node(1, Point(5.0, 0.0), True)]
+        row = (1,)
+        g = WasnGraph(nodes, {0: row, 1: (0,)}, radius=10)
+        assert g.position(0) is nodes[0].position
+        assert g.neighbors(0) is row
+        assert g.is_edge_node(1) and not g.is_edge_node(0)
 
 
 class TestDerivedGraphs:
