@@ -29,7 +29,8 @@ moved) that is pushed to subscribers, so consumers — routers caching
 planarizations, sessions caching information models — invalidate
 precisely what changed instead of rebuilding on spec.  The inspectors
 (``len``, ``alive_ids``, ``position``, ``neighbors``, ``has_edge``)
-answer from the core while frozen, with the same values.
+thaw too: every caller that reads them is about to mutate, so only
+the snapshot ever reads the frozen core.
 
 Snapshots (:attr:`DynamicTopology.graph`) are ordinary immutable
 ``WasnGraph`` values, bit-identical to a from-scratch
@@ -232,19 +233,19 @@ class DynamicTopology:
 
     def __len__(self) -> int:
         """Number of *alive* nodes."""
-        core = self._frozen
-        return len(self._neighbors) if core is None else len(core)
+        self._thaw()
+        return len(self._neighbors)
 
     def __contains__(self, key: NodeId) -> bool:
         """Whether the id exists in the universe (alive or down)."""
-        core = self._frozen
-        return key in self._positions if core is None else key in core
+        self._thaw()
+        return key in self._positions
 
     @property
     def alive_ids(self) -> tuple[NodeId, ...]:
         """Ids of alive nodes, ascending (deterministic iteration)."""
-        core = self._frozen
-        return tuple(sorted(self._neighbors)) if core is None else core.ids
+        self._thaw()
+        return tuple(sorted(self._neighbors))
 
     @property
     def down_ids(self) -> tuple[NodeId, ...]:
@@ -257,26 +258,19 @@ class DynamicTopology:
 
     def position(self, key: NodeId) -> Point:
         """Current (or last known, for down nodes) position of ``key``."""
-        core = self._frozen
-        if core is None:
-            return self._positions[key]
-        i = core.index_of(key)
-        return Point(core.xs[i], core.ys[i])
+        self._thaw()
+        return self._positions[key]
 
     def neighbors(self, key: NodeId) -> tuple[NodeId, ...]:
         """Alive neighbours of an alive node, ascending."""
-        core = self._frozen
-        if core is not None:
-            self._require_known(key)
-            return core.rows()[core.index_of(key)]
+        self._thaw()
         if key not in self._neighbors:
             self._require_known(key)
             raise KeyError(f"node {key} is down")
         return self._sorted_neighbors(key)
 
     def has_edge(self, u: NodeId, v: NodeId) -> bool:
-        if self._frozen is not None:
-            return u in self and v in self.neighbors(u)
+        self._thaw()
         return v in self._neighbors.get(u, ())
 
     # -- subscription ---------------------------------------------------
@@ -462,10 +456,13 @@ class DynamicTopology:
     def _build_snapshot(self) -> WasnGraph:
         core = self._frozen
         if core is not None:
-            # Detect on the core, then wrap it once.  Without a
-            # detector the flags are the ones from_graph carried.
+            # Detect on an O(1) view of the core, then wrap the flagged
+            # core once.  Without a detector the flags are the ones
+            # from_graph carried.
             if self._detector is not None:
-                self._edge_ids = self._detector.detect(core, self._area)
+                self._edge_ids = self._detector.detect(
+                    WasnGraph.from_core(core), self._area
+                )
             return WasnGraph.from_core(core.with_edge_flags(self._edge_ids))
         alive = sorted(self._neighbors)
         adjacency = {u: self._sorted_neighbors(u) for u in alive}

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from repro.geometry import Point, Rect, alpha_shape_boundary
 from repro.geometry.hull import hull_indices
 from repro.network import construct as _construct
-from repro.network.core import TopologyCore
 from repro.network.graph import WasnGraph
 from repro.network.node import NodeId
 
@@ -67,10 +66,8 @@ class EdgeDetector:
         if self.margin < 0:
             raise ValueError("margin must be non-negative")
 
-    def detect(
-        self, graph: WasnGraph | TopologyCore, area: Rect | None = None
-    ) -> set[NodeId]:
-        """Ids of the edge nodes of ``graph`` (a graph or its core).
+    def detect(self, graph: WasnGraph, area: Rect | None = None) -> set[NodeId]:
+        """Ids of the edge nodes of ``graph``.
 
         ``area`` (the deployment rectangle) is only consulted by the
         ``margin`` strategy; the hull strategies derive the outline from
@@ -80,7 +77,7 @@ class EdgeDetector:
         :func:`~repro.network.construct.hull_candidates` keeps — the
         same hull; the scalar backend runs it on every node.
         """
-        core = graph.core if isinstance(graph, WasnGraph) else graph
+        core = graph.core
         ids = core.ids
         xs, ys = core.xs, core.ys
         if not ids:

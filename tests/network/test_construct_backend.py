@@ -19,7 +19,6 @@ Without numpy, ``backend="auto"`` must degrade silently at every
 entry point and ``backend="numpy"`` must refuse loudly.
 """
 
-import builtins
 import hashlib
 import json
 import math
@@ -374,21 +373,6 @@ def test_unknown_backend_rejected_eagerly():
     graph = build_unit_disk_graph(positions, 2.0)
     with pytest.raises(ValueError, match="unknown backend"):
         compute_safety(graph, backend="typo")
-
-
-@pytest.fixture
-def no_numpy(monkeypatch):
-    """Block the numpy import underneath ``load_numpy`` (which
-    re-imports per call — no module-level cache to defeat)."""
-    real_import = builtins.__import__
-
-    def blocked(name, *args, **kwargs):
-        if name == "numpy" or name.startswith("numpy."):
-            raise ImportError("numpy is blocked for this test")
-        return real_import(name, *args, **kwargs)
-
-    monkeypatch.setattr(builtins, "__import__", blocked)
-    return blocked
 
 
 class TestWithoutNumpy:

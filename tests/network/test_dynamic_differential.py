@@ -13,7 +13,7 @@ topology starts from the bulk core and thaws on its first mutation:
 the first snapshot is pinned column for column to the bulk build
 (degenerate fixtures, sparse mapping ids, n = 0-2, both construction
 backends), and every inspector to a brute-force reference before and
-after the thaw.
+after the first mutation.
 
 The base seed runs in tier-1 (planarizations spot-checked every few
 steps to keep it quick); the ``slow``-marked run re-checks everything
@@ -531,12 +531,11 @@ class TestThaw:
         )
         seen = []
         topology.subscribe(seen.append)
-        _assert_inspectors(topology, positions, (), RADIUS)
-        topology.graph  # the first snapshot does not thaw
+        topology.graph  # the first snapshot reads the frozen core
         assert bulk_inserts == []
+        _assert_inspectors(topology, positions, (), RADIUS)
         victims = [u for u in ids][3:6]
         topology.fail_many(victims)
-        assert len(bulk_inserts) == 1
         _assert_inspectors(topology, positions, victims, RADIUS)
         target = _random_point(rng)
         topology.move(ids[10], target)
@@ -546,17 +545,27 @@ class TestThaw:
         assert len(bulk_inserts) == 1
         assert len(seen) == 3
 
-    def test_rejected_batch_stays_frozen(self, bulk_inserts):
+    @pytest.mark.parametrize("backend", START_BACKENDS)
+    def test_rejected_first_batch_changes_nothing(self, backend):
+        # Validation thaws; the snapshot then comes from the thawed
+        # rows and must still be the bulk build, flags included.
+        positions = _random_positions(53, 30)
+        detector = EdgeDetector("convex")
+        frozen = DynamicTopology(
+            positions, RADIUS, edge_detector=detector, backend=backend
+        ).graph
         topology = DynamicTopology(
-            [_random_point(random.Random(53)) for _ in range(10)], RADIUS
+            positions, RADIUS, edge_detector=detector, backend=backend
         )
+        seen = []
+        topology.subscribe(seen.append)
         with pytest.raises(KeyError):
             topology.fail_many([1, 99])
         with pytest.raises(KeyError):
             topology.restore(1)
-        assert bulk_inserts == []
+        assert seen == []
+        _assert_columns_equal(topology.graph, range(len(positions)), frozen)
         assert topology.fail(1).nodes_down == (1,)
-        assert len(bulk_inserts) == 1
 
     @pytest.mark.parametrize("backend", START_BACKENDS)
     def test_thawed_snapshot_equals_rebuild(self, backend):

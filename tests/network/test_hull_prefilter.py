@@ -257,8 +257,8 @@ def test_numpy_backend_prefilters(spy_candidates):
 def test_detector_extra_seeds(seed):
     # The prefilter with numpy, the chain over every node without it.
     for points in extra_seed_sets(seed):
-        core = build_unit_disk_graph(points, 1.0).core
-        detected = EdgeDetector(strategy="convex").detect(core)
+        graph = build_unit_disk_graph(points, 1.0)
+        detected = EdgeDetector(strategy="convex").detect(graph)
         assert detected == set(hull_indices(points))
 
 

@@ -291,26 +291,6 @@ class TestAutoCrossover:
         assert not router._numpy_kernel
 
 
-@pytest.fixture
-def no_numpy(monkeypatch):
-    """Block the numpy import underneath ``load_numpy``.
-
-    ``load_numpy`` re-imports on every call (no module-level cache),
-    so patching ``builtins.__import__`` makes every optional-dependency
-    guard see a numpy-less environment — no fake modules, no reload
-    games.
-    """
-    real_import = builtins.__import__
-
-    def blocked(name, *args, **kwargs):
-        if name == "numpy" or name.startswith("numpy."):
-            raise ImportError("numpy is blocked for this test")
-        return real_import(name, *args, **kwargs)
-
-    monkeypatch.setattr(builtins, "__import__", blocked)
-    return blocked
-
-
 class TestWithoutNumpy:
     def test_load_numpy_degrades(self, no_numpy):
         assert load_numpy() is None

@@ -5,7 +5,6 @@ response must decode to exactly what the in-process facade returns —
 under concurrency, across backends, and through topology updates.
 """
 
-import builtins
 import threading
 import time
 
@@ -241,19 +240,6 @@ class TestTopologyConsistency:
 
 
 class TestWithoutNumpy:
-    @pytest.fixture()
-    def no_numpy(self, monkeypatch):
-        """Block numpy imports underneath ``load_numpy`` (see
-        tests/routing/test_batch_numpy.py for the idiom)."""
-        real_import = builtins.__import__
-
-        def blocked(name, *args, **kwargs):
-            if name == "numpy" or name.startswith("numpy."):
-                raise ImportError("numpy is blocked for this test")
-            return real_import(name, *args, **kwargs)
-
-        monkeypatch.setattr(builtins, "__import__", blocked)
-
     def test_auto_degrades_to_scalar_answers(
         self, make_harness, scenario_doc, no_numpy
     ):
