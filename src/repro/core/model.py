@@ -9,6 +9,7 @@ safety model with the shapes of a different network.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from repro.core.regions import RegionSplit, region_split_for
@@ -20,6 +21,10 @@ from repro.network.graph import WasnGraph
 from repro.network.node import NodeId
 
 __all__ = ["InformationModel"]
+
+# Models made by ``rebuild``, by (graph id, class, shape mode); weak, so
+# an entry lasts only while its model, and so its graph, is alive.
+_REBUILT: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
 
 
 @dataclass(frozen=True)
@@ -65,8 +70,17 @@ class InformationModel:
         """The same construction — same ``shape_mode`` — over an
         updated graph.  What a router's rebind uses so that a drifted
         topology gets exactly the information a fresh construction
-        with the original options would produce."""
-        return type(self).build(graph, shape_mode=self.shape_mode)
+        with the original options would produce.
+
+        Routers that rebind to the same graph share one model: a second
+        rebuild over that graph object, with the same class and
+        ``shape_mode``, returns the first one's model."""
+        key = (id(graph), type(self), self.shape_mode)
+        model = _REBUILT.get(key)
+        if model is None or model.graph is not graph:
+            model = type(self).build(graph, shape_mode=self.shape_mode)
+            _REBUILT[key] = model
+        return model
 
     # Convenience pass-throughs used heavily by the routers -----------
 

@@ -146,8 +146,8 @@ class TopologyCore:
         self._lengths: array | None = None
         # Structure-derived columns, shared with flag-variants of this
         # core (neither planarization nor rotation reads edge flags):
-        # kind -> (mask bytearray, planar adjacency dict), and
-        # "rotation" -> Rotation.
+        # kind -> (mask bytearray, planar adjacency dict),
+        # "rotation" -> Rotation and "sweep_angles" -> array('d').
         self._shared: dict = shared if shared is not None else {}
         self._coords_by_id: tuple[list, list] | None = None
         self._rows_by_id: list | None = None
@@ -490,6 +490,21 @@ class TopologyCore:
             rotation = Rotation(self._ids, indptr, *columns)
         self._shared["rotation"] = rotation
         return rotation
+
+    def sweep_angles(self) -> array:
+        """A per-slot angle column aligned with :meth:`rotation`'s
+        ``head``, NaN until filled.
+
+        The routing executors' hand-rule sweeps (:mod:`repro.routing.batch`)
+        fill a row on their first sweep of it, with the angles they
+        would compute per hop.  Shared, like the rotation, with the
+        core's flag variants.
+        """
+        angles = self._shared.get("sweep_angles")
+        if angles is None:
+            angles = array("d", [math.nan]) * len(self.indices)
+            self._shared["sweep_angles"] = angles
+        return angles
 
     # -- planarization masks --------------------------------------------
 

@@ -8,12 +8,17 @@ and hole-boundary recovery, LGF/SLGF's tried-set perimeter sweep, and
 every rung of SLGF2's Algorithm 3 directly on the core's flat columns:
 neighbour-id tuples, plain-list coordinate reads, one ``math.hypot``
 per surviving candidate.  No ``Point`` objects, no per-hop dict
-lookups, no ``PacketTrace`` method dispatch.
+lookups, no ``PacketTrace`` method dispatch.  A node's neighbourhood
+geometry is derived once and read at every later hop: an executor
+keeps SLGF2's quadrant members per (node, quadrant), built by the
+first scan that needs them, and every hand-rule sweep reads the core's
+rotation (each row's neighbours in angular order) and a per-core angle
+column filled on a row's first sweep.
 
 Exactness is non-negotiable: every route must be bit-identical to the
 object-path loops the executors replaced, which
 ``tests/routing/_oracle.py`` keeps as the reference (the differential
-suites pin each scheme against it).  Two mechanisms guarantee it:
+suites pin each scheme against it).  Three mechanisms guarantee it:
 
 * **Conservative squared-distance prefilter.**  Greedy selection
   compares ``hypot`` distances exactly as the reference does; the
@@ -25,12 +30,21 @@ suites pin each scheme against it).  Two mechanisms guarantee it:
   uses the same ``math.hypot`` values the reference computes.
 
 * **Operation-for-operation replicas.**  Every phase — the hand-rule
-  sweeps of every perimeter and backup phase, the face walk's
+  sweeps where the rotation cannot decide them, the face walk's
   crossing test, the hole-boundary walk's direction and exit tests,
   the superseding rule's divider sides, the zone machinery at a node
   coincident with its destination — performs the same floating-point
   operations in the same order as the reference: ``atan2``/``fmod``
   normalisation, tie-breaks, epsilon conventions, raised errors.
+
+* **Decisions the rotation proves.**  On a row the rotation leaves
+  unflagged, neighbour angles lie more than 1e-9 apart, so a sweep's
+  winner is the first admissible neighbour in rotation order from the
+  reference, unless the reference lies within 1e-9 of a neighbour's
+  angle; a flagged row or such a reference runs the replica
+  (:meth:`_Executor._sweep`).  The quadrant lists hold exactly what
+  each scan's own sign tests admit, in row order, so every scan keeps
+  its first-strict-minimum tie-break.
 
 A router runs the executor of its nearest built-in base class
 (:func:`executor_for`), unless its class overrides ``_run``: then it
@@ -41,6 +55,9 @@ from __future__ import annotations
 
 import math
 import weakref
+from array import array
+from bisect import bisect_left
+from itertools import chain
 
 from repro._optional import load_numpy
 from repro.core.regions import Hand
@@ -65,6 +82,10 @@ _GUARD = 1.0 + 1e-12
 # ``regions``): sweep exclusivity, crossing bounds and divider sides.
 _GEOM_EPS = 1e-12
 _CROSS_HI = 1.0 - _GEOM_EPS
+
+# A sweep reference this close to a neighbour's angle is left to the
+# scalar sweep: an offset's rounding (~1e-15) could order it either way.
+_REF_BAND = 1e-9
 
 _GREEDY = Phase.GREEDY
 _SAFE = Phase.SAFE
@@ -115,8 +136,12 @@ class _Executor:
         # back would make every dropped network a reference cycle,
         # freed only when the cyclic collector next runs.
         self.router = weakref.proxy(router)
+        self.core = core
+        self.dense = core.dense  # node id == core index
         self.xs, self.ys = core.coords_by_id()
         self.rows = core.rows_by_id()
+        self._rotation = None  # core.rotation(), on the first sweep
+        self._angles = None  # core.sweep_angles(), likewise
 
     def _check(self, source: NodeId, destination: NodeId) -> None:
         graph = self.router.graph
@@ -177,6 +202,7 @@ class _Executor:
         rows = self.rows
         hyp = math.hypot
         atan2 = math.atan2
+        sweep = self._sweep
         xd = xs[destination]
         yd = ys[destination]
         stuck_limit = hyp(xs[u] - xd, ys[u] - yd) - _EPS
@@ -194,44 +220,11 @@ class _Executor:
                 phases.append(_PERIMETER)
                 length += hyp(xu - xd, yu - yd)
                 return destination, length, None, False
-            # The CCW "first node hit by the ray ud" sweep, with the
-            # reference implementation's tie-breaks: smaller CCW
-            # offset first, Euclidean distance on exact angle ties,
-            # first-seen on full ties.  Candidates coincident with u
-            # are skipped (they have no direction).
+            # The CCW "first node hit by the ray ud" sweep over the
+            # untried neighbours.
             ref = _norm(atan2(yd - yu, xd - xu))
-            best = -1
-            best_off = 0.0
-            best_dist = -1.0  # lazily computed, only on angle ties
-            saw_untried = False
-            for v in row:
-                if v in tried:
-                    continue
-                saw_untried = True
-                xv = xs[v]
-                yv = ys[v]
-                if xv == xu and yv == yu:
-                    continue
-                off = _norm(_norm(atan2(yv - yu, xv - xu)) - ref)
-                if best < 0 or off < best_off:
-                    best = v
-                    best_off = off
-                    best_dist = -1.0
-                elif off == best_off:
-                    if best_dist < 0.0:
-                        best_dist = hyp(xs[best] - xu, ys[best] - yu)
-                    dv = hyp(xv - xu, yv - yu)
-                    if dv < best_dist:
-                        best = v
-                        best_off = off
-                        best_dist = dv
-            if saw_untried:
-                if best < 0:
-                    # Every untried neighbour coincides with u: the
-                    # sweep hits nothing, and the hop to None raises.
-                    raise RoutingError(
-                        f"illegal hop {u} -> None: not an edge"
-                    )
+            best = sweep(u, xu, yu, ref, True, False, tried=tried)
+            if best >= 0:
                 tried.add(best)
                 stack.append(best)
                 path.append(best)
@@ -240,6 +233,10 @@ class _Executor:
                 u = best
                 hops += 1
                 continue
+            if any(v not in tried for v in row):
+                # Every untried neighbour coincides with u: the sweep
+                # hits nothing, and the hop to None raises.
+                raise RoutingError(f"illegal hop {u} -> None: not an edge")
             # Dead end: backtrack along the phase's own path.
             stack.pop()
             if not stack:
@@ -252,7 +249,94 @@ class _Executor:
             hops += 1
         return u, length, "ttl_exceeded", False
 
-    # -- the face walk (GF's recovery, SLGF2's perimeter phase) --------
+    # -- the hand-rule sweeps --------------------------------------------
+
+    def _sweep(
+        self,
+        u: NodeId,
+        xu: float,
+        yu: float,
+        ref: float,
+        ccw: bool,
+        exclusive: bool,
+        among=None,
+        tried=None,
+    ) -> NodeId:
+        """:meth:`_hand_sweep` from ``u`` = ``(xu, yu)``, read off the
+        core's rotation; -1 when nothing is hit.
+
+        The candidates are ``among`` (some of ``u``'s neighbours, in
+        row order) or else ``u``'s neighbours not in ``tried``.  On a
+        row the rotation leaves unflagged, neighbour angles lie more
+        than 1e-9 apart and off the axes, and no neighbour coincides
+        with ``u``: the offsets order the neighbours exactly as the
+        rotation does, so the first candidate in rotation order from
+        the reference (counter-clockwise, or clockwise) wins outright.
+        A reference within 1e-9 of a neighbour's angle could round to
+        either side of it, so the scalar sweep decides it, as it does
+        a flagged row.  The exception is an exclusive sweep's
+        reference exactly on a neighbour's angle (the edge it arrived
+        on): the scalar sweep pushes that zero offset a full turn
+        away, so that neighbour comes last.
+        """
+        rotation = self._rotation
+        if rotation is None:
+            rotation = self._rotation = self.core.rotation()
+            self._angles = self.core.sweep_angles()
+        ids = rotation.ids
+        i = u if self.dense else self.core.index_of(u)
+        if rotation.band[i]:
+            if among is None:
+                among = [v for v in self.rows[u] if v not in tried]
+            return self._hand_sweep(xu, yu, ref, among, ccw, exclusive)
+        indptr = rotation.indptr
+        head = rotation.head
+        lo = indptr[i]
+        hi = indptr[i + 1]
+        if lo == hi:
+            return -1  # no neighbours
+        angles = self._angles
+        if angles[lo] != angles[lo]:  # NaN: this row's first sweep
+            xs = self.xs
+            ys = self.ys
+            atan2 = math.atan2
+            # One slice assignment: a concurrent reader sees the whole
+            # row filled or none of it.
+            angles[lo:hi] = array(
+                "d",
+                [
+                    _norm(atan2(ys[v] - yu, xs[v] - xu))
+                    for v in map(ids.__getitem__, head[lo:hi])
+                ],
+            )
+        b = bisect_left(angles, ref, lo, hi)  # first angle >= ref
+        exact = b < hi and angles[b] == ref
+        # Negated comparisons: a NaN reference is near everything.
+        if (
+            b < hi
+            and not angles[b] - ref > _REF_BAND
+            and not (exclusive and exact)
+        ) or (b > lo and not ref - angles[b - 1] > _REF_BAND):
+            if among is None:
+                among = [v for v in self.rows[u] if v not in tried]
+            return self._hand_sweep(xu, yu, ref, among, ccw, exclusive)
+        if exact and ccw:
+            b += 1  # the arrival edge comes last
+        if ccw:
+            slots = chain(range(b, hi), range(lo, b))
+        else:
+            slots = chain(range(b - 1, lo - 1, -1), range(hi - 1, b - 1, -1))
+        if among is not None:
+            for s in slots:
+                v = ids[head[s]]
+                if v in among:
+                    return v
+        else:
+            for s in slots:
+                v = ids[head[s]]
+                if v not in tried:
+                    return v
+        return -1
 
     def _hand_sweep(
         self,
@@ -263,8 +347,8 @@ class _Executor:
         ccw: bool,
         exclusive: bool,
     ) -> NodeId:
-        """The hand-rule sweep (reference: ``hand_sweep``); -1 when
-        nothing is hit.
+        """The scalar hand-rule sweep (reference: ``hand_sweep``); -1
+        when nothing is hit.
 
         The first candidate a ray from ``(xu, yu)`` at angle ``ref``
         hits, rotating counter-clockwise (``ccw``, the right hand) or
@@ -301,6 +385,8 @@ class _Executor:
                     best_dist = dv
         return best
 
+    # -- the face walk (GF's recovery, SLGF2's perimeter phase) --------
+
     def _face_phase(self, u, destination, path, phases, length, ttl, ccw):
         """GPSR's face walk (reference: ``face_recovery``).
 
@@ -315,7 +401,7 @@ class _Executor:
         planar = self.router._planar.adjacency
         hyp = math.hypot
         atan2 = math.atan2
-        sweep = self._hand_sweep
+        sweep = self._sweep
         xd = xs[destination]
         yd = ys[destination]
         stuck = u
@@ -345,11 +431,11 @@ class _Executor:
                 return u, length, "isolated_in_planar_graph"
             if first_u < 0:
                 ref = _norm(atan2(yd - yu, xd - xu))
-                nxt = sweep(xu, yu, ref, candidates, ccw, False)
+                nxt = sweep(u, xu, yu, ref, ccw, False, candidates)
             else:
                 prev = path[-2]
                 ref = _norm(atan2(ys[prev] - yu, xs[prev] - xu))
-                nxt = sweep(xu, yu, ref, candidates, ccw, True)
+                nxt = sweep(u, xu, yu, ref, ccw, True, candidates)
             if nxt < 0:
                 return u, length, "isolated_in_planar_graph"
             # Face change: rotate past edges crossing the stuck->d
@@ -377,7 +463,7 @@ class _Executor:
                 best_cross = cross_dist
                 changed_face = True
                 ref = _norm(atan2(yn - yu, xn - xu))
-                rotated = sweep(xu, yu, ref, candidates, ccw, True)
+                rotated = sweep(u, xu, yu, ref, ccw, True, candidates)
                 if rotated < 0:
                     break
                 nxt = rotated
@@ -500,11 +586,13 @@ class _GreedyExecutor(_Executor):
             return self._face_phase(
                 u, destination, path, phases, length, ttl, True
             )
+        # Walk by position from u's first occurrence; negative positions
+        # wrap, so forward runs index + 1 - m .. index - 1 and backward
+        # index - 1 .. index + 1 - m.
         index = cycle.index(u)
-        forward = cycle[index + 1 :] + cycle[:index]
-        backward = cycle[:index][::-1] + cycle[index + 1 :][::-1]
-        ahead = forward[0]
-        behind = backward[0]
+        m = len(cycle)
+        ahead = cycle[index + 1 - m]
+        behind = cycle[index - 1]
         graph = self.router.graph
         if ahead not in graph or behind not in graph:
             # A stale cycle names a node the graph no longer has.
@@ -521,11 +609,13 @@ class _GreedyExecutor(_Executor):
         if hyp(xs[ahead] - xd, ys[ahead] - yd) <= hyp(
             xs[behind] - xd, ys[behind] - yd
         ):
-            walk = forward
+            walk = range(index + 1 - m, index)
         else:
-            walk = backward
+            walk = range(index - 1, index - m, -1)
+        near_destination = set(rows[destination])
         hops = len(path) - 1
-        for node in walk:
+        for position in walk:
+            node = cycle[position]
             if hops >= ttl:
                 return u, length, "ttl_exceeded"
             if node not in rows[u]:
@@ -540,7 +630,7 @@ class _GreedyExecutor(_Executor):
             length += hyp(xs[u] - xn, ys[u] - yn)
             u = node
             hops += 1
-            if destination in rows[node]:
+            if node in near_destination:
                 if hops >= ttl:
                     return u, length, "ttl_exceeded"
                 path.append(destination)
@@ -876,10 +966,12 @@ class _Slgf2Executor(_Executor):
 
     Lazily memoised, never built up front (serve rebuilds the executor
     after every write; a paper cell routes 20 pairs through it): per
-    node, the split-capable (quadrant, anchor, far corner) records of
-    the node itself and of its neighbourhood, and the backup episode
-    cap.  The rare size-aware entry test and the bound of a DFS phase
-    call the router itself, which is exact by construction.
+    node and quadrant, the members the safe scan and ``_zone_scan``
+    admit; per node, the split-capable (quadrant, anchor, far corner)
+    records of the node itself and of its neighbourhood, and the
+    backup episode cap.  The rare size-aware entry test and the bound
+    of a DFS phase call the router itself, which is exact by
+    construction.
     """
 
     def __init__(self, router: Slgf2Router, core) -> None:
@@ -898,6 +990,9 @@ class _Slgf2Executor(_Executor):
         self._own: list = [None] * len(self.rows)
         self._near: list = [None] * len(self.rows)
         self._caps: dict[NodeId, int] = {}
+        # Q_k(u) of the safe scan and of _zone_scan, at 4 * u + k - 1.
+        self._scan_q: list = [None] * (4 * len(self.rows))
+        self._zone_q: list = [None] * (4 * len(self.rows))
 
     # -- the superseding rule's splits ----------------------------------
 
@@ -1009,7 +1104,7 @@ class _Slgf2Executor(_Executor):
 
     # -- candidate sets --------------------------------------------------
 
-    def _zone_scan(self, row, xu, yu, xd, yd, k, du) -> tuple[list, list]:
+    def _zone_scan(self, u, row, xu, yu, xd, yd, k, du) -> tuple[list, list]:
         """``slgf2_plain_zone_candidates`` and
         ``slgf2_safe_zone_candidates``.
 
@@ -1019,14 +1114,17 @@ class _Slgf2Executor(_Executor):
         xs = self.xs
         ys = self.ys
         if self.quadrant_scope:
-            sx, sy = _QUADRANT_SIGNS[k]
-            members = [
-                v
-                for v in row
-                if sx * (xs[v] - xu) >= 0.0
-                and sy * (ys[v] - yu) >= 0.0
-                and (xs[v] != xu or ys[v] != yu)
-            ]
+            members = self._zone_q[4 * u + k - 1]
+            if members is None:
+                # A NaN offset fails these tests (the safe scan's pass).
+                sx, sy = _QUADRANT_SIGNS[k]
+                members = self._zone_q[4 * u + k - 1] = tuple(
+                    v
+                    for v in row
+                    if sx * (xs[v] - xu) >= 0.0
+                    and sy * (ys[v] - yu) >= 0.0
+                    and (xs[v] != xu or ys[v] != yu)
+                )
             floor = du - _EPS  # strictly closer only
         else:
             xlo, xhi = (xu, xd) if xu <= xd else (xd, xu)
@@ -1040,6 +1138,25 @@ class _Slgf2Executor(_Executor):
             # Adaptive greedy: any strictly closer neighbour.
             plain, safe = self._closer(row, xd, yd, floor)
         return plain, safe
+
+    def _scan_members(self, u: NodeId, k: int) -> tuple:
+        """``Q_k(u)`` as the safe scan of :meth:`route` admits it: ``u``'s
+        neighbours in row order, minus those its sign tests rule out
+        (a NaN offset passes them) and those coincident with ``u``."""
+        xs = self.xs
+        ys = self.ys
+        xu = xs[u]
+        yu = ys[u]
+        sx, sy = _QUADRANT_SIGNS[k]
+        members = []
+        for v in self.rows[u]:
+            dx = xs[v] - xu
+            dy = ys[v] - yu
+            if sx * dx < 0.0 or sy * dy < 0.0 or (dx == 0.0 and dy == 0.0):
+                continue
+            members.append(v)
+        members = self._scan_q[4 * u + k - 1] = tuple(members)
+        return members
 
     def _closer(self, nodes, xd, yd, floor) -> tuple[list, list]:
         """``(node, distance)`` of the ``nodes`` closer to d than
@@ -1077,6 +1194,7 @@ class _Slgf2Executor(_Executor):
         rows = self.rows
         safety = self.safety
         near = self._near
+        scan_q = self._scan_q
         superseding = self.superseding
         use_backup = self.use_backup
         hyp = math.hypot
@@ -1129,34 +1247,21 @@ class _Slgf2Executor(_Executor):
             if quadrant_scope:
                 floor = du - _EPS
                 cut = floor * floor * _GUARD
+                members = scan_q[4 * u + k - 1]
+                if members is None:
+                    members = self._scan_members(u, k)
             else:
                 xlo, xhi = (xu, xd) if xu <= xd else (xd, xu)
                 ylo, yhi = (yu, yd) if yu <= yd else (yd, yu)
                 floor = math.inf
                 cut = math.inf
+                members = row
             pick = -1
             safe_dist = floor
-            for v in row:
+            for v in members:
                 xv = xs[v]
                 yv = ys[v]
-                if quadrant_scope:
-                    dx = xv - xu
-                    dy = yv - yu
-                    if k == 1:
-                        if dx < 0.0 or dy < 0.0:
-                            continue
-                    elif k == 2:
-                        if dx > 0.0 or dy < 0.0:
-                            continue
-                    elif k == 3:
-                        if dx > 0.0 or dy > 0.0:
-                            continue
-                    else:
-                        if dx < 0.0 or dy > 0.0:
-                            continue
-                    if dx == 0.0 and dy == 0.0:
-                        continue
-                else:
+                if not quadrant_scope:
                     if xv < xlo or xv > xhi or yv < ylo or yv > yhi:
                         continue
                 dx = xv - xd
@@ -1172,7 +1277,7 @@ class _Slgf2Executor(_Executor):
                         cut = dv * dv * _GUARD
             safe = None
             if pick < 0:
-                plain, safe = self._zone_scan(row, xu, yu, xd, yd, k, du)
+                plain, safe = self._zone_scan(u, row, xu, yu, xd, yd, k, du)
                 if safe:  # adaptive greedy widened the candidate set
                     pick = self._prefer(safe, ())
             if pick >= 0:
@@ -1189,7 +1294,7 @@ class _Slgf2Executor(_Executor):
                         ):
                             if safe is None:
                                 _, safe = self._zone_scan(
-                                    row, xu, yu, xd, yd, k, du
+                                    u, row, xu, yu, xd, yd, k, du
                                 )
                             pick = self._prefer(safe, splits)
                 if in_backup:
@@ -1255,13 +1360,14 @@ class _Slgf2Executor(_Executor):
                                 visited.add(u)
                                 if hand is None:
                                     hand = self._hand_at(u, xd, yd)
-                            pick = self._hand_sweep(
+                            pick = self._sweep(
+                                u,
                                 xu,
                                 yu,
                                 _norm(math.atan2(yd - yu, xd - xu)),
-                                backup,
                                 hand is Hand.RIGHT,
                                 False,
+                                backup,
                             )
                             if pick >= 0:
                                 visited.add(pick)
@@ -1357,13 +1463,14 @@ class _Slgf2Executor(_Executor):
                 else:
                     escapes += 1
             if candidates:
-                pick = self._hand_sweep(
+                pick = self._sweep(
+                    u,
                     xu,
                     yu,
                     _norm(math.atan2(yd - yu, xd - xu)),
-                    candidates,
                     ccw,
                     False,
+                    candidates,
                 )
                 if pick >= 0:
                     tried.add(pick)

@@ -436,6 +436,35 @@ class TestRebind:
         assert router.model.shape_mode == "exact"
         assert router.model.graph is large
 
+    def test_routers_rebound_to_one_graph_share_one_model(self):
+        """SLGF and SLGF2 rebound to the same snapshot build one model
+        between them; another shape mode or graph builds its own, and
+        the shared model is not kept once its routers drop it."""
+        import gc
+        import weakref
+
+        from repro.core import InformationModel
+        from repro.routing import Slgf2Router, SlgfRouter
+
+        small, large = self._graphs()
+        model = InformationModel.build(small)
+        slgf = SlgfRouter(model)
+        slgf2 = Slgf2Router(model)
+        exact = Slgf2Router(InformationModel.build(small, shape_mode="exact"))
+        for router in (slgf, slgf2, exact):
+            router.rebind(large)
+        assert slgf.model is slgf2.model
+        assert slgf.model == InformationModel.build(large)
+        assert exact.model is not slgf.model
+        assert exact.model == InformationModel.build(large, shape_mode="exact")
+        slgf2.rebind(small)
+        assert slgf2.model is not model and slgf2.model == model
+
+        shared = weakref.ref(slgf.model)
+        del slgf, slgf2
+        gc.collect()
+        assert shared() is None
+
     def test_rebind_rederives_radius_thresholds(self):
         # Regression: SLGF2's radius-derived knobs must track a rebind
         # that changes the communication range.

@@ -15,7 +15,9 @@ rung of GF's recovery and of SLGF2's Algorithm 3 is shown reached;
 pairs across components pin the failure reasons.
 """
 
+import math
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -41,6 +43,7 @@ from repro.routing import (
     SlgfRouter,
     Slgf2Router,
 )
+from repro.routing.batch import _norm
 
 
 def make_grid_graph(n=8, spacing=10.0, radius=15.0):
@@ -665,3 +668,341 @@ class TestCoincidentDestination:
                 assert outcome(
                     lambda: router.route_batch([(0, 2)], backend=backend)[0]
                 ) == expected
+
+
+# ---------------------------------------------------------------------------
+# The neighbourhood memos: SLGF2's quadrant lists and the rotation sweep
+# ---------------------------------------------------------------------------
+
+
+class CountingList(list):
+    """A memo table that counts its reads and its writes."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.reads = 0
+        self.writes = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+    def __setitem__(self, index, value):
+        self.writes += 1
+        super().__setitem__(index, value)
+
+
+def spy_on_neighbourhoods(monkeypatch):
+    """Tally the path every sweep and quadrant scan of the executors takes.
+
+    A sweep is keyed ``(executor, caller, path)``: ``"rotation"`` when
+    the rotation answered it, ``"band"`` when the row is flagged and
+    ``"reference"`` when the reference lies too close to a neighbour's
+    angle; ``"leaf"`` also counts flagged single-neighbour rows.  Each
+    SLGF2 executor's quadrant tables count as ``("scan" | "zone",
+    "built" | "memo")``.
+    """
+    from repro.routing import batch
+
+    tally = Counter()
+    tables = []
+    sweep = batch._Executor._sweep
+    scalar = batch._Executor._hand_sweep
+    scalar_calls = []
+
+    def spied_scalar(self, *args):
+        scalar_calls.append(None)
+        return scalar(self, *args)
+
+    def spied_sweep(self, u, *args, **kwargs):
+        caller = sys._getframe(1).f_code.co_name
+        before = len(scalar_calls)
+        result = sweep(self, u, *args, **kwargs)
+        if len(scalar_calls) == before:
+            path = "rotation"
+        elif self._rotation.band[self.core.index_of(u)]:
+            path = "band"
+            if len(self.rows[u]) == 1:
+                tally["leaf"] += 1
+        else:
+            path = "reference"
+        tally[type(self).__name__, caller, path] += 1
+        return result
+
+    init = batch._Slgf2Executor.__init__
+
+    def spied_init(self, *args):
+        init(self, *args)
+        self._scan_q = CountingList(self._scan_q)
+        self._zone_q = CountingList(self._zone_q)
+        tables.append((self._scan_q, self._zone_q))
+
+    monkeypatch.setattr(batch._Executor, "_sweep", spied_sweep)
+    monkeypatch.setattr(batch._Executor, "_hand_sweep", spied_scalar)
+    monkeypatch.setattr(batch._Slgf2Executor, "__init__", spied_init)
+
+    def counts():
+        for scan_q, zone_q in tables:
+            for name, table in (("scan", scan_q), ("zone", zone_q)):
+                tally[name, "built"] += table.writes
+                tally[name, "memo"] += table.reads - table.writes
+        tables.clear()
+        return tally
+
+    return counts
+
+
+def outcome_or_error(route):
+    """A route's result, or the routing error it raised."""
+    try:
+        return route()
+    except (ValueError, RoutingError) as error:
+        return (type(error), str(error))
+
+
+def memo_routers(graph, model, boundaries=None):
+    """One router per converted scan or sweep: GF's face walk (and its
+    boundary walk), the tried-set sweep of LGF and SLGF, and SLGF2's
+    quadrant scans, backup and face sweeps in either hand, and DFS."""
+    if boundaries is None:
+        boundaries = build_hole_boundaries(graph)
+    return [
+        GreedyRouter(graph),
+        GreedyRouter(
+            graph, recovery="boundhole", hole_boundaries=boundaries
+        ),
+        LgfRouter(graph),
+        SlgfRouter(model),
+        Slgf2Router(model),
+        Slgf2Router(model, perimeter_hand="either"),
+        Slgf2Router(model, perimeter_mode="dfs"),
+    ]
+
+
+#: (executor, caller) of every converted sweep.
+SWEEPS = (
+    ("_GreedyExecutor", "_face_phase"),
+    ("_LgfExecutor", "_tried_perimeter"),
+    ("_SlgfExecutor", "_tried_perimeter"),
+    ("_Slgf2Executor", "route"),  # the backup sweep
+    ("_Slgf2Executor", "_face_phase"),
+    ("_Slgf2Executor", "_dfs_phase"),
+)
+
+
+def make_rotated_lattice(n=12, spacing=10.0, radius=15.0, turn=0.3):
+    """The pocketed grid turned by ``turn`` radians: no neighbour angle
+    near an axis or near another, so no row is flagged, while every
+    destination on a lattice line lies within rounding of a
+    neighbour's ray."""
+    removed = {(6, j) for j in range(2, 7)} | {(i, 6) for i in range(2, 7)}
+    c, s = math.cos(turn), math.sin(turn)
+    positions = [
+        Point(spacing * (i * c - j * s), spacing * (i * s + j * c))
+        for j in range(n)
+        for i in range(n)
+        if (i, j) not in removed
+    ]
+    graph = build_unit_disk_graph(positions, radius)
+    return EdgeDetector(strategy="convex").apply(graph)
+
+
+def make_coincident_graph():
+    """A sparse random network with five positions taken twice: the
+    unit-disk graph links each pair, and every row holding one is
+    flagged."""
+    rng = random.Random(12)
+    positions = UniformDeployment(Rect(0, 0, 100, 100)).sample(60, rng)
+    positions += [positions[k] for k in (3, 11, 17, 29, 41)]
+    graph = build_unit_disk_graph(positions, 20.0)
+    return EdgeDetector(strategy="convex").apply(graph)
+
+
+class TestNeighbourhoodMemos:
+    """Every converted scan and sweep takes its list or rotation path
+    where the rotation decides, and today's scalar sweep where it
+    cannot; either way each route equals the reference loop's."""
+
+    def test_paper_networks_take_the_memoised_paths(self, monkeypatch):
+        """IA and FA at n = 800, 200 pairs per router."""
+        from repro.api import Scenario, Session
+
+        counts = spy_on_neighbourhoods(monkeypatch)
+        for deployment in ("IA", "FA"):
+            session = Session(
+                Scenario(
+                    deployment_model=deployment, node_count=800, seed=2009
+                )
+            )
+            graph = session.graph
+            pairs = sample_pairs(graph, 200, seed=26)
+            for router in memo_routers(
+                graph, session.model, session.boundaries
+            ):
+                assert router.route_batch(pairs, backend="scalar") == [
+                    oracle_route(router, s, d) for s, d in pairs
+                ]
+        tally = counts()
+        for executor, caller in SWEEPS:
+            assert tally[executor, caller, "rotation"] > 0, (executor, caller)
+        for scan in ("scan", "zone"):
+            assert tally[scan, "memo"] > 0 and tally[scan, "built"] > 0
+
+    def test_flagged_rows_take_the_scalar_sweep(
+        self, monkeypatch, pocket_grid
+    ):
+        """Every row of the pocketed lattice has a neighbour on an
+        axis, and so does every row of a coincident pair; a leaf's
+        single neighbour flags its row too."""
+        counts = spy_on_neighbourhoods(monkeypatch)
+        graph, _, model = pocket_grid
+        for router in memo_routers(graph, model):
+            assert_batch_equivalent(router, sample_pairs(graph, 60, seed=4))
+        tally = counts()
+        for executor, caller in SWEEPS:
+            assert tally[executor, caller, "band"] > 0, (executor, caller)
+            assert tally[executor, caller, "rotation"] == 0
+            assert tally[executor, caller, "reference"] == 0
+
+        tally.clear()
+        graph = make_coincident_graph()
+        model = InformationModel.build(graph)
+        raised = 0
+        for router in memo_routers(graph, model):
+            for s, d in sample_pairs(graph, 80, seed=5):
+                # A tried-set sweep whose every untried neighbour
+                # coincides with the packet raises, as the reference does.
+                expected = outcome_or_error(lambda: oracle_route(router, s, d))
+                raised += isinstance(expected, tuple)
+                assert outcome_or_error(
+                    lambda: router.route_batch([(s, d)], backend="scalar")[0]
+                ) == expected
+        tally = counts()
+        banded = sum(n for key, n in tally.items() if key[-1] == "band")
+        assert banded > 0 and tally["leaf"] > 0 and raised > 0
+
+    def test_near_reference_angles_take_the_scalar_sweep(self, monkeypatch):
+        """On the turned lattice no row is flagged, and a destination on
+        a lattice line puts the reference on a neighbour's ray: the
+        rotation answers the other sweeps."""
+        counts = spy_on_neighbourhoods(monkeypatch)
+        graph = make_rotated_lattice()
+        assert not any(graph.core.rotation().band)
+        model = InformationModel.build(graph)
+        pairs = sample_pairs(graph, 200, seed=7)
+        for router in memo_routers(graph, model):
+            assert_batch_equivalent(router, pairs)
+        tally = counts()
+        assert not any(key[-1] == "band" for key in tally if len(key) == 3)
+        for executor, caller in SWEEPS:
+            assert tally[executor, caller, "rotation"] > 0, (executor, caller)
+        reference = Counter(
+            key[:2] for key in tally if len(key) == 3 and key[2] == "reference"
+        )
+        for caller in ("route", "_dfs_phase"):
+            assert reference[("_Slgf2Executor", caller)] > 0, caller
+        for executor in ("_LgfExecutor", "_SlgfExecutor"):
+            assert reference[(executor, "_tried_perimeter")] > 0, executor
+
+    def test_sparse_ids_take_the_memoised_paths(self, monkeypatch, random_net):
+        """After failures, node ids are no longer core indices."""
+        counts = spy_on_neighbourhoods(monkeypatch)
+        graph = random_net[0].without_nodes(range(0, 400, 5))
+        assert not graph.core.dense
+        model = InformationModel.build(graph)
+        pairs = sample_pairs(graph, 150, seed=6)
+        for router in memo_routers(graph, model):
+            assert_batch_equivalent(router, pairs)
+        tally = counts()
+        assert sum(n for key, n in tally.items() if key[-1] == "rotation") > 0
+        assert tally["scan", "memo"] > 0
+
+    def test_quadrant_lists_admit_what_their_scans_admit(self):
+        """The safe scan's sign tests pass a NaN offset and the zone
+        scan's fail it, so only the safe scan's list holds a neighbour
+        at a NaN position."""
+        nodes = [
+            Node(0, Point(0.0, 0.0)),
+            Node(1, Point(3.0, 4.0)),
+            Node(2, Point(float("nan"), float("nan"))),
+            Node(3, Point(0.0, 5.0)),  # on Q_1's and Q_2's boundary
+        ]
+        adjacency = {0: (1, 2, 3), 1: (0, 2, 3), 2: (0, 1), 3: (0, 1)}
+        graph = WasnGraph(nodes, adjacency, radius=10.0)
+        router = Slgf2Router(InformationModel.build(graph))
+        executor = router._scalar_executor()
+        assert executor._scan_members(0, 1) == (1, 2, 3)
+        assert executor._scan_members(0, 2) == (2, 3)
+        assert executor._scan_members(0, 3) == (2,)
+        executor._zone_scan(0, graph.neighbors(0), 0.0, 0.0, 9.0, 9.0, 1, 1.0)
+        executor._zone_scan(0, graph.neighbors(0), 0.0, 0.0, -9.0, 9.0, 2, 1.0)
+        assert executor._zone_q[0] == (1, 3)
+        assert executor._zone_q[1] == (3,)
+        # Every route equals the reference's; repr, since a NaN length
+        # is unequal to itself.
+        pairs = [(s, d) for s in range(4) for d in range(4) if s != d]
+        for scope in ("quadrant", "zone"):
+            router = Slgf2Router(router.model, candidate_scope=scope)
+            assert repr(router.route_batch(pairs)) == repr(
+                [oracle_route(router, s, d) for s, d in pairs]
+            )
+
+
+def _sweep_references(executor, u, rng):
+    """References around each of ``u``'s neighbour angles: exactly on it,
+    one ulp either side, inside and outside the 1e-9 band; plus random
+    ones and a NaN."""
+    xs, ys = executor.xs, executor.ys
+    refs = [rng.uniform(0.0, math.tau) for _ in range(3)] + [math.nan]
+    for v in executor.rows[u]:
+        theta = _norm(math.atan2(ys[v] - ys[u], xs[v] - xs[u]))
+        refs += [
+            theta,
+            math.nextafter(theta, math.inf),
+            math.nextafter(theta, -math.inf),
+            _norm(theta + 5e-10),
+            _norm(theta - 5e-10),
+            _norm(theta + 2e-9),
+            _norm(theta - 2e-9),
+        ]
+    return refs
+
+
+@pytest.mark.parametrize(
+    "network", ["random", "lattice", "pocket", "coincident", "sparse"]
+)
+def test_rotation_sweep_equals_the_scalar_sweep(random_net, pocket_grid, network):
+    """The rotation sweep returns what the scalar sweep returns for
+    every hand, exclusivity and candidate set, at every reference
+    around every neighbour's angle."""
+    graphs = {
+        "random": lambda: random_net[0],
+        "lattice": make_rotated_lattice,
+        "pocket": lambda: pocket_grid[0],
+        "coincident": make_coincident_graph,
+        "sparse": lambda: random_net[0].without_nodes(range(0, 400, 5)),
+    }
+    graph = graphs[network]()
+    executor = LgfRouter(graph)._scalar_executor()
+    rng = random.Random(network)
+    nodes = [u for u in graph.node_ids if graph.neighbors(u)]
+    for u in rng.sample(nodes, min(60, len(nodes))):
+        xu, yu = executor.xs[u], executor.ys[u]
+        row = executor.rows[u]
+        subset = tuple(v for v in row if rng.random() < 0.5)
+        tried = {v for v in row if rng.random() < 0.5}
+        for ref in _sweep_references(executor, u, rng):
+            for ccw in (True, False):
+                for exclusive in (False, True):
+                    for among in (row, subset):
+                        assert executor._sweep(
+                            u, xu, yu, ref, ccw, exclusive, among
+                        ) == executor._hand_sweep(
+                            xu, yu, ref, among, ccw, exclusive
+                        ), (u, ref, ccw, exclusive, among)
+                    untried = [v for v in row if v not in tried]
+                    assert executor._sweep(
+                        u, xu, yu, ref, ccw, exclusive, tried=tried
+                    ) == executor._hand_sweep(
+                        xu, yu, ref, untried, ccw, exclusive
+                    ), (u, ref, ccw, exclusive, tried)
