@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from repro.core.regions import RegionSplit, region_split_for
 from repro.core.safety import SafetyModel, compute_safety
 from repro.core.shape import ShapeModel, compute_shapes
-from repro.core.zones import ZONE_TYPES, ZoneType
+from repro.core.zones import ZoneType
 from repro.geometry import Point, Rect
 from repro.network.graph import WasnGraph
 from repro.network.node import NodeId
@@ -115,14 +115,5 @@ class InformationModel:
         SLGF2's bounded perimeter phase routes "in the area that covers
         all four E areas" — this is that collection, gathered exactly
         the way a real node would (from its own state and its
-        neighbours' broadcasts)."""
-        rects: list[Rect] = []
-        for zone_type in ZONE_TYPES:
-            own = self.shapes.estimated_area(u, zone_type)
-            if own is not None:
-                rects.append(own)
-            for v in self.graph.neighbors(u):
-                theirs = self.shapes.estimated_area(v, zone_type)
-                if theirs is not None:
-                    rects.append(theirs)
-        return rects
+        neighbours' broadcasts), read off the shape columns."""
+        return self.shapes.areas_near(u)

@@ -123,9 +123,6 @@ def region_split_for(
     is degenerate (a stuck node with an empty quadrant — a point-sized
     rectangle has no meaningful divider).
     """
-    info = shapes.shape(unsafe_neighbor, zone_type)
-    if info is None:
-        return None
     corner = shapes.far_corner(unsafe_neighbor, zone_type)
     anchor_position = shapes.graph.position(unsafe_neighbor)
     if corner is None or corner == anchor_position:

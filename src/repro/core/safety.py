@@ -23,6 +23,8 @@ well-defined.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
 
 from repro.core.zones import ZONE_TYPES, ZoneType, forwarding_zone_contains
 from repro.network import construct as _construct
@@ -31,33 +33,54 @@ from repro.network.node import NodeId
 
 __all__ = ["SafetyModel", "compute_safety"]
 
+#: The safety tuple of each 4-bit mask (bit ``t - 1`` set: ``S_t = 1``).
+STATUS_TUPLES: tuple[tuple[bool, bool, bool, bool], ...] = tuple(
+    tuple(bool(m >> k & 1) for k in range(4)) for m in range(16)
+)
+# Per type, the byte table mapping a mask to 1 where the type is unsafe.
+_UNSAFE_BYTES = tuple(
+    bytes(0 if m >> k & 1 else 1 for m in range(256)) for k in range(4)
+)
+
 
 @dataclass(frozen=True)
 class SafetyModel:
     """Stabilised safety statuses for every node and zone type.
 
-    ``statuses[u]`` is the paper's safety tuple ``(S_1(u), S_2(u),
-    S_3(u), S_4(u))`` with ``True`` = safe.
+    ``mask[i]`` holds node ``graph.core.ids[i]``'s safety tuple as bits:
+    bit ``t - 1`` is ``S_t`` (set = safe).  ``statuses`` is the paper's
+    view of the same column, ``u -> (S_1(u), S_2(u), S_3(u), S_4(u))``
+    with ``True`` = safe, built on first access.
     """
 
     graph: WasnGraph
-    statuses: dict[NodeId, tuple[bool, bool, bool, bool]]
+    mask: bytes
     rounds: int
+
+    @cached_property
+    def statuses(self) -> dict[NodeId, tuple[bool, bool, bool, bool]]:
+        """``u -> (S_1(u), S_2(u), S_3(u), S_4(u))``, ids ascending."""
+        return dict(
+            zip(self.graph.core.ids, map(STATUS_TUPLES.__getitem__, self.mask))
+        )
+
+    def _bits(self, u: NodeId) -> int:
+        return self.mask[self.graph.core.index_of(u)]
 
     def is_safe(self, u: NodeId, zone_type: ZoneType) -> bool:
         """``S_i(u) = 1`` — is ``u`` safe for type-``i`` forwarding?"""
-        return self.statuses[u][zone_type - 1]
+        return STATUS_TUPLES[self._bits(u)][zone_type - 1]
 
     def tuple_of(self, u: NodeId) -> tuple[bool, bool, bool, bool]:
         """The full safety tuple of ``u``."""
-        return self.statuses[u]
+        return STATUS_TUPLES[self._bits(u)]
 
     def is_safe_any(self, u: NodeId) -> bool:
         """Does ``u`` have *some* safe type (``∃i: S_i(u) > 0``)?
 
         Algorithm 3's backup-path phase forwards through such nodes.
         """
-        return any(self.statuses[u])
+        return self._bits(u) != 0
 
     def is_fully_unsafe(self, u: NodeId) -> bool:
         """Safety tuple ``(0, 0, 0, 0)`` — the perimeter-phase trigger.
@@ -67,13 +90,19 @@ class SafetyModel:
         """
         return not self.is_safe_any(u)
 
+    def unsafe_indices(self, zone_type: ZoneType) -> list[int]:
+        """Core indices of the type-``i`` unsafe nodes, ascending."""
+        return list(
+            compress(
+                range(len(self.mask)),
+                self.mask.translate(_UNSAFE_BYTES[zone_type - 1]),
+            )
+        )
+
     def unsafe_nodes(self, zone_type: ZoneType) -> set[NodeId]:
         """All type-``i`` unsafe nodes."""
-        return {
-            u
-            for u, status in self.statuses.items()
-            if not status[zone_type - 1]
-        }
+        ids = self.graph.core.ids
+        return {ids[i] for i in self.unsafe_indices(zone_type)}
 
     def unsafe_areas(self, zone_type: ZoneType) -> list[set[NodeId]]:
         """Connected groups of type-``i`` unsafe nodes.
@@ -124,13 +153,14 @@ class SafetyModel:
 
     def safe_fraction(self, zone_type: ZoneType | None = None) -> float:
         """Fraction of nodes safe for ``zone_type`` (or in all types)."""
-        if not self.statuses:
+        n = len(self.mask)
+        if not n:
             return 1.0
         if zone_type is None:
-            safe = sum(1 for s in self.statuses.values() if all(s))
+            safe = self.mask.count(0b1111)
         else:
-            safe = sum(1 for s in self.statuses.values() if s[zone_type - 1])
-        return safe / len(self.statuses)
+            safe = n - len(self.unsafe_indices(zone_type))
+        return safe / n
 
 
 def _quadrant_tables(graph: WasnGraph, np=None):
@@ -238,7 +268,7 @@ def compute_safety(graph: WasnGraph, backend: str = "auto") -> SafetyModel:
     node_ids = graph.node_ids
     if np is not None:
         core = graph.core
-        columns, rounds = _construct.safety_labels(
+        status, rounds = _construct.safety_labels(
             np,
             np.frombuffer(core.xs, dtype=np.float64),
             np.frombuffer(core.ys, dtype=np.float64),
@@ -246,11 +276,10 @@ def compute_safety(graph: WasnGraph, backend: str = "auto") -> SafetyModel:
             np.frombuffer(core.indices, dtype=np.int64),
             core.edge_flags,
         )
-        c1, c2, c3, c4 = columns
-        statuses = {
-            u: (c1[i], c2[i], c3[i], c4[i]) for i, u in enumerate(node_ids)
-        }
-        return SafetyModel(graph=graph, statuses=statuses, rounds=rounds)
+        # Row t - 1 of the (4, n) status array becomes bit t - 1.
+        weights = np.array([1, 2, 4, 8], dtype=np.uint8)
+        mask = (status * weights[:, None]).sum(axis=0, dtype=np.uint8)
+        return SafetyModel(graph=graph, mask=mask.tobytes(), rounds=rounds)
     # status[i-1][u] — mutable working state per type.
     status: list[dict[NodeId, bool]] = [
         {u: True for u in node_ids} for _ in ZONE_TYPES
@@ -290,8 +319,8 @@ def compute_safety(graph: WasnGraph, backend: str = "auto") -> SafetyModel:
             frontier = next_frontier
         total_rounds = max(total_rounds, rounds)
 
-    statuses = {
-        u: (status[0][u], status[1][u], status[2][u], status[3][u])
-        for u in node_ids
-    }
-    return SafetyModel(graph=graph, statuses=statuses, rounds=total_rounds)
+    s1, s2, s3, s4 = status
+    mask = bytes(
+        s1[u] | s2[u] << 1 | s3[u] << 2 | s4[u] << 3 for u in node_ids
+    )
+    return SafetyModel(graph=graph, mask=mask, rounds=total_rounds)

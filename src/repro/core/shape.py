@@ -34,11 +34,17 @@ on a row its band contract leaves unflagged, ``Q_i(u)`` is one arc of
 (near-tied angles, a neighbour on a quadrant axis or at ``u``'s own
 position) filters the quadrant by sign tests and sorts it with
 :func:`~repro.geometry.angles.sort_ccw` instead.
+
+The result is Algorithm 2's per-node table itself, as columns
+(:class:`ShapeModel`): each unsafe node's two far nodes and the far
+corner of ``E_i(u)``.  Records are built only when a reader asks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from operator import add, neg, sub
 
 from repro.core.safety import SafetyModel
 from repro.core.zones import (
@@ -76,6 +82,11 @@ class ShapeInfo:
 # axis (so u^(1) provides the x-extent); for the others the roles swap.
 _FIRST_CHAIN_IS_HORIZONTAL = {1: True, 2: False, 3: True, 4: False}
 
+# The far corner of E_i(u), the one pointing into Q_i, takes these of
+# the rectangle's x and y bounds.
+_FAR_X = {1: max, 2: min, 3: min, 4: max}
+_FAR_Y = {1: max, 2: max, 3: min, 4: min}
+
 
 def _chain_sort_key(zone_type: ZoneType, p: Point) -> float:
     """Strictly increasing along any type-``i`` forwarding step.
@@ -97,20 +108,88 @@ def _chain_sort_key(zone_type: ZoneType, p: Point) -> float:
 
 @dataclass(frozen=True)
 class ShapeModel:
-    """Estimated shape information for every unsafe node and type."""
+    """Estimated shape information for every unsafe node and type.
+
+    Algorithm 2's table as columns in core index order, one list per
+    zone type ``t``: ``first_far[t][i]`` and ``last_far[t][i]`` are the
+    core indices of node ``i``'s ``u^(1)`` and ``u^(2)`` (-1 where it
+    is type-``t`` safe), and ``(cx[t][i], cy[t][i])`` is the far corner
+    of ``E_t(u)``, diagonally opposite the anchor ``u``.  ``order[t]``
+    lists the type-``t`` unsafe indices in the order the construction
+    resolved them.
+
+    The readers build a :class:`ShapeInfo`, ``Rect`` or ``Point`` only
+    when asked.  ``shapes`` is the record view of every column,
+    ``{t: {u: ShapeInfo}}`` in construction order, built on first
+    access.
+    """
 
     graph: WasnGraph
     safety: SafetyModel
-    shapes: dict[ZoneType, dict[NodeId, ShapeInfo]]
+    first_far: dict[ZoneType, list[int]]
+    last_far: dict[ZoneType, list[int]]
+    cx: dict[ZoneType, list[float]]
+    cy: dict[ZoneType, list[float]]
+    order: dict[ZoneType, list[int]]
+
+    def _index(self, u: NodeId, zone_type: ZoneType) -> int:
+        """``u``'s core index when it has a type-``i`` record, else -1."""
+        core = self.graph.core
+        if u not in core:
+            return -1
+        i = core.index_of(u)
+        return i if self.first_far[zone_type][i] >= 0 else -1
+
+    def _rect(self, i: int, zone_type: ZoneType) -> Rect:
+        # u sits at the anchor corner, so the far corner fixes E_i(u).
+        core = self.graph.core
+        return Rect.from_corners(
+            Point(core.xs[i], core.ys[i]),
+            Point(self.cx[zone_type][i], self.cy[zone_type][i]),
+        )
+
+    def _info(self, i: int, zone_type: ZoneType) -> ShapeInfo:
+        ids = self.graph.core.ids
+        return ShapeInfo(
+            node=ids[i],
+            zone_type=zone_type,
+            first_far=ids[self.first_far[zone_type][i]],
+            last_far=ids[self.last_far[zone_type][i]],
+            rect=self._rect(i, zone_type),
+        )
+
+    @cached_property
+    def shapes(self) -> dict[ZoneType, dict[NodeId, ShapeInfo]]:
+        """Every record, ``{t: {u: ShapeInfo}}``, in construction order."""
+        ids = self.graph.core.ids
+        return {
+            t: {ids[i]: self._info(i, t) for i in self.order[t]}
+            for t in ZONE_TYPES
+        }
 
     def shape(self, u: NodeId, zone_type: ZoneType) -> ShapeInfo | None:
         """The shape record of ``u`` for ``zone_type`` (None when safe)."""
-        return self.shapes[zone_type].get(u)
+        i = self._index(u, zone_type)
+        return self._info(i, zone_type) if i >= 0 else None
 
     def estimated_area(self, u: NodeId, zone_type: ZoneType) -> Rect | None:
         """``E_i(u)`` — the estimated unsafe-area rectangle at ``u``."""
-        info = self.shapes[zone_type].get(u)
-        return info.rect if info else None
+        i = self._index(u, zone_type)
+        return self._rect(i, zone_type) if i >= 0 else None
+
+    def areas_near(self, u: NodeId) -> list[Rect]:
+        """``E_t(w)`` for ``w`` = ``u`` and each neighbour of ``u``, where
+        ``w`` is type-``t`` unsafe: types ascending, and per type ``u``
+        first, then its neighbours in row order."""
+        core = self.graph.core
+        i = core.index_of(u)
+        near = [i, *core.indices[core.indptr[i] : core.indptr[i + 1]]]
+        return [
+            self._rect(j, t)
+            for t in ZONE_TYPES
+            for j in near
+            if self.first_far[t][j] >= 0
+        ]
 
     def far_corner(self, u: NodeId, zone_type: ZoneType) -> Point | None:
         """The corner ``(x_u(1), y_u(2))`` that the divider ray passes
@@ -120,17 +199,10 @@ class ShapeModel:
         anchor ``u``, i.e. the one pointing *into* the forwarding
         quadrant — a formulation that works for any shape mode.
         """
-        info = self.shapes[zone_type].get(u)
-        if info is None:
+        i = self._index(u, zone_type)
+        if i < 0:
             return None
-        rect = info.rect
-        if zone_type == 1:
-            return Point(rect.x_max, rect.y_max)
-        if zone_type == 2:
-            return Point(rect.x_min, rect.y_max)
-        if zone_type == 3:
-            return Point(rect.x_min, rect.y_min)
-        return Point(rect.x_max, rect.y_min)
+        return Point(self.cx[zone_type][i], self.cy[zone_type][i])
 
     def greedy_region(self, u: NodeId, zone_type: ZoneType) -> set[NodeId]:
         """``G_i(u)`` — unsafe nodes reachable from ``u`` by type-``i``
@@ -177,92 +249,126 @@ def compute_shapes(safety: SafetyModel, mode: str = "chain") -> ShapeModel:
     the extra cost over the chain mode is only the per-node box join,
     still one linear pass).  Theorem 2's containment then holds by
     construction instead of approximately.
+
+    Both modes fill :class:`ShapeModel`'s columns and build no record.
     """
     if mode not in ("chain", "exact"):
         raise ValueError(
             f"unknown shape mode {mode!r}; expected 'chain' or 'exact'"
         )
+    exact = mode == "exact"
     graph = safety.graph
     rotation = rotation_of(graph)
-    ids, head, band = rotation.ids, rotation.head, rotation.band
+    head, band = rotation.head, rotation.band
     arcs, row_end = rotation.arcs, rotation.indptr
-    # Positions come from the core's columns: a Point is built for
-    # each unsafe node only.
-    xs, ys = graph.core.xs, graph.core.ys
-    index_of = {u: i for i, u in enumerate(ids)}
-    shapes: dict[ZoneType, dict[NodeId, ShapeInfo]] = {}
+    indices = graph.core.indices
+    xs = list(graph.core.xs)
+    ys = list(graph.core.ys)
+    n = len(xs)
+
+    def point_of(i: int) -> Point:
+        return Point(xs[i], ys[i])
+
+    # The chain keys, negated: a stable ascending sort of the ascending
+    # unsafe indices gives the (-key, id) order.
+    sums = list(map(add, xs, ys))
+    diffs = list(map(sub, xs, ys))
+    negated_keys = {
+        1: list(map(neg, sums)),
+        2: diffs,
+        3: sums,
+        4: list(map(neg, diffs)),
+    }
+    first_far, last_far, cx, cy, order = {}, {}, {}, {}, {}
     for zone_type in ZONE_TYPES:
-        per_node: dict[NodeId, ShapeInfo] = {}
-        unsafe = safety.unsafe_nodes(zone_type)
-        start_angle = quadrant_start_angle(zone_type)
-        arc = zone_type - 1
-        at = {u: Point(xs[index_of[u]], ys[index_of[u]]) for u in unsafe}
+        ff = [-1] * n
+        lf = [-1] * n
+        fx = [0.0] * n
+        fy = [0.0] * n
         ordered = sorted(
-            unsafe,
-            key=lambda u: (-_chain_sort_key(zone_type, at[u]), u),
+            safety.unsafe_indices(zone_type),
+            key=negated_keys[zone_type].__getitem__,
         )
-        for u in ordered:
-            pu = at[u]
-            i = index_of[u]
-            if band[i] or mode == "exact":
+        start_angle = quadrant_start_angle(zone_type)
+        horizontal = _FIRST_CHAIN_IS_HORIZONTAL[zone_type]
+        far_x = _FAR_X[zone_type]
+        far_y = _FAR_Y[zone_type]
+        # Q_i(u) is the arc of row i's rotation from starts[i] to ends[i].
+        arc = zone_type - 1
+        starts = arcs[arc::4]
+        ends = arcs[arc + 1 :: 4] if arc < 3 else row_end[1:]
+        for i in ordered:
+            xu = xs[i]
+            yu = ys[i]
+            flagged = band[i]
+            if flagged or exact:
+                pu = Point(xu, yu)
                 in_quadrant = [
                     v
-                    for v in graph.neighbors(u)
-                    if forwarding_zone_contains(
-                        pu, zone_type, graph.position(v)
-                    )
+                    for v in indices[row_end[i] : row_end[i + 1]]
+                    if forwarding_zone_contains(pu, zone_type, point_of(v))
                 ]
-            if band[i]:
+            if flagged:
                 # A flagged row: the scan is the sorted quadrant filter.
-                scan = sort_ccw(pu, start_angle, in_quadrant, graph.position)
-                ends = (scan[0], scan[-1]) if scan else None
+                scan = sort_ccw(pu, start_angle, in_quadrant, point_of)
+                v1, v2 = (scan[0], scan[-1]) if scan else (-1, -1)
             else:
-                # Q_i(u) is this arc of u's rotation, in scan order.
-                lo = arcs[4 * i + arc]
-                hi = arcs[4 * i + arc + 1] if arc < 3 else row_end[i + 1]
-                ends = (ids[head[lo]], ids[head[hi - 1]]) if lo < hi else None
-            if ends is None:
-                first_far = last_far = u
+                # The arc's first and last heads, in scan order.
+                lo = starts[i]
+                hi = ends[i]
+                v1, v2 = (head[lo], head[hi - 1]) if lo < hi else (-1, -1)
+            if v1 < 0:
+                first = last = i
             else:
-                v1, v2 = ends
-                # v's record exists unless v coincides with u (degenerate
-                # duplicate-position tie) — fall back to v itself then.
-                v1_info = per_node.get(v1)
-                v2_info = per_node.get(v2)
-                first_far = v1_info.first_far if v1_info else v1
-                last_far = v2_info.last_far if v2_info else v2
-
-            if mode == "exact":
-                # Bounding box of G_i(u): own position joined with the
-                # (already computed) boxes of all unsafe quadrant
-                # successors.
-                rect = Rect.from_corners(pu, pu)
+                # Follow v's far node once v has its own.  v is unsafe,
+                # but one whose chain key equals u's (a coincident node,
+                # or a key that rounds equal) can come after u — fall
+                # back to v itself then.
+                first = ff[v1]
+                if first < 0:
+                    first = v1
+                last = lf[v2]
+                if last < 0:
+                    last = v2
+            ff[i] = first
+            lf[i] = last
+            if exact:
+                # Bounding box of G_i(u): u's position joined with the
+                # (already computed) boxes of its unsafe quadrant
+                # successors, or their positions, as Rect.union_bounds
+                # joins them.  Only the far side moves.
+                bx = xu
+                by = yu
                 for v in in_quadrant:
-                    v_info = per_node.get(v)
-                    if v_info is not None:
-                        rect = rect.union_bounds(v_info.rect)
+                    if ff[v] >= 0:
+                        bx = far_x(bx, fx[v])
+                        by = far_y(by, fy[v])
                     else:
-                        rect = rect.union_bounds(
-                            Rect.from_corners(
-                                graph.position(v), graph.position(v)
-                            )
-                        )
-            elif _FIRST_CHAIN_IS_HORIZONTAL[zone_type]:
-                corner = Point(
-                    xs[index_of[first_far]], ys[index_of[last_far]]
-                )
-                rect = Rect.from_corners(pu, corner)
+                        bx = far_x(bx, xs[v])
+                        by = far_y(by, ys[v])
+                fx[i] = bx
+                fy[i] = by
+                continue
+            if horizontal:
+                x = xs[first]
+                y = ys[last]
             else:
-                corner = Point(
-                    xs[index_of[last_far]], ys[index_of[first_far]]
-                )
-                rect = Rect.from_corners(pu, corner)
-            per_node[u] = ShapeInfo(
-                node=u,
-                zone_type=zone_type,
-                first_far=first_far,
-                last_far=last_far,
-                rect=rect,
-            )
-        shapes[zone_type] = per_node
-    return ShapeModel(graph=graph, safety=safety, shapes=shapes)
+                x = xs[last]
+                y = ys[first]
+            # The far corner of Rect.from_corners(u, (x, y)).
+            fx[i] = far_x(xu, x)
+            fy[i] = far_y(yu, y)
+        first_far[zone_type] = ff
+        last_far[zone_type] = lf
+        cx[zone_type] = fx
+        cy[zone_type] = fy
+        order[zone_type] = ordered
+    return ShapeModel(
+        graph=graph,
+        safety=safety,
+        first_far=first_far,
+        last_far=last_far,
+        cx=cx,
+        cy=cy,
+        order=order,
+    )

@@ -670,8 +670,9 @@ def safety_labels(np, axs, ays, aindptr, aindices, edge_flags: Sequence[bool]):
     per-type round count (a type's flip rounds are consecutive from
     round 1 — once a round passes without flips, none can follow).
 
-    Returns ``(columns, rounds)`` where ``columns[i-1]`` is the
-    type-``i`` status list in index order (``True`` = safe).
+    Returns ``(status, rounds)`` where ``status[i-1]`` is the
+    type-``i`` status row of a ``(4, n)`` bool array, in index order
+    (``True`` = safe).
     """
     n = aindptr.shape[0] - 1
     src, quads = _quadrant_masks(np, axs, ays, aindptr, aindices)
@@ -711,8 +712,7 @@ def safety_labels(np, axs, ays, aindptr, aindices, edge_flags: Sequence[bool]):
             ]
             cnt -= np.bincount(targets, minlength=nn)
         flips = st & can_flip & (cnt == 0)
-    columns = [st[qi * n : (qi + 1) * n].tolist() for qi in range(4)]
-    return columns, rounds
+    return st.reshape(4, n), rounds
 
 
 # -- the rotation system --------------------------------------------------
@@ -746,7 +746,9 @@ def rotation_columns(
     quadrant axes, TENT's ``tent_gap``, a tie between its two widest
     gaps), every row with tied keys, and so every flagged row, is
     recomputed by ``scalar_row(i)``, which returns
-    :func:`repro.network.rotation.rotation_row`'s tuple.
+    :func:`repro.network.rotation.rotation_row`'s tuple.  The angles
+    column is each slot's sorted ``arctan2`` angle, within an ulp of
+    ``math.atan2``'s; a recomputed row takes its scalar angles.
     """
     n = aindptr.shape[0] - 1
     m = aindices.shape[0]
@@ -777,6 +779,7 @@ def rotation_columns(
     head = aindices[order]
     angle = theta[order]
     del theta, order
+    angles_arr = array("d", angle.tobytes())
     lo = aindptr[:-1]
     rows = np.nonzero(deg)[0]
     starts = lo[rows]
@@ -832,11 +835,13 @@ def rotation_columns(
     arcs_arr = array("q", arcs.tobytes())
     stuck_arr = array("q", stuck.tobytes())
     for i in np.nonzero(redo)[0].tolist():
-        row_head, flags[i], row_arcs, stuck_arr[i] = scalar_row(i)
+        row_head, flags[i], row_arcs, stuck_arr[i], row_angles = scalar_row(i)
         start = row_arcs[0]
-        head_arr[start : start + len(row_head)] = array("q", row_head)
+        stop = start + len(row_head)
+        head_arr[start:stop] = array("q", row_head)
         arcs_arr[4 * i : 4 * i + 4] = array("q", row_arcs)
-    return head_arr, bytes(flags), arcs_arr, stuck_arr
+        angles_arr[start:stop] = array("d", row_angles)
+    return head_arr, bytes(flags), arcs_arr, stuck_arr, angles_arr
 
 
 # -- the faces of a rotation ----------------------------------------------

@@ -146,8 +146,8 @@ class TopologyCore:
         self._lengths: array | None = None
         # Structure-derived columns, shared with flag-variants of this
         # core (neither planarization nor rotation reads edge flags):
-        # kind -> (mask bytearray, planar adjacency dict),
-        # "rotation" -> Rotation and "sweep_angles" -> array('d').
+        # kind -> (mask bytearray, planar adjacency dict) and
+        # "rotation" -> Rotation.
         self._shared: dict = shared if shared is not None else {}
         self._coords_by_id: tuple[list, list] | None = None
         self._rows_by_id: list | None = None
@@ -456,12 +456,13 @@ class TopologyCore:
 
     def rotation(self) -> Rotation:
         """Each row's neighbours in angular order, with the band flags,
-        quadrant arcs and TENT stuck slots of
+        quadrant arcs, TENT stuck slots and sorted angles of
         :class:`~repro.network.rotation.Rotation`.
 
         Computed once per core and shared with its flag variants; the
         numpy build (:func:`repro.network.construct.rotation_columns`)
-        and the scalar one give the same columns bit for bit.
+        and the scalar one give the same columns bit for bit, bar the
+        angles, which agree within an ulp.
         """
         rotation = self._shared.get("rotation")
         if rotation is not None:
@@ -490,21 +491,6 @@ class TopologyCore:
             rotation = Rotation(self._ids, indptr, *columns)
         self._shared["rotation"] = rotation
         return rotation
-
-    def sweep_angles(self) -> array:
-        """A per-slot angle column aligned with :meth:`rotation`'s
-        ``head``, NaN until filled.
-
-        The routing executors' hand-rule sweeps (:mod:`repro.routing.batch`)
-        fill a row on their first sweep of it, with the angles they
-        would compute per hop.  Shared, like the rotation, with the
-        core's flag variants.
-        """
-        angles = self._shared.get("sweep_angles")
-        if angles is None:
-            angles = array("d", [math.nan]) * len(self.indices)
-            self._shared["sweep_angles"] = angles
-        return angles
 
     # -- planarization masks --------------------------------------------
 

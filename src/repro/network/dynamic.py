@@ -40,10 +40,10 @@ this edge for edge, edge-node flags and planarizations included), so
 everything above the network layer works unchanged.  Post-mutation
 snapshot construction skips the O(E) symmetry validation — the
 invariant holds by construction and is exactly what the differential
-tests retire — and reuses cached per-node adjacency tuples and
-``Node`` records, so a snapshot after a small perturbation is O(n),
-not O(n * k) (``benchmarks/bench_dynamic.py`` pins the resulting >= 5x
-speedup).
+tests retire — and assembles one core from the cached per-node
+adjacency tuples, detecting edge nodes on it as the frozen path does,
+so a snapshot after a small perturbation is O(n), not O(n * k)
+(``benchmarks/bench_dynamic.py`` pins the resulting >= 5x speedup).
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from repro.geometry import Point, Rect
 from repro.network.core import TopologyCore, build_core
 from repro.network.edges import EdgeDetector
 from repro.network.graph import WasnGraph
-from repro.network.node import Node, NodeId
+from repro.network.node import NodeId
 from repro.network.spatial import SpatialGrid
 
 __all__ = ["DynamicTopology", "TopologyDelta"]
@@ -187,10 +187,9 @@ class DynamicTopology:
         self._neighbors: dict[NodeId, set[NodeId]] = {}
         self._grid: SpatialGrid | None = None
         self._down: set[NodeId] = set()
-        # Per-node caches reused across snapshots; entries drop the
-        # moment the node's adjacency / position / edge flag changes.
+        # Sorted rows reused across snapshots; an entry drops the
+        # moment the node's adjacency changes.
         self._sorted: dict[NodeId, tuple[NodeId, ...]] = {}
-        self._node_cache: dict[NodeId, Node] = {}
         self._edge_ids: set[NodeId] = set()
         self._snapshot: WasnGraph | None = None
         self._subscribers: list[DeltaSubscriber] = []
@@ -321,7 +320,6 @@ class DynamicTopology:
                 continue
             rec.note_move(key, self._positions[key])
             self._positions[key] = position
-            self._node_cache.pop(key, None)
             if key in self._down:
                 continue
             old_neighbors = self._neighbors[key]
@@ -380,7 +378,6 @@ class DynamicTopology:
             # The edge flag deliberately stays in _edge_ids: a node
             # that fails and comes back keeps its flag in no-detector
             # mode; with a detector the next snapshot re-decides.
-            self._node_cache.pop(key, None)
             self._grid.remove(key)
             self._down.add(key)
             rec.down.append(key)
@@ -421,7 +418,6 @@ class DynamicTopology:
                 self._positions[key] = positions[key]
             position = self._positions[key]
             self._down.discard(key)
-            self._node_cache.pop(key, None)
             self._grid.insert(key, position)
             new_neighbors = set(
                 self._grid.neighbors_within(
@@ -444,10 +440,10 @@ class DynamicTopology:
         """The current topology as an immutable ``WasnGraph``.
 
         Cached until the next mutation.  Before the first one it is
-        the core-backed view over the bulk core; after it, successive
-        snapshots share the unchanged per-node adjacency tuples and
-        ``Node`` records, so a snapshot after a local perturbation
-        costs O(n), not O(n * k).
+        the core-backed view over the bulk core; after it, a core-backed
+        view over one core assembled from the per-node adjacency
+        tuples, which successive snapshots share where unchanged, so a
+        snapshot after a local perturbation costs O(n), not O(n * k).
         """
         if self._snapshot is None:
             self._snapshot = self._build_snapshot()
@@ -455,53 +451,29 @@ class DynamicTopology:
 
     def _build_snapshot(self) -> WasnGraph:
         core = self._frozen
-        if core is not None:
-            # Detect on an O(1) view of the core, then wrap the flagged
-            # core once.  Without a detector the flags are the ones
-            # from_graph carried.
-            if self._detector is not None:
-                self._edge_ids = self._detector.detect(
-                    WasnGraph.from_core(core), self._area
-                )
-            return WasnGraph.from_core(core.with_edge_flags(self._edge_ids))
-        alive = sorted(self._neighbors)
-        adjacency = {u: self._sorted_neighbors(u) for u in alive}
-        graph = self._snapshot_graph(alive, adjacency)
-        if self._detector is None:
-            return graph
-        edge_ids = self._detector.detect(graph, self._area)
-        # Compare against the *alive* flags only: down nodes keep
-        # their last flag (irrelevant to this snapshot, meaningful to
-        # a no-detector restore) and must not force rebuild loops.
-        alive_flagged = {u for u in self._edge_ids if u in self._neighbors}
-        if edge_ids != alive_flagged:
-            for u in edge_ids ^ alive_flagged:
-                self._node_cache.pop(u, None)
+        if core is None:
+            # One core over the rows the 3x3-cell local recompute
+            # maintains: the same tuple objects, rebuilt only where a
+            # delta touched them, and sorted by construction.
+            alive = sorted(self._neighbors)
+            core = TopologyCore.from_rows(
+                alive,
+                self._positions,
+                self._radius,
+                [self._sorted_neighbors(u) for u in alive],
+            )
+        # Detect on an O(1) view of the core, then wrap the flagged
+        # core once.  Without a detector the flags are the ones
+        # from_graph carried.
+        if self._detector is not None:
+            edge_ids = self._detector.detect(
+                WasnGraph.from_core(core), self._area
+            )
+            # Down nodes keep their last flag: irrelevant to this
+            # snapshot, meaningful to a no-detector restore.
+            alive_flagged = {u for u in self._edge_ids if u in core}
             self._edge_ids = (self._edge_ids - alive_flagged) | edge_ids
-            graph = self._snapshot_graph(alive, adjacency)
-        return graph
-
-    def _snapshot_graph(
-        self,
-        alive: list[NodeId],
-        adjacency: dict[NodeId, tuple[NodeId, ...]],
-    ) -> WasnGraph:
-        """One immutable snapshot over the incrementally maintained rows.
-
-        The adjacency values are the *same* tuple objects the 3x3-cell
-        local recompute maintains — rebuilt only where a delta touched
-        them, shared otherwise — and they feed the snapshot's columnar
-        core directly when (and only when) something columnar asks.
-        They are sorted by construction, so ``validate=False`` trusts
-        them as they are, and a snapshot nothing columnar reads never
-        assembles columns at all.
-        """
-        return WasnGraph(
-            [self._node(u) for u in alive],
-            adjacency,
-            self._radius,
-            validate=False,
-        )
+        return WasnGraph.from_core(core.with_edge_flags(self._edge_ids))
 
     # -- internals ------------------------------------------------------
 
@@ -528,15 +500,6 @@ class DynamicTopology:
         if cached is None:
             cached = tuple(sorted(self._neighbors[key]))
             self._sorted[key] = cached
-        return cached
-
-    def _node(self, key: NodeId) -> Node:
-        cached = self._node_cache.get(key)
-        if cached is None:
-            cached = Node(
-                key, self._positions[key], key in self._edge_ids
-            )
-            self._node_cache[key] = cached
         return cached
 
     def _commit(self, rec: _DeltaRecorder) -> TopologyDelta:

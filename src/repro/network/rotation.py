@@ -1,16 +1,18 @@
 """The rotation system of a topology: each node's neighbours by angle.
 
-BOUNDHOLE's TENT rule and rim walks (paper ref [5]) and Algorithm 2's
-counter-clockwise scan of a forwarding quadrant are sweeps of one
-structure: every node's neighbours in angular order.  :class:`Rotation`
-holds it as columns, computed once per topology core
+BOUNDHOLE's TENT rule and rim walks (paper ref [5]), Algorithm 2's
+counter-clockwise scan of a forwarding quadrant and the routers'
+hand-rule sweeps are sweeps of one structure: every node's neighbours
+in angular order.  :class:`Rotation` holds it as columns, with the
+angles it was sorted by, computed once per topology core
 (:meth:`repro.network.core.TopologyCore.rotation`, cached and shared
 with the core's flag variants); :func:`rotation_of` reads a graph's.
 
 :func:`build_rotation` is the scalar reference and the path without
 numpy; :func:`repro.network.construct.rotation_columns` is the numpy
 build, which re-decides every row near a decision with
-:func:`rotation_row` and so yields the same columns bit for bit.
+:func:`rotation_row` and so yields the same columns bit for bit, bar
+the angles themselves, which may differ by an ulp.
 """
 
 from __future__ import annotations
@@ -62,6 +64,12 @@ class Rotation:
     a single neighbour), else -1: the first strictly largest gap in
     rotation order, or the only edge of a single-neighbour node.
 
+    ``angles[e]`` is slot ``e``'s angle, the one its build sorted by.
+    The scalar build's is :func:`~repro.geometry.angles.angle_of`'s
+    value, expression for expression; the numpy build's comes from
+    ``np.arctan2`` and may differ from it by an ulp on rows it does not
+    recompute.  Each row's angles ascend.
+
     **Band contract.** ``band[i]`` is 1 when row ``i`` has
 
     * a counter-clockwise gap between cyclically adjacent sorted angles
@@ -93,6 +101,7 @@ class Rotation:
     band: bytes
     arcs: array
     stuck: array
+    angles: array
 
 
 def _near_axis(angles: list[float], quarters: tuple[int, ...]) -> bool:
@@ -113,10 +122,10 @@ def _near_axis(angles: list[float], quarters: tuple[int, ...]) -> bool:
 
 def rotation_row(
     i: int, lo: int, row: Sequence[int], xs: Sequence[float], ys: Sequence[float]
-) -> tuple[list[int], int, tuple[int, int, int, int], int]:
-    """Row ``i``'s columns: its heads, band flag, arc starts and stuck
-    slot.  ``row`` is the node's neighbour indices in adjacency order,
-    starting at slot ``lo``; it must not be empty."""
+) -> tuple[list[int], int, tuple[int, int, int, int], int, list[float]]:
+    """Row ``i``'s columns: its heads, band flag, arc starts, stuck
+    slot and sorted angles.  ``row`` is the node's neighbour indices in
+    adjacency order, starting at slot ``lo``; it must not be empty."""
     xi = xs[i]
     yi = ys[i]
     atan2 = math.atan2
@@ -136,7 +145,7 @@ def rotation_row(
     else:
         stuck = -1
     arcs = (lo, lo + quarters[0], lo + quarters[1], lo + quarters[2])
-    return [row[r] for r in ranks], int(flag), arcs, stuck
+    return [row[r] for r in ranks], int(flag), arcs, stuck, angles
 
 
 def build_rotation(
@@ -152,18 +161,20 @@ def build_rotation(
     band = bytearray(n)
     arcs = array("q")
     stuck = array("q", [-1]) * n
+    angles = array("d")
     for i in range(n):
         lo = indptr[i]
         hi = indptr[i + 1]
         if lo == hi:
             arcs.extend((lo, lo, lo, lo))
             continue
-        row_head, band[i], row_arcs, stuck[i] = rotation_row(
+        row_head, band[i], row_arcs, stuck[i], row_angles = rotation_row(
             i, lo, indices[lo:hi], xs, ys
         )
         head.extend(row_head)
         arcs.extend(row_arcs)
-    return Rotation(ids, indptr, head, bytes(band), arcs, stuck)
+        angles.extend(row_angles)
+    return Rotation(ids, indptr, head, bytes(band), arcs, stuck, angles)
 
 
 def rotation_of(graph) -> Rotation:

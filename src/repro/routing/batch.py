@@ -12,8 +12,8 @@ lookups, no ``PacketTrace`` method dispatch.  A node's neighbourhood
 geometry is derived once and read at every later hop: an executor
 keeps SLGF2's quadrant members per (node, quadrant), built by the
 first scan that needs them, and every hand-rule sweep reads the core's
-rotation (each row's neighbours in angular order) and a per-core angle
-column filled on a row's first sweep.
+rotation: each row's neighbours in angular order, with the angles the
+rotation's build sorted them by.
 
 Exactness is non-negotiable: every route must be bit-identical to the
 object-path loops the executors replaced, which
@@ -42,9 +42,10 @@ suites pin each scheme against it).  Three mechanisms guarantee it:
   winner is the first admissible neighbour in rotation order from the
   reference, unless the reference lies within 1e-9 of a neighbour's
   angle; a flagged row or such a reference runs the replica
-  (:meth:`_Executor._sweep`).  The quadrant lists hold exactly what
-  each scan's own sign tests admit, in row order, so every scan keeps
-  its first-strict-minimum tie-break.
+  (:meth:`_Executor._sweep`).  The numpy build's angles may sit an ulp
+  off the replica's, far inside that band.  The quadrant lists hold
+  exactly what each scan's own sign tests admit, in row order, so
+  every scan keeps its first-strict-minimum tie-break.
 
 A router runs the executor of its nearest built-in base class
 (:func:`executor_for`), unless its class overrides ``_run``: then it
@@ -55,12 +56,12 @@ from __future__ import annotations
 
 import math
 import weakref
-from array import array
 from bisect import bisect_left
 from itertools import chain
 
 from repro._optional import load_numpy
 from repro.core.regions import Hand
+from repro.core.safety import STATUS_TUPLES
 from repro.network.node import NodeId
 from repro.routing.base import Phase, RouteResult, Router, RoutingError
 from repro.routing.greedy import GreedyRouter
@@ -98,6 +99,9 @@ _TAU = math.tau
 # quadrant t when sx * dx >= 0 and sy * dy >= 0 (the apex itself is in
 # no forwarding zone).  Multiplying by +-1.0 is exact.
 _QUADRANT_SIGNS = (None, (1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0))
+
+# The safety tuple (1, 1, 1, 1): the executors' tables hold this object.
+_ALL_SAFE = STATUS_TUPLES[0b1111]
 
 
 def _zone_type_rel(dx: float, dy: float) -> int:
@@ -141,7 +145,6 @@ class _Executor:
         self.xs, self.ys = core.coords_by_id()
         self.rows = core.rows_by_id()
         self._rotation = None  # core.rotation(), on the first sweep
-        self._angles = None  # core.sweep_angles(), likewise
 
     def _check(self, source: NodeId, destination: NodeId) -> None:
         graph = self.router.graph
@@ -277,12 +280,13 @@ class _Executor:
         a flagged row.  The exception is an exclusive sweep's
         reference exactly on a neighbour's angle (the edge it arrived
         on): the scalar sweep pushes that zero offset a full turn
-        away, so that neighbour comes last.
+        away, so that neighbour comes last.  The angles are the
+        rotation's own; the numpy build's may sit an ulp off this
+        sweep's, which only ever sends a reference to the scalar sweep.
         """
         rotation = self._rotation
         if rotation is None:
             rotation = self._rotation = self.core.rotation()
-            self._angles = self.core.sweep_angles()
         ids = rotation.ids
         i = u if self.dense else self.core.index_of(u)
         if rotation.band[i]:
@@ -295,20 +299,7 @@ class _Executor:
         hi = indptr[i + 1]
         if lo == hi:
             return -1  # no neighbours
-        angles = self._angles
-        if angles[lo] != angles[lo]:  # NaN: this row's first sweep
-            xs = self.xs
-            ys = self.ys
-            atan2 = math.atan2
-            # One slice assignment: a concurrent reader sees the whole
-            # row filled or none of it.
-            angles[lo:hi] = array(
-                "d",
-                [
-                    _norm(atan2(ys[v] - yu, xs[v] - xu))
-                    for v in map(ids.__getitem__, head[lo:hi])
-                ],
-            )
+        angles = rotation.angles
         b = bisect_left(angles, ref, lo, hi)  # first angle >= ref
         exact = b < hi and angles[b] == ref
         # Negated comparisons: a NaN reference is near everything.
@@ -492,6 +483,8 @@ class _GreedyExecutor(_Executor):
     def __init__(self, router: GreedyRouter, core) -> None:
         super().__init__(router, core)
         self.boundhole = router._recovery == "boundhole"
+        # id(cycle) -> (cycle, the positions whose edge the graph lacks).
+        self._stale: dict[int, tuple] = {}
 
     def route(self, source: NodeId, destination: NodeId) -> RouteResult:
         self._check(source, destination)
@@ -606,19 +599,24 @@ class _GreedyExecutor(_Executor):
         xd = xs[destination]
         yd = ys[destination]
         exit_limit = hyp(xs[u] - xd, ys[u] - yd) - _EPS
+        # A step onto position p crosses the cycle edge that enters p
+        # (forward) or p + 1 (backward).
         if hyp(xs[ahead] - xd, ys[ahead] - yd) <= hyp(
             xs[behind] - xd, ys[behind] - yd
         ):
             walk = range(index + 1 - m, index)
+            shift = 0
         else:
             walk = range(index - 1, index - m, -1)
+            shift = 1
+        stale = self._stale_edges(cycle)
         near_destination = set(rows[destination])
         hops = len(path) - 1
         for position in walk:
             node = cycle[position]
             if hops >= ttl:
                 return u, length, "ttl_exceeded"
-            if node not in rows[u]:
+            if stale and (position + shift) % m in stale:
                 # A stale boundary (the graph lost this edge).
                 return self._face_phase(
                     u, destination, path, phases, length, ttl, True
@@ -640,6 +638,23 @@ class _GreedyExecutor(_Executor):
             if hyp(xn - xd, yn - yd) < exit_limit:
                 return u, length, None  # resume greedy
         return u, length, "unreachable"  # the whole cycle, no closer
+
+    def _stale_edges(self, cycle) -> frozenset:
+        """The positions ``p`` of ``cycle`` whose entering edge, from
+        position ``p - 1`` (cyclically), the graph lacks; computed once
+        per cycle and executor."""
+        memo = self._stale.get(id(cycle))
+        if memo is not None and memo[0] is cycle:
+            return memo[1]
+        rows = self.rows
+        size = len(rows)
+        stale = frozenset(
+            p
+            for p, (a, b) in enumerate(zip(cycle[-1:] + cycle[:-1], cycle))
+            if not (0 <= a < size and b in rows[a])
+        )
+        self._stale[id(cycle)] = (cycle, stale)
+        return stale
 
 
 class _LgfExecutor(_Executor):
@@ -791,10 +806,12 @@ class _LgfExecutor(_Executor):
 
 
 def _statuses_by_id(model, size: int) -> list:
-    """Safety tuples indexed by node id (None where no node)."""
+    """Safety tuples indexed by node id (None where no node), read off
+    the safety column through its 16 possible tuples."""
+    safety = model.safety
     table: list = [None] * size
-    for u, status in model.safety.statuses.items():
-        table[u] = status
+    for u, bits in zip(safety.graph.core.ids, safety.mask):
+        table[u] = STATUS_TUPLES[bits]
     return table
 
 
@@ -1008,28 +1025,34 @@ class _Slgf2Executor(_Executor):
         records = self._own[w]
         if records is None:
             status = self.safety[w]
-            far_corner = self.model.shapes.far_corner
+            shapes = self.model.shapes
+            i = shapes.graph.core.index_of(w)
             ax = self.xs[w]
             ay = self.ys[w]
             found = []
             for t in (1, 2, 3, 4):
                 if status[t - 1]:
                     continue
-                corner = far_corner(w, t)
-                if corner is None or (corner.x == ax and corner.y == ay):
+                # Every unsafe node has a record: its far corner.
+                cx = shapes.cx[t][i]
+                cy = shapes.cy[t][i]
+                if cx == ax and cy == ay:
                     continue
-                found.append((*_QUADRANT_SIGNS[t], ax, ay, corner.x, corner.y))
+                found.append((*_QUADRANT_SIGNS[t], ax, ay, cx, cy))
             records = self._own[w] = tuple(found)
         return records
 
     def _near_splits(self, u: NodeId) -> tuple:
         """The split records of ``u``, then of its neighbours ascending:
-        ``slgf2_region_splits_at``'s enumeration order."""
+        ``slgf2_region_splits_at``'s enumeration order.  A fully safe
+        neighbour induces none."""
         records = self._near[u]
         if records is None:
+            safety = self.safety
             found = list(self._own_splits(u))
             for w in self.rows[u]:
-                found.extend(self._own_splits(w))
+                if safety[w] is not _ALL_SAFE:
+                    found.extend(self._own_splits(w))
             records = self._near[u] = tuple(found)
         return records
 
@@ -1649,19 +1672,13 @@ class _NumpyBatchKernel:
         self.quadrant = mode != "gf" and router._scope == "quadrant"
         if mode == "slgf":
             # Touching .model rebuilds it if a rebind left it stale,
-            # exactly as the scalar executors do.  The phantom row is
-            # all-safe; its inf distance already excludes it.
-            statuses = router.model.safety.statuses
-            safety = np.ones((n + 1, 4), dtype=bool)
-            for i, u in enumerate(core.ids):
-                safety[i] = statuses[u]
-            # Zone-type-t safety of neighbour (u, slot), packed as bits
-            # t-1 of one int8 (phantom: all-safe 0b1111).
-            packed = (
-                (safety.astype(np.uint8) << np.arange(4, dtype=np.uint8))
-                .sum(axis=1)
-                .astype(np.int8)
-            )
+            # exactly as the scalar executors do.  Zone-type-t safety
+            # of neighbour (u, slot) is bit t-1 of the safety column,
+            # as one int8.  The phantom row is all-safe (0b1111); its
+            # inf distance already excludes it.
+            packed = np.empty(n + 1, dtype=np.int8)
+            packed[:n] = np.frombuffer(router.model.safety.mask, np.int8)
+            packed[n] = 0b1111
             self.safe_t = np.ascontiguousarray(packed[nb_pad].T)
         else:
             self.safe_t = None

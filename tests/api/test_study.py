@@ -477,6 +477,8 @@ class TestColumnarPath:
             (WasnGraph, "_materialise_view"),
         ):
             counts[name] = 0
+            if not hasattr(cls, name):
+                continue  # gone from the program: never called
 
             def spy(*args, _real=getattr(cls, name), _name=name, **kwargs):
                 counts[_name] += 1
@@ -514,3 +516,40 @@ class TestColumnarPath:
         )
         # One thaw per network: two networks, one per cell.
         assert spies["bulk_insert"] == 2
+
+    def test_failure_schedule_builds_no_node_records(
+        self, spies, monkeypatch
+    ):
+        """A thawed snapshot is a view over one core: no ``Node``."""
+        from repro.network.node import Node
+
+        built = []
+        real = Node.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(args)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Node, "__init__", spy)
+        self._run(
+            failures=(RandomFailure(10), RegionFailure(100.0, 100.0, 15.0))
+        )
+        assert spies["bulk_insert"] == 2 and spies["_materialise_view"] == 0
+        assert built == []
+
+    def test_paper_cell_builds_no_shape_records(self, monkeypatch):
+        """Algorithm 2's table stays in columns: the routers read far
+        nodes and corners without a ``ShapeInfo``."""
+        from repro.core.shape import ShapeInfo
+
+        built = []
+        real = ShapeInfo.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("node"))
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(ShapeInfo, "__init__", spy)
+        result = self._run()
+        assert len(result.cells) == 2
+        assert built == []

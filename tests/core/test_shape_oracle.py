@@ -24,6 +24,7 @@ with it.
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -71,7 +72,7 @@ MODES = ("chain", "exact")
 
 def oracle_compute_shapes(
     safety: SafetyModel, mode: str = "chain"
-) -> ShapeModel:
+) -> SimpleNamespace:
     graph = safety.graph
     shapes: dict[ZoneType, dict[NodeId, ShapeInfo]] = {}
     for zone_type in ZONE_TYPES:
@@ -139,7 +140,7 @@ def oracle_compute_shapes(
                 rect=rect,
             )
         shapes[zone_type] = per_node
-    return ShapeModel(graph=graph, safety=safety, shapes=shapes)
+    return SimpleNamespace(shapes=shapes)
 
 
 # -- helpers ---------------------------------------------------------------
@@ -342,3 +343,138 @@ def test_dynamic_snapshots_after_fail_and_restore():
 @pytest.mark.parametrize("seed", EXTRA_SEEDS)
 def test_dynamic_snapshots_extra_seeds(seed):
     _dynamic_case(seed, 12)
+
+
+# -- the columns themselves ------------------------------------------------
+
+
+def _column_case(case: str) -> WasnGraph:
+    if case in ("IA", "FA"):
+        positions = paper_positions(case, 400, BASE_SEED)
+        return with_edges(build_unit_disk_graph(positions, RADIUS))
+    if case == "lattice":
+        return build_unit_disk_graph(grid_positions(), 25.0)
+    if case == "duplicates":
+        positions = paper_positions("IA", 300, BASE_SEED)
+        positions += random.Random(BASE_SEED).sample(positions, 12)
+        return with_edges(build_unit_disk_graph(positions, RADIUS))
+    if case == "sparse":
+        full = build_unit_disk_graph(
+            paper_positions("FA", 400, BASE_SEED), RADIUS
+        )
+        rng = random.Random(BASE_SEED)
+        return with_edges(full.without_nodes(rng.sample(full.node_ids, 60)))
+    if case == "hand-built":
+        full = build_unit_disk_graph(grid_positions(), 25.0)
+        nodes = [Node(3 * u + 5, full.position(u)) for u in full.node_ids]
+        rows = {
+            3 * u + 5: tuple(3 * v + 5 for v in reversed(full.neighbors(u)))
+            for u in full.node_ids
+        }
+        return WasnGraph(nodes, rows, full.radius)
+    topology = DynamicTopology(
+        paper_positions("IA", 300, BASE_SEED),
+        RADIUS,
+        edge_detector=EdgeDetector(strategy="convex"),
+    )
+    rng = random.Random(BASE_SEED)
+    topology.fail_many(rng.sample(list(topology.alive_ids), 15))
+    topology.restore_many(rng.sample(list(topology.down_ids), 5))
+    return topology.graph
+
+
+def _columns(graph: WasnGraph, build: str) -> list:
+    """Every safety and shape column of ``graph`` on ``build`` (the
+    rotation's and the safety labels'), floats by ``repr``."""
+    safety = compute_safety(on_build(graph, build), backend=build)
+    columns = [safety.mask, safety.rounds]
+    for mode in MODES:
+        shapes = compute_shapes(safety, mode)
+        for t in ZONE_TYPES:
+            columns += [
+                shapes.first_far[t],
+                shapes.last_far[t],
+                shapes.order[t],
+                [repr(c) for c in shapes.cx[t]],
+                [repr(c) for c in shapes.cy[t]],
+            ]
+    return columns
+
+
+@pytest.mark.skipif(len(BUILDS) < 2, reason="the numpy build needs numpy")
+@pytest.mark.parametrize(
+    "case",
+    ["IA", "FA", "lattice", "duplicates", "sparse", "hand-built", "dynamic"],
+)
+def test_columns_equal_across_construction_backends(case):
+    """The scalar and numpy constructions fill the same safety mask and
+    the same far-node, corner and order columns, in both modes."""
+    graph = _column_case(case)
+    scalar, numpy_built = (_columns(graph, build) for build in BUILDS)
+    assert scalar == numpy_built
+    assert any(bits != 0b1111 for bits in scalar[0])  # some unsafe node
+
+
+@pytest.mark.parametrize("case", ["IA", "sparse", "hand-built"])
+def test_columns_are_the_records(case):
+    """``shapes`` is a view of the columns: each record's far nodes and
+    rectangle come from them, and the mask is the safety tuples.
+    ``areas_near`` lists the rectangles of a node and its neighbours in
+    the order a per-node enumeration finds them."""
+    graph = _column_case(case)
+    safety = compute_safety(graph)
+    ids = graph.core.ids
+    assert list(safety.statuses) == list(ids)
+    for i, u in enumerate(ids):
+        bits = safety.mask[i]
+        assert safety.statuses[u] == tuple(
+            bool(bits >> k & 1) for k in range(4)
+        )
+    for mode in MODES:
+        shapes = compute_shapes(safety, mode)
+        for t in ZONE_TYPES:
+            unsafe = sorted(safety.unsafe_nodes(t))
+            assert sorted(shapes.shapes[t]) == unsafe
+            for u, info in shapes.shapes[t].items():
+                i = graph.core.index_of(u)
+                assert info == shapes.shape(u, t)
+                assert info.first_far == ids[shapes.first_far[t][i]]
+                assert info.last_far == ids[shapes.last_far[t][i]]
+                assert info.rect == shapes.estimated_area(u, t)
+                corner = shapes.far_corner(u, t)
+                assert corner.x in (info.rect.x_min, info.rect.x_max)
+                assert corner.y in (info.rect.y_min, info.rect.y_max)
+            safe = [u for u in ids if safety.is_safe(u, t)]
+            assert all(shapes.shape(u, t) is None for u in safe)
+            assert all(shapes.far_corner(u, t) is None for u in safe)
+        for u in ids:
+            assert shapes.areas_near(u) == [
+                rect
+                for t in ZONE_TYPES
+                for w in (u, *graph.neighbors(u))
+                if (rect := shapes.estimated_area(w, t)) is not None
+            ]
+
+
+def test_successor_with_an_equal_chain_key_falls_back_to_itself():
+    """A quadrant successor whose chain key rounds equal to ``u``'s, with
+    the larger id, comes after ``u``: its record does not exist yet, so
+    ``u``'s far node is the successor itself, as in the oracle."""
+    nodes = [
+        Node(0, Point(0.0, 1.0)),  # u
+        Node(1, Point(1e-17, 1.0)),  # v: in Q_1(u), x + y == 1.0
+        Node(2, Point(1e-17, 5.0)),  # w: in Q_1(u) and Q_1(v)
+    ]
+    graph = WasnGraph(nodes, {0: (1, 2), 1: (0, 2), 2: (0, 1)}, RADIUS)
+    assert 1e-17 + 1.0 == 0.0 + 1.0
+    for build in BUILDS:
+        safety = compute_safety(on_build(graph, build), backend=build)
+        assert safety.unsafe_nodes(1) == {0, 1, 2}
+        for mode in MODES:
+            shapes = compute_shapes(safety, mode)
+            assert shapes.order[1] == [2, 0, 1]
+            assert shapes.shape(1, 1).first_far == 2
+            # v has no record when u resolves: u stops at v.
+            assert shapes.shape(0, 1).first_far == 1
+            assert shapes.shape(0, 1).last_far == 2
+            assert items(shapes) == items(oracle_compute_shapes(safety, mode))

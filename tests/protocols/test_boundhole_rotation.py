@@ -31,8 +31,10 @@ small enough that walks run out, and one step either side of a ring's
 walk; and a walk that closes at its first return to a node its
 boundary passes twice.  More tests pin the rotation's own contract:
 rows sorted by angle with the documented flags, arcs and stuck slots,
-and on every unflagged row the cyclic predecessor equals the scalar
-sweep and each quadrant's arc equals the sorted quadrant filter; and
+an angle column that is the routers' sweep angle (within an ulp on
+the numpy build), and on every unflagged row the cyclic predecessor
+equals the scalar sweep and each quadrant's arc equals the sorted
+quadrant filter; and
 a spy shows the numpy build reaching both the orbit path and its
 fallback.  Base seeds run in tier-1; the ``slow``-marked extra seeds
 run in the CI ``dynamic-differential`` job, without numpy and with it.
@@ -72,6 +74,7 @@ from repro.protocols.boundhole import (
     build_hole_boundaries,
     tent_stuck_nodes,
 )
+from repro.routing.batch import _norm
 
 AREA = Rect(0, 0, 200, 200)
 RADIUS = 20.0
@@ -733,6 +736,40 @@ def test_unflagged_rows_decide_the_quadrant_scan(model, sparse):
             assert [ids[rotation.head[j]] for j in range(lo, hi)] == scan
             checked += 1
     assert checked > 50
+
+
+@pytest.mark.parametrize("model,sparse", _scan_cases())
+def test_rotation_angles_are_the_sweep_angles(model, sparse):
+    """The scalar build's angle column is the routers' sweep angle,
+    ``_norm(atan2(...))``, slot for slot.  The numpy build's lies within
+    an ulp of it and ascends per row; a row it recomputes (every flagged
+    row) carries the scalar angles exactly."""
+    if model == "axis-stars":
+        graph = build_unit_disk_graph(axis_star_positions()[0], 11.0)
+    elif model == "turned-grid":
+        graph = build_unit_disk_graph(grid_positions(angle=_TURN), 15.0)
+    else:
+        graph = _contract_graph(model, sparse)
+    scalar = on_build(graph, "scalar").core.rotation()
+    xs, ys = graph.core.xs, graph.core.ys
+    expected = []
+    for i in range(len(scalar.ids)):
+        for j in range(scalar.indptr[i], scalar.indptr[i + 1]):
+            v = scalar.head[j]
+            expected.append(_norm(math.atan2(ys[v] - ys[i], xs[v] - xs[i])))
+    assert list(map(repr, scalar.angles)) == list(map(repr, expected))
+    if len(BUILDS) < 2:
+        return
+    built = on_build(graph, "numpy").core.rotation()
+    assert len(built.angles) == len(expected)
+    for i in range(len(built.ids)):
+        lo, hi = built.indptr[i], built.indptr[i + 1]
+        row = built.angles[lo:hi]
+        assert all(a <= b for a, b in zip(row, row[1:]))
+        if built.band[i]:
+            assert row == scalar.angles[lo:hi]
+        for a, e in zip(row, expected[lo:hi]):
+            assert abs(a - e) <= math.ulp(e)
 
 
 # -- graph shapes ----------------------------------------------------------

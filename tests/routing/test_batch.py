@@ -25,6 +25,7 @@ import pytest
 import _oracle
 from _backend_diff import BACKENDS, assert_backends_identical
 from _oracle import oracle_route
+from repro._optional import load_numpy
 from repro.core import InformationModel
 from repro.geometry import Point, Rect
 from repro.network import (
@@ -35,6 +36,7 @@ from repro.network import (
     WasnGraph,
     build_unit_disk_graph,
 )
+from repro.network.core import TopologyCore
 from repro.protocols import build_hole_boundaries
 from repro.routing import (
     GreedyRouter,
@@ -44,6 +46,9 @@ from repro.routing import (
     Slgf2Router,
 )
 from repro.routing.batch import _norm
+
+#: The rotation builds: numpy's only where it imports.
+BUILDS = ("scalar", "numpy") if load_numpy() is not None else ("scalar",)
 
 
 def make_grid_graph(n=8, spacing=10.0, radius=15.0):
@@ -268,6 +273,34 @@ class TestGfOnIndices:
         assert boundhole["unreachable"] > 0  # a whole cycle, no closer
         assert tight["ttl_exceeded"] > 0  # cut mid-walk
         assert stale["stale edge"] > 0 and stale["no boundary"] > 0
+
+    def test_lost_boundary_edge_between_live_nodes(
+        self, monkeypatch, random_net
+    ):
+        """Boundaries traced before some of their edges were lost, both
+        ends alive: each walk falls to the face walk at the step that
+        crosses a lost edge, forward or backward, as the reference
+        does."""
+        tally = spy_on_gf_recovery(monkeypatch)
+        graph = random_net[0]
+        boundaries = build_hole_boundaries(graph)
+        # One edge per cycle, halfway round.
+        lost = {
+            frozenset(cycle[len(cycle) // 2 - 1 : len(cycle) // 2 + 1])
+            for cycle in boundaries.boundaries
+        }
+        rows = {
+            u: tuple(
+                v for v in graph.neighbors(u) if frozenset((u, v)) not in lost
+            )
+            for u in graph.node_ids
+        }
+        cut = WasnGraph(list(graph.nodes()), rows, graph.radius)
+        router = GreedyRouter(
+            cut, recovery="boundhole", hole_boundaries=boundaries
+        )
+        assert_batch_equivalent(router, sample_pairs(cut, 300, 8), "scalar")
+        assert tally["stale edge"] > 0 and tally["exit"] > 0
 
     def test_boundary_hop_to_d_one_past_ttl(self):
         """The walk checks the TTL before the hop to an adjacent
@@ -948,6 +981,22 @@ class TestNeighbourhoodMemos:
             )
 
 
+def on_build(graph, build):
+    """``graph`` over a fresh core whose rotation takes ``build``."""
+    core = graph.core
+    return WasnGraph.from_core(
+        TopologyCore(
+            core.ids,
+            core.xs,
+            core.ys,
+            core.radius,
+            core.edge_flags,
+            core.rows(),
+            backend=build,
+        )
+    )
+
+
 def _sweep_references(executor, u, rng):
     """References around each of ``u``'s neighbour angles: exactly on it,
     one ulp either side, inside and outside the 1e-9 band; plus random
@@ -974,7 +1023,8 @@ def _sweep_references(executor, u, rng):
 def test_rotation_sweep_equals_the_scalar_sweep(random_net, pocket_grid, network):
     """The rotation sweep returns what the scalar sweep returns for
     every hand, exclusivity and candidate set, at every reference
-    around every neighbour's angle."""
+    around every neighbour's angle, on each rotation build (whose
+    angle columns may differ by an ulp)."""
     graphs = {
         "random": lambda: random_net[0],
         "lattice": make_rotated_lattice,
@@ -982,7 +1032,11 @@ def test_rotation_sweep_equals_the_scalar_sweep(random_net, pocket_grid, network
         "coincident": make_coincident_graph,
         "sparse": lambda: random_net[0].without_nodes(range(0, 400, 5)),
     }
-    graph = graphs[network]()
+    for build in BUILDS:
+        _assert_sweeps_agree(on_build(graphs[network](), build), network)
+
+
+def _assert_sweeps_agree(graph, network):
     executor = LgfRouter(graph)._scalar_executor()
     rng = random.Random(network)
     nodes = [u for u in graph.node_ids if graph.neighbors(u)]
