@@ -26,11 +26,11 @@ neighbour *indices*; the row view (:meth:`rows`) stores neighbour
 *ids* — because ids ascend with indices, both are sorted ascending.
 
 Everything derived (CSR arrays, lengths, masks, the rotation system,
-padded by-id views) is computed lazily and cached: a core built for
-one routing batch never pays for columns the batch does not touch, and
-cores that share structure (e.g. the same graph with different edge
-flags, see :meth:`with_edge_flags`) share their planarizations and
-rotation.
+quadrant lists, padded by-id views) is computed lazily and cached: a
+core built for one routing batch never pays for columns the batch does
+not touch, and cores that share structure (e.g. the same graph with
+different edge flags, see :meth:`with_edge_flags`) share their
+planarizations, rotation and quadrant lists.
 """
 
 from __future__ import annotations
@@ -76,6 +76,10 @@ class CoreArrays:
 _PLANAR_EPS = 1e-9
 
 _PLANAR_KINDS = ("gabriel", "rng")
+
+# Q_k as sign tests: an offset (dx, dy) lies in the closed quadrant k
+# when sx * dx >= 0 and sy * dy >= 0.  Multiplying by +-1.0 is exact.
+_QUADRANT_SIGNS = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0))
 
 
 class TopologyCore:
@@ -145,9 +149,9 @@ class TopologyCore:
         self._indices: array | None = None
         self._lengths: array | None = None
         # Structure-derived columns, shared with flag-variants of this
-        # core (neither planarization nor rotation reads edge flags):
-        # kind -> (mask bytearray, planar adjacency dict) and
-        # "rotation" -> Rotation.
+        # core (neither planarization, rotation nor quadrant lists read
+        # edge flags): kind -> (mask bytearray, planar adjacency dict),
+        # "rotation" -> Rotation and "quadrants" -> the quadrant lists.
         self._shared: dict = shared if shared is not None else {}
         self._coords_by_id: tuple[list, list] | None = None
         self._rows_by_id: list | None = None
@@ -189,9 +193,9 @@ class TopologyCore:
     def with_edge_flags(self, edge_ids: Iterable[NodeId]) -> "TopologyCore":
         """A core sharing all structure, with edge flags replaced.
 
-        The CSR, lengths, planarizations and rotation are shared too:
-        they are pure functions of positions and adjacency, never of
-        flags.
+        The CSR, lengths, planarizations, rotation and quadrant lists
+        are shared too: they are pure functions of positions and
+        adjacency, never of flags.
         """
         edge_set = set(edge_ids)
         flags = tuple(u in edge_set for u in self._ids)
@@ -491,6 +495,45 @@ class TopologyCore:
             rotation = Rotation(self._ids, indptr, *columns)
         self._shared["rotation"] = rotation
         return rotation
+
+    # -- quadrant lists -------------------------------------------------
+
+    def quadrant_lists(self) -> list:
+        """``Q_k(u)`` per node id ``u`` and quadrant type ``k``, at
+        ``4 * u + k - 1``; ``None`` until :meth:`fill_quadrant` fills it.
+
+        The forwarding loops read a node's quadrant at every hop, as a
+        deployed node reads it from its neighbour table.  One table per
+        core, shared with its flag variants like :meth:`rotation`, and
+        padded like the by-id views when ids are sparse.
+        """
+        table = self._shared.get("quadrants")
+        if table is None:
+            size = (self._ids[-1] + 1) if self._ids else 0
+            table = self._shared["quadrants"] = [None] * (4 * size)
+        return table
+
+    def fill_quadrant(self, u: NodeId, k: int) -> tuple[NodeId, ...]:
+        """Compute ``Q_k(u)`` into :meth:`quadrant_lists` and return it.
+
+        ``u``'s neighbours in row order whose offset ``(dx, dy)`` from
+        ``u`` passes the closed type-``k`` quadrant's sign tests (a NaN
+        offset passes them), minus those coincident with ``u``, which
+        lie in no forwarding zone.
+        """
+        xs, ys = self.coords_by_id()
+        xu = xs[u]
+        yu = ys[u]
+        sx, sy = _QUADRANT_SIGNS[k - 1]
+        members = []
+        for v in self._rows[self.index_of(u)]:
+            dx = xs[v] - xu
+            dy = ys[v] - yu
+            if sx * dx < 0.0 or sy * dy < 0.0 or (dx == 0.0 and dy == 0.0):
+                continue
+            members.append(v)
+        members = self.quadrant_lists()[4 * u + k - 1] = tuple(members)
+        return members
 
     # -- planarization masks --------------------------------------------
 

@@ -225,10 +225,16 @@ def tent_stuck_nodes(graph: WasnGraph) -> set[NodeId]:
 
 @dataclass(frozen=True)
 class HoleBoundarySet:
-    """All detected hole boundaries, with per-node lookup."""
+    """All detected hole boundaries, with per-node lookup.
+
+    ``core`` is the topology core the boundaries were traced on (None
+    when built by hand): every edge of every cycle is one of its
+    edges, so a router over that core never checks them.
+    """
 
     boundaries: tuple[tuple[NodeId, ...], ...]
     _by_node: dict[NodeId, int] = field(repr=False)
+    core: object = field(default=None, compare=False, repr=False)
 
     def boundary_of(self, node: NodeId) -> tuple[NodeId, ...] | None:
         """The boundary cycle through ``node`` (or None)."""
@@ -274,4 +280,6 @@ def build_hole_boundaries(
         boundaries.append(cycle)
         for node in cycle:
             by_node.setdefault(node, index)
-    return HoleBoundarySet(boundaries=tuple(boundaries), _by_node=by_node)
+    return HoleBoundarySet(
+        boundaries=tuple(boundaries), _by_node=by_node, core=graph.core
+    )

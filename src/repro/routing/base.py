@@ -22,7 +22,7 @@ animation attach through these hooks instead of subclassing a router
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from repro.network.graph import WasnGraph
@@ -99,7 +99,7 @@ OnHop = Callable[[HopEvent], None]
 OnPhaseChange = Callable[[int, "str | None", str], None]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RouteResult:
     """Outcome of routing one packet.
 
@@ -108,6 +108,10 @@ class RouteResult:
     cost real transmissions and are therefore real hops for every
     metric in the paper).  ``phases`` labels each hop, so
     ``phases[i]`` explains the hop ``path[i] -> path[i+1]``.
+
+    Slotted: a batch builds one result per pair.  The forwarding loops
+    build theirs through :func:`_route_result`, which runs the same
+    checks as the constructor.
     """
 
     router: str
@@ -178,14 +182,68 @@ class RouteResult:
         )
 
     def __post_init__(self) -> None:
-        if len(self.phases) != max(len(self.path) - 1, 0):
-            raise ValueError(
-                "phases must label exactly the hops of the path"
-            )
-        if self.delivered and (
-            not self.path or self.path[-1] != self.destination
-        ):
-            raise ValueError("delivered route must end at the destination")
+        _check_result(self.path, self.phases, self.delivered, self.destination)
+
+    def __reduce__(self):
+        # Pickle and copy rebuild through the constructor, so an
+        # unpickled result is checked as a from_dict one is.
+        return (type(self), tuple(getattr(self, f.name) for f in fields(self)))
+
+
+def _check_result(path, phases, delivered, destination) -> None:
+    """:class:`RouteResult`'s consistency checks, for both constructors."""
+    if len(phases) != max(len(path) - 1, 0):
+        raise ValueError("phases must label exactly the hops of the path")
+    if delivered and (not path or path[-1] != destination):
+        raise ValueError("delivered route must end at the destination")
+
+
+_new = object.__new__
+(
+    _set_router,
+    _set_source,
+    _set_destination,
+    _set_delivered,
+    _set_path,
+    _set_phases,
+    _set_length,
+    _set_perimeter_entries,
+    _set_backup_entries,
+    _set_bound_escapes,
+    _set_failure_reason,
+) = (RouteResult.__dict__[f.name].__set__ for f in fields(RouteResult))
+
+
+def _route_result(
+    router: str,
+    source: NodeId,
+    destination: NodeId,
+    delivered: bool,
+    path: tuple,
+    phases: tuple,
+    length: float,
+    perimeter_entries: int = 0,
+    backup_entries: int = 0,
+    bound_escapes: int = 0,
+    failure_reason: str | None = None,
+) -> RouteResult:
+    """``RouteResult(...)`` with its slots set directly: the forwarding
+    loops' constructor, about half the generated ``__init__``'s cost.
+    The checks run first, so malformed input raises as it does there."""
+    _check_result(path, phases, delivered, destination)
+    result = _new(RouteResult)
+    _set_router(result, router)
+    _set_source(result, source)
+    _set_destination(result, destination)
+    _set_delivered(result, delivered)
+    _set_path(result, path)
+    _set_phases(result, phases)
+    _set_length(result, length)
+    _set_perimeter_entries(result, perimeter_entries)
+    _set_backup_entries(result, backup_entries)
+    _set_bound_escapes(result, bound_escapes)
+    _set_failure_reason(result, failure_reason)
+    return result
 
 
 class PacketTrace:
@@ -457,8 +515,8 @@ class Router:
         * ``"numpy"`` — the vectorized kernel, or an error:
           :class:`~repro._optional.MissingDependencyError` when numpy
           is not importable, :class:`RoutingError` when the router
-          routes through its own :meth:`_run`.  SLGF2 has an executor
-          but no kernel, so it runs on the scalar executor.
+          routes through its own :meth:`_run`.  Only GF has a kernel:
+          LGF, SLGF and SLGF2 run their scalar executors.
 
         Batches trade instrumentation for speed: there are no
         ``on_hop``/``on_phase_change`` observers here — use

@@ -9,11 +9,16 @@ every rung of SLGF2's Algorithm 3 directly on the core's flat columns:
 neighbour-id tuples, plain-list coordinate reads, one ``math.hypot``
 per surviving candidate.  No ``Point`` objects, no per-hop dict
 lookups, no ``PacketTrace`` method dispatch.  A node's neighbourhood
-geometry is derived once and read at every later hop: an executor
-keeps SLGF2's quadrant members per (node, quadrant), built by the
-first scan that needs them, and every hand-rule sweep reads the core's
-rotation: each row's neighbours in angular order, with the angles the
-rotation's build sorted them by.
+geometry is derived once and read at every later hop: the quadrant
+scans of LGF, SLGF and SLGF2 read ``Q_k(u)`` from the core's quadrant
+lists (:meth:`~repro.network.core.TopologyCore.quadrant_lists`, one
+table per core, filled by the first scan of (u, k) that needs it), and
+every hand-rule sweep reads the core's rotation: each row's neighbours
+in angular order, with the angles the rotation's build sorted them by.
+
+GF alone also has a vectorized numpy kernel (:func:`numpy_kernel_for`)
+for large batches; LGF, SLGF and SLGF2 run their executors under every
+backend.
 
 Exactness is non-negotiable: every route must be bit-identical to the
 object-path loops the executors replaced, which
@@ -45,7 +50,10 @@ suites pin each scheme against it).  Three mechanisms guarantee it:
   (:meth:`_Executor._sweep`).  The numpy build's angles may sit an ulp
   off the replica's, far inside that band.  The quadrant lists hold
   exactly what each scan's own sign tests admit, in row order, so
-  every scan keeps its first-strict-minimum tie-break.
+  every scan keeps its first-strict-minimum tie-break.  One table
+  serves LGF, SLGF and SLGF2's safe scan, whose sign tests are the
+  same (a NaN offset passes them); SLGF2's ``_zone_scan``, whose
+  tests fail a NaN offset, keeps its own.
 
 A router runs the executor of its nearest built-in base class
 (:func:`executor_for`), unless its class overrides ``_run``: then it
@@ -63,7 +71,13 @@ from repro._optional import load_numpy
 from repro.core.regions import Hand
 from repro.core.safety import STATUS_TUPLES
 from repro.network.node import NodeId
-from repro.routing.base import Phase, RouteResult, Router, RoutingError
+from repro.routing.base import (
+    Phase,
+    RouteResult,
+    Router,
+    RoutingError,
+    _route_result,
+)
 from repro.routing.greedy import GreedyRouter
 from repro.routing.lgf import LgfRouter
 from repro.routing.slgf import SlgfRouter
@@ -122,6 +136,22 @@ def _zone_type_rel(dx: float, dy: float) -> int:
     return 4
 
 
+def _quadrant_toward(xu: float, yu: float, xd: float, yd: float) -> int:
+    """``zone_type_of(u, d)``: the type of u's quadrant holding d, with
+    its boundary tie-breaks and its error at coincident points."""
+    ddx = xd - xu
+    ddy = yd - yu
+    if ddx > 0.0 and ddy >= 0.0:
+        return 1
+    if ddx <= 0.0 and ddy > 0.0:
+        return 2
+    if ddx < 0.0 and ddy <= 0.0:
+        return 3
+    if xu == xd and yu == yd:
+        raise ValueError("zone type undefined for coincident points")
+    return 4
+
+
 def _norm(theta: float) -> float:
     """``normalize_angle`` replica: map onto ``[0, tau)`` bit-for-bit."""
     theta = math.fmod(theta, _TAU)
@@ -168,18 +198,18 @@ class _Executor:
     ) -> RouteResult:
         if failure is None and not arrived:
             failure = "ttl_exceeded"
-        return RouteResult(
-            router=self.router.name,
-            source=source,
-            destination=destination,
-            delivered=arrived and failure is None,
-            path=tuple(path),
-            phases=tuple(phases),
-            length=length,
-            perimeter_entries=perimeter_entries,
-            backup_entries=backup_entries,
-            bound_escapes=bound_escapes,
-            failure_reason=failure,
+        return _route_result(
+            self.router.name,
+            source,
+            destination,
+            arrived and failure is None,
+            tuple(path),
+            tuple(phases),
+            length,
+            perimeter_entries,
+            backup_entries,
+            bound_escapes,
+            failure,
         )
 
     # -- the tried-set perimeter phase (Algorithm 1 step 4) -------------
@@ -574,7 +604,8 @@ class _GreedyExecutor(_Executor):
         longer has.  Returns ``(current, length, failure)`` like
         :meth:`_face_phase`.
         """
-        cycle = self.router._hole_boundaries().boundary_of(u)
+        boundaries = self.router._hole_boundaries()
+        cycle = boundaries.boundary_of(u)
         if cycle is None or len(cycle) < 2:
             return self._face_phase(
                 u, destination, path, phases, length, ttl, True
@@ -609,7 +640,12 @@ class _GreedyExecutor(_Executor):
         else:
             walk = range(index - 1, index - m, -1)
             shift = 1
-        stale = self._stale_edges(cycle)
+        # Boundaries traced on this core (HoleBoundarySet.core) walk
+        # only its edges; any others are checked once per cycle.
+        if getattr(boundaries, "core", None) is self.core:
+            stale = ()
+        else:
+            stale = self._stale_edges(cycle)
         near_destination = set(rows[destination])
         hops = len(path) - 1
         for position in walk:
@@ -663,12 +699,16 @@ class _LgfExecutor(_Executor):
     def __init__(self, router: LgfRouter, core) -> None:
         super().__init__(router, core)
         self.zone_scope = router._scope == "zone"
+        # Q_k(u) per node and quadrant, shared by every executor over
+        # this core's structure (TopologyCore.quadrant_lists).
+        self.quadrants = None if self.zone_scope else core.quadrant_lists()
 
     def route(self, source: NodeId, destination: NodeId) -> RouteResult:
         self._check(source, destination)
         xs = self.xs
         ys = self.ys
         rows = self.rows
+        quadrants = self.quadrants
         hyp = math.hypot
         zone_scope = self.zone_scope
         ttl = self.router.ttl
@@ -722,43 +762,15 @@ class _LgfExecutor(_Executor):
                 # Q_k(u) ∩ strictly-closer (quadrant scope).  At a node
                 # coincident with d, zone_type_of raises; the request
                 # zone (above) degenerates to d's point instead.
-                ddx = xd - xu
-                ddy = yd - yu
-                if ddx > 0.0 and ddy >= 0.0:
-                    k = 1
-                elif ddx <= 0.0 and ddy > 0.0:
-                    k = 2
-                elif ddx < 0.0 and ddy <= 0.0:
-                    k = 3
-                elif xu == xd and yu == yd:
-                    raise ValueError(
-                        "zone type undefined for coincident points"
-                    )
-                else:
-                    k = 4
+                k = _quadrant_toward(xu, yu, xd, yd)
+                members = quadrants[4 * u + k - 1]
+                if members is None:
+                    members = self.core.fill_quadrant(u, k)
                 best_dist = du - _EPS
                 cut = best_dist * best_dist * _GUARD
-                for v in row:
-                    xv = xs[v]
-                    yv = ys[v]
-                    dx = xv - xu
-                    dy = yv - yu
-                    if k == 1:
-                        if dx < 0.0 or dy < 0.0:
-                            continue
-                    elif k == 2:
-                        if dx > 0.0 or dy < 0.0:
-                            continue
-                    elif k == 3:
-                        if dx > 0.0 or dy > 0.0:
-                            continue
-                    else:
-                        if dx < 0.0 or dy > 0.0:
-                            continue
-                    if dx == 0.0 and dy == 0.0:
-                        continue  # coincident with u: in no zone
-                    dx = xv - xd
-                    dy = yv - yd
+                for v in members:
+                    dx = xs[v] - xd
+                    dy = ys[v] - yd
                     if dx * dx + dy * dy >= cut:
                         continue
                     dv = hyp(dx, dy)
@@ -829,6 +841,7 @@ class _SlgfExecutor(_LgfExecutor):
         xs = self.xs
         ys = self.ys
         rows = self.rows
+        quadrants = self.quadrants
         safety = self.safety
         hyp = math.hypot
         zone_scope = self.zone_scope
@@ -859,21 +872,12 @@ class _SlgfExecutor(_LgfExecutor):
                 xlo, xhi = (xu, xd) if xu <= xd else (xd, xu)
                 ylo, yhi = (yu, yd) if yu <= yd else (yd, yu)
                 floor = math.inf
+                members = row
             else:
-                ddx = xd - xu
-                ddy = yd - yu
-                if ddx > 0.0 and ddy >= 0.0:
-                    k = 1
-                elif ddx <= 0.0 and ddy > 0.0:
-                    k = 2
-                elif ddx < 0.0 and ddy <= 0.0:
-                    k = 3
-                elif xu == xd and yu == yd:
-                    raise ValueError(
-                        "zone type undefined for coincident points"
-                    )
-                else:
-                    k = 4
+                k = _quadrant_toward(xu, yu, xd, yd)
+                members = quadrants[4 * u + k - 1]
+                if members is None:
+                    members = self.core.fill_quadrant(u, k)
                 floor = du - _EPS
             best_plain = -1
             plain_dist = floor
@@ -884,29 +888,13 @@ class _SlgfExecutor(_LgfExecutor):
             # on every admitted improvement), so nothing at or beyond
             # safe_dist can improve either minimum.
             cut = safe_dist * safe_dist * _GUARD
-            for v in row:
+            for v in members:
                 xv = xs[v]
                 yv = ys[v]
-                if zone_scope:
-                    if xv < xlo or xv > xhi or yv < ylo or yv > yhi:
-                        continue
-                else:
-                    dx = xv - xu
-                    dy = yv - yu
-                    if k == 1:
-                        if dx < 0.0 or dy < 0.0:
-                            continue
-                    elif k == 2:
-                        if dx > 0.0 or dy < 0.0:
-                            continue
-                    elif k == 3:
-                        if dx > 0.0 or dy > 0.0:
-                            continue
-                    else:
-                        if dx < 0.0 or dy > 0.0:
-                            continue
-                    if dx == 0.0 and dy == 0.0:
-                        continue
+                if zone_scope and (
+                    xv < xlo or xv > xhi or yv < ylo or yv > yhi
+                ):
+                    continue
                 dx = xv - xd
                 dy = yv - yd
                 if dx * dx + dy * dy >= cut:
@@ -983,12 +971,13 @@ class _Slgf2Executor(_Executor):
 
     Lazily memoised, never built up front (serve rebuilds the executor
     after every write; a paper cell routes 20 pairs through it): per
-    node and quadrant, the members the safe scan and ``_zone_scan``
-    admit; per node, the split-capable (quadrant, anchor, far corner)
-    records of the node itself and of its neighbourhood, and the
-    backup episode cap.  The rare size-aware entry test and the bound
-    of a DFS phase call the router itself, which is exact by
-    construction.
+    node and quadrant, the members ``_zone_scan`` admits (the safe
+    scan reads the core's quadrant lists, as LGF and SLGF do); per
+    node, the split-capable (quadrant, anchor, far corner) records of
+    the node itself and of its neighbourhood, and the backup episode
+    cap.  The size-aware entry test reads the shape columns; the
+    episode cap and the bound of a DFS phase call the router itself,
+    which is exact by construction.
     """
 
     def __init__(self, router: Slgf2Router, core) -> None:
@@ -1000,6 +989,7 @@ class _Slgf2Executor(_Executor):
         self.adaptive = router._adaptive_greedy and self.quadrant_scope
         self.face = router._perimeter_mode == "face"
         self.either_hand = router._perimeter_hand == "either"
+        self.enter_threshold = router._enter_threshold
         # Touching .model here rebuilds it if a rebind left it stale,
         # exactly as the first route() after a rebind would.
         self.model = router.model
@@ -1007,8 +997,9 @@ class _Slgf2Executor(_Executor):
         self._own: list = [None] * len(self.rows)
         self._near: list = [None] * len(self.rows)
         self._caps: dict[NodeId, int] = {}
-        # Q_k(u) of the safe scan and of _zone_scan, at 4 * u + k - 1.
-        self._scan_q: list = [None] * (4 * len(self.rows))
+        # Q_k(u) of the safe scan (TopologyCore.quadrant_lists) and of
+        # _zone_scan, at 4 * u + k - 1.
+        self.quadrants = core.quadrant_lists() if self.quadrant_scope else None
         self._zone_q: list = [None] * (4 * len(self.rows))
 
     # -- the superseding rule's splits ----------------------------------
@@ -1074,6 +1065,33 @@ class _Slgf2Executor(_Executor):
             elif cross < -_GEOM_EPS:
                 splits.append((sx, sy, ax, ay, cx, cy, -1))
         return splits
+
+    @staticmethod
+    def _forbids(records, xd: float, yd: float, xv: float, yv: float) -> bool:
+        """``_forbidden(_visible(records, xd, yd), xv, yv)`` in one pass,
+        which stops at the first visible split that forbids ``v``."""
+        for sx, sy, ax, ay, cx, cy in records:
+            dx = xd - ax
+            dy = yd - ay
+            if sx * dx < 0.0 or sy * dy < 0.0 or (dx == 0.0 and dy == 0.0):
+                continue
+            ex = cx - ax
+            ey = cy - ay
+            cross = ex * dy - ey * dx
+            if cross > _GEOM_EPS:
+                side = 1
+            elif cross < -_GEOM_EPS:
+                side = -1
+            else:
+                continue  # d on the divider: not visible
+            dx = xv - ax
+            dy = yv - ay
+            if sx * dx < 0.0 or sy * dy < 0.0 or (dx == 0.0 and dy == 0.0):
+                continue
+            cross = ex * dy - ey * dx
+            if (cross < -_GEOM_EPS) if side > 0 else (cross > _GEOM_EPS):
+                return True
+        return False
 
     @staticmethod
     def _forbidden(splits, xv: float, yv: float) -> bool:
@@ -1162,25 +1180,6 @@ class _Slgf2Executor(_Executor):
             plain, safe = self._closer(row, xd, yd, floor)
         return plain, safe
 
-    def _scan_members(self, u: NodeId, k: int) -> tuple:
-        """``Q_k(u)`` as the safe scan of :meth:`route` admits it: ``u``'s
-        neighbours in row order, minus those its sign tests rule out
-        (a NaN offset passes them) and those coincident with ``u``."""
-        xs = self.xs
-        ys = self.ys
-        xu = xs[u]
-        yu = ys[u]
-        sx, sy = _QUADRANT_SIGNS[k]
-        members = []
-        for v in self.rows[u]:
-            dx = xs[v] - xu
-            dy = ys[v] - yu
-            if sx * dx < 0.0 or sy * dy < 0.0 or (dx == 0.0 and dy == 0.0):
-                continue
-            members.append(v)
-        members = self._scan_q[4 * u + k - 1] = tuple(members)
-        return members
-
     def _closer(self, nodes, xd, yd, floor) -> tuple[list, list]:
         """``(node, distance)`` of the ``nodes`` closer to d than
         ``floor``, and those of them safe for their own zone toward d."""
@@ -1200,6 +1199,43 @@ class _Slgf2Executor(_Executor):
                     safe.append((v, dv))
         return plain, safe
 
+    def _entering_is_cheap(self, v: NodeId, xd: float, yd: float) -> bool:
+        """The size-aware entry test through ``v`` (reference:
+        ``slgf2_entering_is_cheap``), on the shape columns.
+
+        Cheap when ``v`` sits at ``d``'s position, when ``v`` is safe
+        for its own zone toward ``d`` (no rectangle predicts a block),
+        or when ``E_t(v)`` holds ``d`` within 1e-9; otherwise when the
+        rectangle is not degenerate and its diagonal is within the
+        router's threshold.  ``Rect.from_corners``, ``contains``,
+        ``is_degenerate`` and ``diagonal``, operation for operation.
+        """
+        xv = self.xs[v]
+        yv = self.ys[v]
+        if xv == xd and yv == yd:
+            return True
+        t = _quadrant_toward(xv, yv, xd, yd)
+        if self.safety[v][t - 1]:
+            return True
+        shapes = self.model.shapes
+        i = shapes.graph.core.index_of(v)
+        cx = shapes.cx[t][i]
+        cy = shapes.cy[t][i]
+        x_min = min(xv, cx)
+        y_min = min(yv, cy)
+        x_max = max(xv, cx)
+        y_max = max(yv, cy)
+        if (
+            x_min - _EPS <= xd <= x_max + _EPS
+            and y_min - _EPS <= yd <= y_max + _EPS
+        ):
+            return True
+        width = x_max - x_min
+        height = y_max - y_min
+        if width <= _EPS or height <= _EPS:
+            return False  # a stuck node's point-rectangle: never cheap
+        return math.hypot(width, height) <= self.enter_threshold
+
     def _backup_cap(self, u: NodeId) -> int:
         """``Slgf2Router._backup_cap``, memoised per node."""
         cap = self._caps.get(u)
@@ -1217,7 +1253,7 @@ class _Slgf2Executor(_Executor):
         rows = self.rows
         safety = self.safety
         near = self._near
-        scan_q = self._scan_q
+        quadrants = self.quadrants
         superseding = self.superseding
         use_backup = self.use_backup
         hyp = math.hypot
@@ -1251,18 +1287,7 @@ class _Slgf2Executor(_Executor):
                 length += hyp(xu - xd, yu - yd)
                 u = destination
                 break
-            ddx = xd - xu
-            ddy = yd - yu
-            if ddx > 0.0 and ddy >= 0.0:
-                k = 1
-            elif ddx <= 0.0 and ddy > 0.0:
-                k = 2
-            elif ddx < 0.0 and ddy <= 0.0:
-                k = 3
-            elif xu == xd and yu == yd:
-                raise ValueError("zone type undefined for coincident points")
-            else:
-                k = 4
+            k = _quadrant_toward(xu, yu, xd, yd)
             du = hyp(xu - xd, yu - yd)
 
             # Steps 2+3, the dominant case: the nearest safe zone
@@ -1270,9 +1295,9 @@ class _Slgf2Executor(_Executor):
             if quadrant_scope:
                 floor = du - _EPS
                 cut = floor * floor * _GUARD
-                members = scan_q[4 * u + k - 1]
+                members = quadrants[4 * u + k - 1]
                 if members is None:
-                    members = self._scan_members(u, k)
+                    members = self.core.fill_quadrant(u, k)
             else:
                 xlo, xhi = (xu, xd) if xu <= xd else (xd, xu)
                 ylo, yhi = (yu, yd) if yu <= yd else (yd, yu)
@@ -1308,18 +1333,18 @@ class _Slgf2Executor(_Executor):
                     records = near[u]
                     if records is None:
                         records = self._near_splits(u)
-                    if records:
-                        # The nearest safe candidate stands unless a
-                        # visible split forbids it.
-                        splits = self._visible(records, xd, yd)
-                        if splits and self._forbidden(
-                            splits, xs[pick], ys[pick]
-                        ):
-                            if safe is None:
-                                _, safe = self._zone_scan(
-                                    u, row, xu, yu, xd, yd, k, du
-                                )
-                            pick = self._prefer(safe, splits)
+                    # The nearest safe candidate stands unless a
+                    # visible split forbids it.
+                    if records and self._forbids(
+                        records, xd, yd, xs[pick], ys[pick]
+                    ):
+                        if safe is None:
+                            _, safe = self._zone_scan(
+                                u, row, xu, yu, xd, yd, k, du
+                            )
+                        pick = self._prefer(
+                            safe, self._visible(records, xd, yd)
+                        )
                 if in_backup:
                     # "until the forwarding from v to d is safe".
                     in_backup = False
@@ -1338,9 +1363,8 @@ class _Slgf2Executor(_Executor):
                     and (status[0] or status[1] or status[2] or status[3])
                     and not (
                         plain
-                        and router._entering_is_cheap(
-                            self._prefer(plain, ()),
-                            router.graph.position(destination),
+                        and self._entering_is_cheap(
+                            self._prefer(plain, ()), xd, yd
                         )
                     )
                 )
@@ -1555,8 +1579,8 @@ def executor_for(router: Router):
 # The vectorized (numpy) batch backend.
 # ---------------------------------------------------------------------------
 
-# A packet this close to the destination defects: the quadrant-scope
-# floor ``du - _EPS`` stops being meaningfully positive, and coincident
+# A packet this close to the destination defects: the greedy floor
+# ``du - _EPS`` stops being meaningfully positive, and coincident
 # geometry (a node at the destination's position) hides below it.  Far
 # larger than the decision bands, far smaller than any real hop.
 _NEAR_DEST = 1e-6
@@ -1586,36 +1610,34 @@ _KERNEL_MIN_BATCH = 512
 
 
 class _NumpyBatchKernel:
-    """Vectorized batch backend: one array step advances every packet.
+    """GF's vectorized batch backend: one array step advances every
+    packet's greedy hop.
 
     The CSR columns are re-laid once per kernel into degree-padded
     neighbour matrices of shape ``(max_degree, n)``; padding entries
     point at a phantom node at ``(inf, inf)``, so their squared
-    distance to any destination is ``inf`` and every mask ignores them
-    for free.  Each step gathers the active packets' columns into
-    ``(max_degree, active)`` working arrays, applies the scheme's
-    forwarding-zone filter (and safety statuses for SLGF) as
-    elementwise sign tests, and takes per-packet tier minima of the
-    squared distance to the destination along ``axis=0`` — the long
-    contiguous axis, which numpy reduces far faster than short rows.
-    Delivered packets (destination adjacent) finish; packets whose
-    winning candidate *provably* matches the scalar executors' choice
-    advance.
+    distance to any destination is ``inf`` and never wins a minimum.
+    Each step gathers the active packets' columns into
+    ``(max_degree, active)`` working arrays and takes per-packet
+    minima of the squared distance to the destination along
+    ``axis=0`` — the long contiguous axis, which numpy reduces far
+    faster than short rows.  Delivered packets (destination adjacent)
+    finish; packets whose winning candidate *provably* matches the
+    scalar executor's choice advance.
 
     Exactness comes from proof, not replication: every floating-point
     decision is checked against the conservative bands above, and any
-    packet the kernel cannot decide bit-identically — recovery or
-    safe-ladder entry, (near-)ties, coincident geometry, near-destination
-    thresholds — *defects*: it is re-routed from the source by the
-    wrapped scalar executor, which is exact by construction.  Hop
-    lengths are gathered from the core's ``math.hypot``-computed
-    ``lengths`` column and accumulated one add per hop in path order,
-    so delivered lengths are bit-identical too.
+    packet the kernel cannot decide bit-identically — recovery,
+    (near-)ties, coincident geometry, near-destination thresholds —
+    *defects*: it is re-routed from the source by the wrapped scalar
+    executor, which is exact by construction.  Hop lengths are
+    gathered from the core's ``math.hypot``-computed ``lengths``
+    column and accumulated one add per hop in path order, so
+    delivered lengths are bit-identical too.
     """
 
-    def __init__(self, np, mode: str, router: Router, core, scalar) -> None:
+    def __init__(self, np, router: Router, core, scalar) -> None:
         self.np = np
-        self.mode = mode
         self.router = weakref.proxy(router)  # weak, as in _Executor
         self.scalar = scalar
         self.ids = core.ids  # python-int tuple: index -> node id
@@ -1634,12 +1656,12 @@ class _NumpyBatchKernel:
         # order, padded with a phantom node at (inf, inf).  Squared
         # distances through the padding are inf, so it never wins a
         # minimum, never matches a destination, and needs no mask of
-        # its own.  Neighbour coordinates (and, for the safety modes,
-        # packed safety bits) are materialised per (slot, node) here so
-        # a step's working arrays are ``(max_degree, active)`` and the
-        # per-packet reductions run along ``axis=0`` — over the long
-        # contiguous axis, where numpy's reductions vectorise roughly
-        # an order of magnitude better than along short rows.
+        # its own.  Neighbour coordinates are materialised per (slot,
+        # node) here so a step's working arrays are
+        # ``(max_degree, active)`` and the per-packet reductions run
+        # along ``axis=0`` — over the long contiguous axis, where
+        # numpy's reductions vectorise roughly an order of magnitude
+        # better than along short rows.
         width = int(deg.max()) if n else 0
         pad_mask = np.arange(width)[None, :] < deg[:, None]
         nb_pad = np.full((n, width), n, dtype=np.int64)
@@ -1667,23 +1689,7 @@ class _NumpyBatchKernel:
         # page-fault on every first touch.
         self._buf_cap = 0
         self._bufs = None
-        # GF scans the full neighbourhood; LGF/SLGF filter by quadrant
-        # or by the source-destination rectangle ("zone").
-        self.quadrant = mode != "gf" and router._scope == "quadrant"
-        if mode == "slgf":
-            # Touching .model rebuilds it if a rebind left it stale,
-            # exactly as the scalar executors do.  Zone-type-t safety
-            # of neighbour (u, slot) is bit t-1 of the safety column,
-            # as one int8.  The phantom row is all-safe (0b1111); its
-            # inf distance already excludes it.
-            packed = np.empty(n + 1, dtype=np.int8)
-            packed[:n] = np.frombuffer(router.model.safety.mask, np.int8)
-            packed[n] = 0b1111
-            self.safe_t = np.ascontiguousarray(packed[nb_pad].T)
-        else:
-            self.safe_t = None
-        # GF and LGF label every hop _GREEDY (SLGF labels per hop:
-        # safe picks _SAFE, plain picks _GREEDY); ready-made
+        # Every greedy hop is labelled _GREEDY; ready-made
         # ``(_GREEDY,) * hops`` tuples are cached, since building one
         # per result is a measurable share of a large batch.
         self._phases: dict[int, tuple] = {}
@@ -1731,16 +1737,14 @@ class _NumpyBatchKernel:
             results.extend(self._route_wave(pairs[start : start + _WAVE]))
         return results
 
-    def _tiers(self, np, cur, dst, dval, safe_t):
-        """One step's candidate evaluation: masks and tier minima.
+    def _tiers(self, np, cur, dst, dval):
+        """One step's candidate evaluation.
 
-        Returns ``(m_sel, d2t, m_band, ok, deliver, use_safe)``: the
-        selected tier's per-packet minimum and candidate matrix, the
-        tie band around that minimum, the banded progress verdict, the
-        delivery trigger, and (SLGF only) the per-packet safe-tier
-        flags.
+        Returns ``(m_all, d2, m_band, ok, deliver)``: each packet's
+        minimum squared distance and its candidate matrix, the tie band
+        around that minimum, the banded progress verdict and the
+        delivery trigger.
         """
-        mode = self.mode
         xs, ys = self.xs, self.ys
         active = cur.shape[0]
         width = self.width
@@ -1753,129 +1757,30 @@ class _NumpyBatchKernel:
         xy = g_flat[:span].reshape(2 * width, active)
         np.take(self.xy_take, cur, axis=1, out=xy)
         xy = xy.reshape(2, width, active)
-        xv = xy[0]
-        yv = xy[1]
-        xd = xs[dst]
-        yd = ys[dst]
         dxy = d_flat[:span].reshape(2, width, active)
-        np.subtract(xy, np.stack((xd, yd))[:, None, :], out=dxy)
-        dx = dxy[0]
-        dy = dxy[1]
-
-        # Forwarding-zone and safety masks (exact: sign tests only)
-        # come before the in-place squaring consumes dx/dy; padding
-        # rides through every mask with d2 == inf.
-        valid = None
-        if mode == "gf":
-            pass  # full neighbourhood, no zone filter
-        elif self.quadrant:
-            xu = xs[cur]
-            yu = ys[cur]
-            ddx = xd - xu
-            ddy = yd - yu
-            k = np.select(
-                [
-                    (ddx > 0.0) & (ddy >= 0.0),
-                    (ddx <= 0.0) & (ddy > 0.0),
-                    (ddx < 0.0) & (ddy <= 0.0),
-                ],
-                [1, 2, 3],
-                default=4,
-            )
-            dxu = xv - xu
-            dyu = yv - yu
-            px = dxu >= 0.0
-            py = dyu >= 0.0
-            nx = dxu <= 0.0
-            ny = dyu <= 0.0
-            valid = (
-                ((k == 1) & px & py)
-                | ((k == 2) & nx & py)
-                | ((k == 3) & nx & ny)
-                | ((k == 4) & px & ny)
-            )
-            valid &= ~((dxu == 0.0) & (dyu == 0.0))
-        else:
-            xu = xs[cur]
-            yu = ys[cur]
-            xlo = np.minimum(xu, xd)
-            xhi = np.maximum(xu, xd)
-            ylo = np.minimum(yu, yd)
-            yhi = np.maximum(yu, yd)
-            valid = (
-                (xv >= xlo)
-                & (xv <= xhi)
-                & (yv >= ylo)
-                & (yv <= yhi)
-            )
-
-        safe_ok = None
-        if safe_t is not None:
-            # _zone_type_rel, branch for branch, on (dx, dy); the
-            # candidate's own safety bit comes out of the packed
-            # per-slot bits by the zone type's shift.
-            kv = np.select(
-                [
-                    (dx == 0.0) & (dy == 0.0),
-                    (dx < 0.0) & (dy <= 0.0),
-                    dy < 0.0,
-                    dx > 0.0,
-                ],
-                [0, 1, 2, 3],
-                default=4,
-            )
-            bit = safe_t[:, cur] >> np.maximum(kv - 1, 0)
-            safe_ok = (kv == 0) | (bit & 1).astype(bool)
+        np.subtract(xy, np.stack((xs[dst], ys[dst]))[:, None, :], out=dxy)
 
         # Squared distance to the destination, both planes in one
-        # pass; the in-place square frees dx/dy.
+        # pass; padding rides through with d2 == inf.
         np.multiply(dxy, dxy, out=dxy)
         d2 = np.add(dxy[0], dxy[1], out=dxy[0])
-        d2v = d2 if valid is None else np.where(valid, d2, np.inf)
-        if safe_ok is not None:
-            d2s = np.where(safe_ok, d2v, np.inf)
 
-        # Tier minima and the banded clear/defect verdicts.
-        banded = self.quadrant or mode == "gf"
-        if banded:
-            thr = dval - _EPS
-            thr2 = thr * thr
-            lo2 = thr2 * _BAND_LO
-            hi2 = thr2 * _BAND_HI
-        if mode in ("gf", "lgf"):
-            m_all = np.minimum.reduce(d2v, axis=0, out=m_flat[:active])
-            ok = m_all < lo2 if banded else np.isfinite(m_all)
-            m_sel = m_all
-            d2t = d2v
-            use_safe = None
-        else:  # slgf
-            m_all = d2v.min(axis=0)
-            m_safe = d2s.min(axis=0)
-            if banded:
-                safe_clear = m_safe < lo2
-                safe_empty = m_safe >= hi2
-                plain_clear = m_all < lo2
-            else:
-                safe_clear = np.isfinite(m_safe)
-                safe_empty = ~safe_clear
-                plain_clear = np.isfinite(m_all)
-            use_safe = safe_clear
-            ok = safe_clear | (safe_empty & plain_clear)
-            m_sel = np.where(use_safe, m_safe, m_all)
-            d2t = np.where(use_safe, d2s, d2v)
+        # The minimum and the banded clear/defect verdict.
+        thr = dval - _EPS
+        thr2 = thr * thr
+        m_all = np.minimum.reduce(d2, axis=0, out=m_flat[:active])
+        ok = m_all < thr2 * _BAND_LO
 
         # Delivery: a destination adjacent to its packet.  Its
-        # candidate entry has squared distance exactly 0.0 and passes
-        # every zone and safety filter, so ``m_sel == 0.0`` is a
-        # complete (and cheap) trigger; the caller's column scan then
-        # tells a true destination from a node merely coincident with
-        # it.
-        deliver = m_sel == 0.0
-        return m_sel, d2t, m_sel * _BAND_HI, ok, deliver, use_safe
+        # candidate entry has squared distance exactly 0.0, so
+        # ``m_all == 0.0`` is a complete (and cheap) trigger; the
+        # caller's column scan then tells a true destination from a
+        # node merely coincident with it.
+        deliver = m_all == 0.0
+        return m_all, d2, m_all * _BAND_HI, ok, deliver
 
     def _route_wave(self, pairs: list) -> list[RouteResult]:
         np = self.np
-        mode = self.mode
         scalar = self.scalar
         count = len(pairs)
         if count == 0:
@@ -1885,13 +1790,11 @@ class _NumpyBatchKernel:
         xs, ys = self.xs, self.ys
         nb_t, len_t, deg = self.nb_t, self.len_t, self.deg
         nb_flat, len_flat = nb_t.ravel(), len_t.ravel()
-        safe_t = self.safe_t
         rname = self.router.name
         phase_cache = self._phases
         results: list[RouteResult | None] = [None] * count
         defects: list[int] = []
         paths: list[list[NodeId]] = [[s] for s, _ in pairs]
-        phase_rows = [[] for _ in range(count)] if mode == "slgf" else None
 
         if count > self._buf_cap:
             plane = 2 * self.width * count
@@ -1930,9 +1833,7 @@ class _NumpyBatchKernel:
                 if not slot.size:
                     break
 
-            m_sel, d2t, m_band, ok, deliver, use_safe = self._tiers(
-                np, cur, dst, dval, safe_t
-            )
+            m_all, d2, m_band, ok, deliver = self._tiers(np, cur, dst, dval)
 
             dmatch = None
             if deliver.any():
@@ -1941,9 +1842,9 @@ class _NumpyBatchKernel:
                 deliver[zrows] = dmatch.any(axis=0)
 
             # A winner must be *uniquely* within the tie band of the
-            # tier minimum, or the scalar scan-order tie-break decides.
-            within = self._bufs[3][: d2t.size].reshape(d2t.shape)
-            np.less_equal(d2t, m_band, out=within)
+            # minimum, or the scalar scan-order tie-break decides.
+            within = self._bufs[3][: d2.size].reshape(d2.shape)
+            np.less_equal(d2, m_band, out=within)
             cnt = within.sum(axis=0)
             advance = ok & (cnt == 1) & ~deliver
             defect = ~deliver & ~advance
@@ -1956,24 +1857,19 @@ class _NumpyBatchKernel:
                 fin_len = (
                     length[done] + len_flat[dcol * n + cur[done]]
                 ).tolist()
-                # Delivered results are built directly (positional
-                # dataclass call, cached phase tuples): the ergonomic
-                # ``_finish`` wrapper costs more than every array op
-                # of a step combined when thousands of packets finish.
+                # Delivered results are built directly (cached phase
+                # tuples): the ergonomic ``_finish`` wrapper costs more
+                # than every array op of a step combined when
+                # thousands of packets finish.
                 for s_slot, flen in zip(slot[done].tolist(), fin_len):
                     source, destination = pairs[s_slot]
                     path = paths[s_slot]
                     path.append(destination)
-                    if phase_rows is not None:
-                        ph = phase_rows[s_slot]
-                        ph.append(_SAFE)
-                        ph = tuple(ph)
-                    else:
-                        hops = len(path) - 1
-                        ph = phase_cache.get(hops)
-                        if ph is None:
-                            phase_cache[hops] = ph = (_GREEDY,) * hops
-                    results[s_slot] = RouteResult(
+                    hops = len(path) - 1
+                    ph = phase_cache.get(hops)
+                    if ph is None:
+                        phase_cache[hops] = ph = (_GREEDY,) * hops
+                    results[s_slot] = _route_result(
                         rname,
                         source,
                         destination,
@@ -1986,28 +1882,17 @@ class _NumpyBatchKernel:
             adv = np.nonzero(advance)[0]
             if adv.size:
                 # The advancing packets' unique in-band candidate is
-                # the tier minimum; its padded slot (first along the
-                # CSR axis, matching the scalar first-wins scan) keys
-                # the flat neighbour/length lookups.
+                # the minimum; its padded slot (first along the CSR
+                # axis, matching the scalar first-wins scan) keys the
+                # flat neighbour/length lookups.
                 wrow = within.argmax(axis=0)
                 wflat = wrow[adv] * n + cur[adv]
                 wnb = nb_flat[wflat]
-                widx = wnb.tolist()
-                if phase_rows is not None:
-                    safe_flags = use_safe[adv].tolist()
-                    for s_slot, wi, sflag in zip(
-                        slot[adv].tolist(), widx, safe_flags
-                    ):
-                        paths[s_slot].append(ids[wi])
-                        phase_rows[s_slot].append(
-                            _SAFE if sflag else _GREEDY
-                        )
-                else:
-                    for s_slot, wi in zip(slot[adv].tolist(), widx):
-                        paths[s_slot].append(ids[wi])
+                for s_slot, wi in zip(slot[adv].tolist(), wnb.tolist()):
+                    paths[s_slot].append(ids[wi])
                 length = length[adv] + len_flat[wflat]
                 cur = wnb
-                dval = np.sqrt(m_sel[adv])
+                dval = np.sqrt(m_all[adv])
             slot = slot[adv]
             dst = dst[adv]
 
@@ -2016,17 +1901,13 @@ class _NumpyBatchKernel:
             s_slot = int(slot[j])
             source, destination = pairs[s_slot]
             path = paths[s_slot]
-            if phase_rows is not None:
-                ph = tuple(phase_rows[s_slot])
-            else:
-                ph = (_GREEDY,) * (len(path) - 1)
-            results[s_slot] = RouteResult(
+            results[s_slot] = _route_result(
                 rname,
                 source,
                 destination,
                 False,
                 tuple(path),
-                ph,
+                (_GREEDY,) * (len(path) - 1),
                 float(length[j]),
                 failure_reason="ttl_exceeded",
             )
@@ -2043,28 +1924,20 @@ class _NumpyBatchKernel:
 def numpy_kernel_for(router: Router, executor=None):
     """A vectorized batch kernel for ``router``, or ``None``.
 
-    ``None`` when the scheme has no kernel mode (SLGF2: its kernel
-    defected nearly every packet to the scalar replica and was no faster
-    than it, so SLGF2 runs on the scalar executor under every backend),
+    Only GF has a kernel.  ``None`` for the other schemes (LGF, SLGF
+    and SLGF2 read memoised quadrant lists, and their kernels were
+    no faster than their executors, which run under every backend),
     when numpy is unavailable, or when the router routes through its
     own ``_run`` — the kernel defects packets to the scalar executor,
     so it cannot exist without one.  The scheme is picked by the rule
     that picks the executor (:func:`_scheme_of`).  ``executor`` reuses
     an already-built scalar executor instead of building a fresh one.
     """
-    mode = _KERNEL_MODES.get(_scheme_of(router))
-    if mode is None:
+    if _scheme_of(router) is not GreedyRouter:
         return None
     np = load_numpy()
     if np is None:
         return None
     if executor is None:
         executor = executor_for(router)
-    return _NumpyBatchKernel(np, mode, router, router.graph.core, executor)
-
-
-_KERNEL_MODES = {
-    GreedyRouter: "gf",
-    LgfRouter: "lgf",
-    SlgfRouter: "slgf",
-}
+    return _NumpyBatchKernel(np, router, router.graph.core, executor)

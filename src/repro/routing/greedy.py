@@ -32,7 +32,12 @@ __all__ = ["GreedyRouter", "HoleBoundaries"]
 
 
 class HoleBoundaries(Protocol):
-    """Boundary information in the BOUNDHOLE sense (paper ref [5])."""
+    """Boundary information in the BOUNDHOLE sense (paper ref [5]).
+
+    An implementation may also carry ``core``, the topology core its
+    cycles were traced on (as :class:`~repro.protocols.HoleBoundarySet`
+    does); a router over that same core then trusts every cycle edge.
+    """
 
     def boundary_of(self, node: NodeId) -> tuple[NodeId, ...] | None:
         """The boundary cycle through ``node``, or ``None``."""

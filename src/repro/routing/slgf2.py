@@ -62,9 +62,10 @@ As a delta of SLGF: candidates default to the quadrant scope, a
 superseding filter steers every greedy pick, and backup episodes and
 a hand-committed face or DFS perimeter replace SLGF's tried-set
 perimeter.  The forwarding loop is ``_Slgf2Executor`` in
-:mod:`repro.routing.batch`; the router keeps the three decisions that
-read the estimated rectangles (size-aware entry, episode cap, DFS
-bound), which the executor calls.
+:mod:`repro.routing.batch`, which also runs the size-aware entry test
+on the shape columns; the router keeps the two decisions that join
+the estimated rectangles (episode cap, DFS bound), which the executor
+calls.
 """
 
 from __future__ import annotations
@@ -72,15 +73,12 @@ from __future__ import annotations
 import math
 
 from repro.core.model import InformationModel
-from repro.core.zones import zone_type_of
-from repro.geometry import Point, Rect
+from repro.geometry import Rect
 from repro.network.node import NodeId
 from repro.routing.base import Router
 from repro.routing.perimeter import PlanarizationCache
 
 __all__ = ["Slgf2Router"]
-
-_EPS = 1e-9
 
 
 class Slgf2Router(Router):
@@ -174,34 +172,8 @@ class Slgf2Router(Router):
             self._planar.rebind(self.graph)
 
     # ------------------------------------------------------------------
-    # Size-aware entry, backup episode cap and DFS bound
+    # Backup episode cap and DFS bound
     # ------------------------------------------------------------------
-
-    def _entering_is_cheap(self, v: NodeId, pd: Point) -> bool:
-        """Should the packet enter the unsafe area through ``v``?
-
-        ``v`` is an unsafe zone candidate; its estimated rectangle
-        ``E_k̄(v)`` measures the blocking area ahead.  Entering is
-        cheap when the rectangle is small (recovery after the predicted
-        block costs less than orbiting), and *necessary* when the
-        destination lies inside the rectangle (no safe path can end
-        there anyway).
-        """
-        pv = self.graph.position(v)
-        if pv == pd:
-            return True
-        rect = self.model.estimated_area(v, zone_type_of(pv, pd))
-        if rect is None:
-            return True  # no prediction of a block at all
-        if rect.contains(pd, tol=_EPS):
-            return True
-        if rect.is_degenerate(tol=_EPS):
-            # The candidate is itself a stuck node with an empty
-            # quadrant: its point-rectangle says nothing about the size
-            # of the blocking area (it could be the bottom of a deep
-            # pocket).  Never treat that as cheap.
-            return False
-        return rect.diagonal() <= self._enter_threshold
 
     def _backup_cap(self, u: NodeId) -> int:
         """Episode hop budget: proportional to the estimated perimeter.

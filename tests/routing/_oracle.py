@@ -11,8 +11,9 @@ safe candidates, all of SLGF2's Algorithm 3, GPSR's face walk
 against.  The code is the object path as it last ran in ``src/``, with
 each method's ``self`` turned into a ``router`` argument; the router
 members the executors also call (``_hole_boundaries``, ``_planar``,
-``_entering_is_cheap``, ``_backup_cap``, ``_perimeter_bound``) stay on
-the routers.
+``_backup_cap``, ``_perimeter_bound``) stay on the routers.  SLGF2's
+size-aware entry test, which the executor replicates on the shape
+columns, is here too (``slgf2_entering_is_cheap``).
 
 Entry point: :func:`oracle_route`, which routes one packet through
 the scheme's reference loop on a :class:`~repro.routing.base.PacketTrace`,
@@ -607,6 +608,35 @@ def slgf2_choose_hand(
     return Hand.RIGHT
 
 
+def slgf2_entering_is_cheap(
+    router: Slgf2Router, v: NodeId, pd: Point
+) -> bool:
+    """Should the packet enter the unsafe area through ``v``?
+
+    ``v`` is an unsafe zone candidate; its estimated rectangle
+    ``E_k̄(v)`` measures the blocking area ahead.  Entering is
+    cheap when the rectangle is small (recovery after the predicted
+    block costs less than orbiting), and *necessary* when the
+    destination lies inside the rectangle (no safe path can end
+    there anyway).
+    """
+    pv = router.graph.position(v)
+    if pv == pd:
+        return True
+    rect = router.model.estimated_area(v, zone_type_of(pv, pd))
+    if rect is None:
+        return True  # no prediction of a block at all
+    if rect.contains(pd, tol=_EPS):
+        return True
+    if rect.is_degenerate(tol=_EPS):
+        # The candidate is itself a stuck node with an empty
+        # quadrant: its point-rectangle says nothing about the size
+        # of the blocking area (it could be the bottom of a deep
+        # pocket).  Never treat that as cheap.
+        return False
+    return rect.diagonal() <= router._enter_threshold
+
+
 def slgf2_run(
     router: Slgf2Router, trace: PacketTrace, destination: NodeId
 ) -> str | None:
@@ -670,8 +700,8 @@ def slgf2_run(
             and router.model.is_safe_any(u)
             and not (
                 plain
-                and router._entering_is_cheap(
-                    slgf2_greedy_pick(router, plain, pd), pd
+                and slgf2_entering_is_cheap(
+                    router, slgf2_greedy_pick(router, plain, pd), pd
                 )
             )
         )

@@ -1,5 +1,8 @@
 """Tests for the router base machinery and result records."""
 
+import copy
+import dataclasses
+import pickle
 from collections import Counter
 
 import pytest
@@ -21,6 +24,7 @@ from repro.routing import (
     SlgfRouter,
     Slgf2Router,
 )
+from repro.routing.base import _route_result
 
 
 def tiny_graph():
@@ -370,6 +374,54 @@ class TestRouteResult:
         )
         assert result.hops == 1
         assert not result.delivered
+
+
+#: Field values for both constructors, positional in field order.
+RESULTS = [
+    ("GF", 0, 2, True, (0, 1, 2), (Phase.GREEDY, Phase.PERIMETER), 20.0),
+    ("SLGF2", 5, 9, False, (5, 7), (Phase.BACKUP,), 3.5, 1, 2, 3, "loop"),
+    ("LGF", 4, 1, False, (4,), (), 0.0, 0, 0, 0, "ttl_exceeded"),
+]
+
+
+class TestInternalConstructor:
+    """``_route_result`` (what the forwarding loops build results with)
+    makes the object the public constructor makes."""
+
+    @pytest.mark.parametrize("values", RESULTS)
+    def test_same_value_in_every_respect(self, values):
+        public = RouteResult(*values)
+        internal = _route_result(*values)
+        assert type(internal) is RouteResult
+        assert internal == public and hash(internal) == hash(public)
+        assert repr(internal) == repr(public)
+        assert dataclasses.astuple(internal) == dataclasses.astuple(public)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            restored = pickle.loads(pickle.dumps(internal, protocol))
+            assert restored == public and type(restored) is RouteResult
+        for clone in (copy.copy(internal), copy.deepcopy(internal)):
+            assert clone == public and type(clone) is RouteResult
+        assert not hasattr(internal, "__dict__")  # slotted
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            internal.length = 1.0
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            # phases not labelling exactly the hops
+            ("GF", 0, 2, True, (0, 1, 2), (Phase.GREEDY,), 20.0),
+            ("GF", 0, 2, False, (0,), (Phase.GREEDY,), 0.0),
+            # delivered, but not at the destination
+            ("GF", 0, 2, True, (0, 1), (Phase.GREEDY,), 10.0),
+            ("GF", 0, 2, True, (), (), 0.0),
+        ],
+    )
+    def test_same_malformed_input_rejected(self, values):
+        with pytest.raises(ValueError) as public:
+            RouteResult(*values)
+        with pytest.raises(ValueError) as internal:
+            _route_result(*values)
+        assert str(internal.value) == str(public.value)
 
 
 class TestBasicDelivery:

@@ -302,6 +302,45 @@ class TestGfOnIndices:
         assert_batch_equivalent(router, sample_pairs(cut, 300, 8), "scalar")
         assert tally["stale edge"] > 0 and tally["exit"] > 0
 
+    def test_boundaries_on_own_core_skip_the_edge_check(
+        self, monkeypatch, random_net
+    ):
+        """Boundaries traced on the router's own core hold only its
+        edges, so the walk never checks them; traced on another core,
+        or built by hand, they are checked."""
+        from repro.routing import batch
+
+        graph = random_net[0]
+        boundaries = build_hole_boundaries(graph)
+        assert boundaries.core is graph.core
+        assert boundaries == build_hole_boundaries(graph.without_nodes(()))
+        checked = Counter()
+        stale_edges = batch._GreedyExecutor._stale_edges
+
+        def spied(self, cycle):
+            checked[cycle] += 1
+            return stale_edges(self, cycle)
+
+        monkeypatch.setattr(batch._GreedyExecutor, "_stale_edges", spied)
+        router = GreedyRouter(
+            graph, recovery="boundhole", hole_boundaries=boundaries
+        )
+        pairs = sample_pairs(graph, 200, seed=9)
+        sequential = assert_batch_equivalent(router, pairs, "scalar")
+        assert any(result.perimeter_entries for result in sequential)
+        assert not checked
+        executor = router._scalar_executor()
+        for cycle in boundaries.boundaries:
+            assert not stale_edges(executor, cycle)
+
+        copy = graph.without_nodes(())
+        assert copy.core is not graph.core
+        router = GreedyRouter(
+            copy, recovery="boundhole", hole_boundaries=boundaries
+        )
+        assert router.route_batch(pairs, backend="scalar") == sequential
+        assert checked
+
     def test_boundary_hop_to_d_one_past_ttl(self):
         """The walk checks the TTL before the hop to an adjacent
         destination: a hop one past ``ttl`` is not taken."""
@@ -704,20 +743,24 @@ class TestCoincidentDestination:
 
 
 # ---------------------------------------------------------------------------
-# The neighbourhood memos: SLGF2's quadrant lists and the rotation sweep
+# The neighbourhood memos: the quadrant lists and the rotation sweep
 # ---------------------------------------------------------------------------
 
 
 class CountingList(list):
-    """A memo table that counts its reads and its writes."""
+    """A memo table that counts its reads, by the reading executor's
+    class, and its writes."""
 
     def __init__(self, items):
         super().__init__(items)
         self.reads = 0
         self.writes = 0
+        self.readers = Counter()
 
     def __getitem__(self, index):
         self.reads += 1
+        reader = sys._getframe(1).f_locals.get("self")
+        self.readers[type(reader).__name__] += 1
         return super().__getitem__(index)
 
     def __setitem__(self, index, value):
@@ -732,8 +775,9 @@ def spy_on_neighbourhoods(monkeypatch):
     the rotation answered it, ``"band"`` when the row is flagged and
     ``"reference"`` when the reference lies too close to a neighbour's
     angle; ``"leaf"`` also counts flagged single-neighbour rows.  Each
-    SLGF2 executor's quadrant tables count as ``("scan" | "zone",
-    "built" | "memo")``.
+    core's quadrant lists (``"scan"``) and each SLGF2 executor's zone
+    lists (``"zone"``) count as ``(table, "built" | "memo")``, and
+    their reads as ``(executor, table)``.
     """
     from repro.routing import batch
 
@@ -762,23 +806,33 @@ def spy_on_neighbourhoods(monkeypatch):
         tally[type(self).__name__, caller, path] += 1
         return result
 
+    lists = TopologyCore.quadrant_lists
+
+    def spied_lists(self):
+        table = lists(self)
+        if not isinstance(table, CountingList):
+            table = self._shared["quadrants"] = CountingList(table)
+            tables.append(("scan", table))
+        return table
+
     init = batch._Slgf2Executor.__init__
 
     def spied_init(self, *args):
         init(self, *args)
-        self._scan_q = CountingList(self._scan_q)
         self._zone_q = CountingList(self._zone_q)
-        tables.append((self._scan_q, self._zone_q))
+        tables.append(("zone", self._zone_q))
 
     monkeypatch.setattr(batch._Executor, "_sweep", spied_sweep)
     monkeypatch.setattr(batch._Executor, "_hand_sweep", spied_scalar)
+    monkeypatch.setattr(TopologyCore, "quadrant_lists", spied_lists)
     monkeypatch.setattr(batch._Slgf2Executor, "__init__", spied_init)
 
     def counts():
-        for scan_q, zone_q in tables:
-            for name, table in (("scan", scan_q), ("zone", zone_q)):
-                tally[name, "built"] += table.writes
-                tally[name, "memo"] += table.reads - table.writes
+        for name, table in tables:
+            tally[name, "built"] += table.writes
+            tally[name, "memo"] += table.reads - table.writes
+            for reader, reads in table.readers.items():
+                tally[reader, name] += reads
         tables.clear()
         return tally
 
@@ -795,8 +849,9 @@ def outcome_or_error(route):
 
 def memo_routers(graph, model, boundaries=None):
     """One router per converted scan or sweep: GF's face walk (and its
-    boundary walk), the tried-set sweep of LGF and SLGF, and SLGF2's
-    quadrant scans, backup and face sweeps in either hand, and DFS."""
+    boundary walk), the tried-set sweep and quadrant scan of LGF and
+    SLGF, and SLGF2's quadrant scans, backup and face sweeps in either
+    hand, and DFS."""
     if boundaries is None:
         boundaries = build_hole_boundaries(graph)
     return [
@@ -806,11 +861,16 @@ def memo_routers(graph, model, boundaries=None):
         ),
         LgfRouter(graph),
         SlgfRouter(model),
+        LgfRouter(graph, candidate_scope="quadrant"),
+        SlgfRouter(model, candidate_scope="quadrant"),
         Slgf2Router(model),
         Slgf2Router(model, perimeter_hand="either"),
         Slgf2Router(model, perimeter_mode="dfs"),
     ]
 
+
+#: The executors that read the core's quadrant lists.
+LIST_READERS = ("_LgfExecutor", "_SlgfExecutor", "_Slgf2Executor")
 
 #: (executor, caller) of every converted sweep.
 SWEEPS = (
@@ -880,6 +940,8 @@ class TestNeighbourhoodMemos:
             assert tally[executor, caller, "rotation"] > 0, (executor, caller)
         for scan in ("scan", "zone"):
             assert tally[scan, "memo"] > 0 and tally[scan, "built"] > 0
+        for executor in LIST_READERS:
+            assert tally[executor, "scan"] > 0, executor
 
     def test_flagged_rows_take_the_scalar_sweep(
         self, monkeypatch, pocket_grid
@@ -913,6 +975,8 @@ class TestNeighbourhoodMemos:
         tally = counts()
         banded = sum(n for key, n in tally.items() if key[-1] == "band")
         assert banded > 0 and tally["leaf"] > 0 and raised > 0
+        for executor in LIST_READERS:
+            assert tally[executor, "scan"] > 0, executor
 
     def test_near_reference_angles_take_the_scalar_sweep(self, monkeypatch):
         """On the turned lattice no row is flagged, and a destination on
@@ -949,6 +1013,8 @@ class TestNeighbourhoodMemos:
         tally = counts()
         assert sum(n for key, n in tally.items() if key[-1] == "rotation") > 0
         assert tally["scan", "memo"] > 0
+        for executor in LIST_READERS:
+            assert tally[executor, "scan"] > 0, executor
 
     def test_quadrant_lists_admit_what_their_scans_admit(self):
         """The safe scan's sign tests pass a NaN offset and the zone
@@ -964,9 +1030,9 @@ class TestNeighbourhoodMemos:
         graph = WasnGraph(nodes, adjacency, radius=10.0)
         router = Slgf2Router(InformationModel.build(graph))
         executor = router._scalar_executor()
-        assert executor._scan_members(0, 1) == (1, 2, 3)
-        assert executor._scan_members(0, 2) == (2, 3)
-        assert executor._scan_members(0, 3) == (2,)
+        assert graph.core.fill_quadrant(0, 1) == (1, 2, 3)
+        assert graph.core.fill_quadrant(0, 2) == (2, 3)
+        assert graph.core.fill_quadrant(0, 3) == (2,)
         executor._zone_scan(0, graph.neighbors(0), 0.0, 0.0, 9.0, 9.0, 1, 1.0)
         executor._zone_scan(0, graph.neighbors(0), 0.0, 0.0, -9.0, 9.0, 2, 1.0)
         assert executor._zone_q[0] == (1, 3)
@@ -979,6 +1045,41 @@ class TestNeighbourhoodMemos:
             assert repr(router.route_batch(pairs)) == repr(
                 [oracle_route(router, s, d) for s, d in pairs]
             )
+        for router in (
+            LgfRouter(graph, candidate_scope="quadrant"),
+            SlgfRouter(router.model, candidate_scope="quadrant"),
+        ):
+            assert repr(router.route_batch(pairs)) == repr(
+                [oracle_route(router, s, d) for s, d in pairs]
+            )
+
+    def test_one_table_per_core(self, random_net):
+        """LGF, SLGF and SLGF2 in quadrant scope read one table per
+        core, which a flag variant shares and the zone scope never
+        reads; each entry, once filled, is reused, not rebuilt."""
+        graph, _, model = random_net
+        core = graph.core
+        table = core.quadrant_lists()
+        routers = [
+            LgfRouter(graph, candidate_scope="quadrant"),
+            SlgfRouter(model, candidate_scope="quadrant"),
+            Slgf2Router(model),
+        ]
+        for router in routers:
+            assert router._scalar_executor().quadrants is table
+        for router in (LgfRouter(graph), SlgfRouter(model)):
+            assert router._scalar_executor().quadrants is None
+        assert core.with_edge_flags(()).quadrant_lists() is table
+
+        pairs = sample_pairs(graph, 100, seed=27)
+        routers[0].route_batch(pairs)
+        filled = {i: entry for i, entry in enumerate(table) if entry}
+        assert filled
+        for router in routers[1:]:
+            assert router.route_batch(pairs) == [
+                oracle_route(router, s, d) for s, d in pairs
+            ]
+        assert all(table[i] is entry for i, entry in filled.items())
 
 
 def on_build(graph, build):

@@ -4,16 +4,17 @@ Three contracts, one suite.  With numpy importable,
 ``route_batch(backend="numpy")`` must be indistinguishable — every
 ``RouteResult`` field, floats exact — from the scalar batch executor,
 sequential :meth:`Router.route` calls and the reference loops, across
-every scheme's kernel-relevant option surface, over random/grid/obstacle
+GF's kernel-relevant option surface, over random/grid/obstacle
 topologies, failure-restricted graphs, and the rebind lifecycle (the
 differential harness in :mod:`_backend_diff` does the comparing).
-``backend="auto"`` hands a batch to the kernel only from the measured
-crossover ``_KERNEL_MIN_BATCH`` up; smaller batches never build one,
-and SLGF2 (no kernel mode) runs on the scalar executor under every
-backend.  Without numpy, ``backend="auto"`` must degrade to the scalar
-executor *silently* and ``backend="numpy"`` must refuse *loudly* — the
-degradation tests simulate the bare environment by blocking the numpy
-import underneath :func:`repro._optional.load_numpy`.
+Only GF has a kernel: LGF, SLGF and SLGF2 run their scalar executors
+under every backend.  ``backend="auto"`` hands a batch to the kernel
+only from the measured crossover ``_KERNEL_MIN_BATCH`` up; smaller
+batches never build one.  Without numpy, ``backend="auto"`` must
+degrade to the scalar executor *silently* and ``backend="numpy"`` must
+refuse *loudly* — the degradation tests simulate the bare environment
+by blocking the numpy import underneath
+:func:`repro._optional.load_numpy`.
 
 Grid fixtures are load-bearing: lattice symmetry produces exact
 candidate ties, which is the kernel's defect-to-scalar path, not its
@@ -71,14 +72,14 @@ def make_random_graph(n=400, seed=0, area=200.0, radius=20.0):
     return EdgeDetector(strategy="convex").apply(g), positions
 
 
-def kernel_routers(graph, model):
-    """Every scheme/option combination the kernel dispatches on.
+def kernel_routers(graph):
+    """Every GF option combination the kernel dispatches on.
 
     Recovery options (boundhole, tight TTL) matter even though the
     kernel never runs them: they shape what the *defected* packets do,
-    which is exactly where a sloppy hand-off would diverge.  SLGF2 has
-    no kernel mode; ``tests/routing/test_batch.py`` pins its scalar
-    executor.
+    which is exactly where a sloppy hand-off would diverge.  LGF, SLGF
+    and SLGF2 have no kernel; ``tests/routing/test_batch.py`` pins
+    their executors.
     """
     return [
         GreedyRouter(graph),
@@ -87,13 +88,19 @@ def kernel_routers(graph, model):
             recovery="boundhole",
             hole_boundaries=build_hole_boundaries(graph),
         ),
+        # Tight budget: ttl_exceeded routes out of the kernel's loop.
+        GreedyRouter(graph, ttl=12),
+    ]
+
+
+def scalar_only_routers(graph, model):
+    """LGF and SLGF in both candidate scopes, and SLGF2: no kernel."""
+    return [
         LgfRouter(graph),
         LgfRouter(graph, candidate_scope="quadrant"),
         SlgfRouter(model),
         SlgfRouter(model, candidate_scope="quadrant"),
-        # Tight budgets: ttl_exceeded routes, single- and per-hop phases.
-        LgfRouter(graph, ttl=12),
-        SlgfRouter(model, ttl=12),
+        Slgf2Router(model),
     ]
 
 
@@ -107,44 +114,49 @@ def tiny_crossover(monkeypatch):
 
 @needs_numpy
 class TestNumpyEquivalence:
-    def test_every_scheme_gets_a_kernel(self, random_net):
-        """GF, LGF and SLGF get a kernel; SLGF2 gets none."""
+    def test_only_gf_gets_a_kernel(self, random_net):
+        """GF gets a kernel; LGF, SLGF and SLGF2 get none, and run
+        their executors under ``backend="numpy"``."""
         graph, _, model = random_net
-        for router in kernel_routers(graph, model):
+        for router in kernel_routers(graph):
             assert numpy_kernel_for(router) is not None, router.name
-        assert numpy_kernel_for(Slgf2Router(model)) is None
+        pairs = sample_pairs(graph, 40, seed=0)
+        for router in scalar_only_routers(graph, model):
+            assert numpy_kernel_for(router) is None, router.name
+            assert_backends_identical(router, pairs)
+            assert router._numpy_kernel is False  # probed: no kernel
 
     def test_random_network(self, random_net):
-        graph, _, model = random_net
+        graph, _, _ = random_net
         pairs = sample_pairs(graph, 40, seed=0)
-        for router in kernel_routers(graph, model):
+        for router in kernel_routers(graph):
             assert_backends_identical(router, pairs)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_random_network_extra_seeds(self, random_net, seed):
-        graph, _, model = random_net
+        graph, _, _ = random_net
         pairs = sample_pairs(graph, 40, seed=seed)
-        for router in kernel_routers(graph, model):
+        for router in kernel_routers(graph):
             assert_backends_identical(router, pairs)
 
     def test_grid_exact_ties(self, grid):
         """Lattice ties: the kernel must defect, never tie-break."""
-        graph, _, model = grid
+        graph, _, _ = grid
         pairs = sample_pairs(graph, 40, seed=1)
-        for router in kernel_routers(graph, model):
+        for router in kernel_routers(graph):
             assert_backends_identical(router, pairs)
 
     def test_pocket_grid_recovery(self, pocket_grid):
-        graph, _, model = pocket_grid
+        graph, _, _ = pocket_grid
         pairs = sample_pairs(graph, 40, seed=2)
-        for router in kernel_routers(graph, model):
+        for router in kernel_routers(graph):
             assert_backends_identical(router, pairs)
 
     def test_obstacle_network(self, obstacle_net):
-        graph, _, model = obstacle_net
+        graph, _, _ = obstacle_net
         pairs = sample_pairs(graph, 40, seed=3)
-        for router in kernel_routers(graph, model):
+        for router in kernel_routers(graph):
             assert_backends_identical(router, pairs)
 
     def test_failure_restricted_graph(self, random_net):
@@ -152,42 +164,50 @@ class TestNumpyEquivalence:
         columns and id binary search see non-contiguous ids."""
         graph, _, _ = random_net
         survivor = graph.without_nodes(range(0, 400, 5))
-        model = InformationModel.build(survivor)
         pairs = sample_pairs(survivor, 30, seed=4)
-        for router in kernel_routers(survivor, model):
+        for router in kernel_routers(survivor):
             assert_backends_identical(router, pairs)
 
     def test_sparse_network_defect_heavy(self):
         """Low density: most packets hit a local minimum and defect."""
         graph, _ = make_random_graph(n=70, seed=9)
-        model = InformationModel.build(graph)
         pairs = sample_pairs(graph, 30, seed=5)
-        for router in kernel_routers(graph, model):
+        for router in kernel_routers(graph):
             assert_backends_identical(router, pairs)
 
     def test_rebind_invalidates_kernel(self):
-        """The cached kernel must not outlive its topology."""
+        """The cached kernel (or SLGF's cached absence of one) must not
+        outlive its topology."""
         graph, _ = make_grid_graph()
-        router = SlgfRouter(InformationModel.build(graph))
+        router = GreedyRouter(graph)
+        slgf = SlgfRouter(InformationModel.build(graph))
         pairs = sample_pairs(graph, 10, seed=6)
         router.route_batch(pairs, backend="numpy")
         first = router._numpy_kernel
         assert first
         router.route_batch(pairs, backend="numpy")
         assert router._numpy_kernel is first  # reused across batches
+        slgf.route_batch(pairs, backend="numpy")
+        assert slgf._numpy_kernel is False  # probed: no kernel
 
         topology = DynamicTopology.from_graph(
             graph, edge_detector=EdgeDetector(strategy="convex")
         )
         topology.fail(27)
-        router.rebind(topology.graph)
-        assert router._numpy_kernel is None
-        fresh = SlgfRouter(InformationModel.build(topology.graph))
         rebound = [(s, d) for s, d in pairs if s != 27 and d != 27]
-        assert router.route_batch(
-            rebound, backend="numpy"
-        ) == fresh.route_batch(rebound, backend="numpy")
-        assert_backends_identical(router, rebound)
+        fresh = (
+            GreedyRouter(topology.graph),
+            SlgfRouter(InformationModel.build(topology.graph)),
+        )
+        for stale, new in zip((router, slgf), fresh):
+            stale.rebind(topology.graph)
+            assert stale._numpy_kernel is None
+            assert stale.route_batch(
+                rebound, backend="numpy"
+            ) == new.route_batch(rebound, backend="numpy")
+            assert_backends_identical(stale, rebound)
+        assert router._numpy_kernel and router._numpy_kernel is not first
+        assert slgf._numpy_kernel is False
 
     def test_wave_chunking(self, random_net, monkeypatch):
         """A batch split across waves equals one unchunked wave."""
@@ -249,20 +269,22 @@ class TestAutoCrossover:
 
     @needs_numpy
     def test_at_crossover_builds_one_kernel(self, random_net):
+        """GF builds its kernel once; LGF and SLGF probe, find none and
+        route on their executors."""
         graph, _, model = random_net
         pairs = sample_pairs(graph, _KERNEL_MIN_BATCH, seed=11)
-        for router in (
-            GreedyRouter(graph),
-            LgfRouter(graph),
-            SlgfRouter(model),
-        ):
+        router = GreedyRouter(graph)
+        auto = router.route_batch(pairs, backend="auto")
+        kernel = router._numpy_kernel
+        assert kernel
+        assert auto == router.route_batch(pairs, backend="scalar")
+        assert router.route_batch(pairs[:3], backend="auto") == auto[:3]
+        assert router.route_batch(pairs, backend="auto") == auto
+        assert router._numpy_kernel is kernel  # built once, reused
+        for router in (LgfRouter(graph), SlgfRouter(model)):
             auto = router.route_batch(pairs, backend="auto")
-            kernel = router._numpy_kernel
-            assert kernel, router.name
+            assert router._numpy_kernel is False, router.name  # no kernel
             assert auto == router.route_batch(pairs, backend="scalar")
-            assert router.route_batch(pairs[:3], backend="auto") == auto[:3]
-            assert router.route_batch(pairs, backend="auto") == auto
-            assert router._numpy_kernel is kernel  # built once, reused
 
     @pytest.mark.parametrize(
         "count", [5, _KERNEL_MIN_BATCH], ids=["below", "at"]
@@ -274,7 +296,9 @@ class TestAutoCrossover:
         for router in (GreedyRouter(graph), SlgfRouter(model)):
             got = router.route_batch((pair for pair in pairs))
             assert bool(router._numpy_kernel) == (
-                HAS_NUMPY and count >= _KERNEL_MIN_BATCH
+                HAS_NUMPY
+                and count >= _KERNEL_MIN_BATCH
+                and isinstance(router, GreedyRouter)
             )
             assert got == router.route_batch(pairs, backend="scalar")
             assert got == router.route_batch(pairs)
